@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the library layers: ``validate`` and
 ``static-diag`` wrap the model checks, ``evolve`` runs the analytic
 pipeline, ``oracle`` runs the Fock-basis propagator, ``compare`` joins the
 two (or the exact and rotating-wave closed forms), and ``sweep`` scans one
-scalar parameter concurrently.
+scalar parameter point by point.
 
 All numeric output is CSV with 17-significant-digit formatting, so
 re-running an identical configuration reproduces files byte for byte.
@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -398,9 +397,7 @@ def cmd_sweep(args):
         raise ConfigError("sweep bounds must be numbers and count an integer") from None
     if count < 1:
         raise ConfigError("sweep count must be at least 1")
-    values = np.linspace(lo, hi, count)
-    with ThreadPoolExecutor(max_workers=min(count, 8)) as pool:
-        results = list(pool.map(lambda v: _sweep_point(args, name, float(v)), values))
+    results = [_sweep_point(args, name, float(v)) for v in np.linspace(lo, hi, count)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"

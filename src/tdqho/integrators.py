@@ -1,4 +1,4 @@
-"""Explicit ODE integrators with dense sampling and quadrature channels.
+"""Explicit ODE integrators with dense sampling.
 
 Two drivers over first-order real systems y' = f(t, y) on [0, T]:
 
@@ -8,9 +8,6 @@ Two drivers over first-order real systems y' = f(t, y) on [0, T]:
   control and a fifth-order-accurate continuous extension, so samples (and
   later off-grid queries) are read off the interpolant instead of forcing
   steps.
-
-``with_quadrature`` augments a system with channels z_i' = g_i(t, y),
-z_i(0) = 0, so definite integrals ride along at integrator accuracy.
 """
 
 from __future__ import annotations
@@ -91,13 +88,10 @@ class DenseOutput:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.clip(np.searchsorted(self._rights, t_arr, side="left"),
                       0, len(self._lefts) - 1)
-        out = np.empty((t_arr.size, self._rcont.shape[2]))
-        for j, (ti, i) in enumerate(zip(t_arr, idx)):
-            left = self._lefts[i]
-            h = self._rights[i] - left
-            theta = (ti - left) / h
-            r1, r2, r3, r4, r5 = self._rcont[i]
-            out[j] = r1 + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+        left = self._lefts[idx]
+        theta = ((t_arr - left) / (self._rights[idx] - left))[:, None]
+        r1, r2, r3, r4, r5 = np.moveaxis(self._rcont[idx], 1, 0)
+        out = r1 + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
         # (n,) for scalar t, (n, len(t)) otherwise, matching states layout
         return out[0] if np.ndim(t) == 0 else out.T
 
@@ -283,24 +277,3 @@ def integrate_adaptive(system, y0, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_
     return SampledSolution(times=ts, states=states,
                            stats=IntegratorStats(nsteps, nrejected, max_err),
                            dense=dense)
-
-
-def with_quadrature(system, integrands):
-    """Augment a system with running integrals z_i' = g_i(t, y), z_i(0) = 0.
-
-    Each g_i receives the full augmented state vector; the base components
-    occupy y[:system.n]. Callers append len(integrands) zeros to their
-    initial state.
-    """
-    integrands = list(integrands)
-    base_n, base_f = system.n, system.f
-    k = len(integrands)
-
-    def f(t, y):
-        out = np.empty(base_n + k)
-        out[:base_n] = base_f(t, y[:base_n]) if base_n else ()
-        for i, g in enumerate(integrands):
-            out[base_n + i] = g(t, y)
-        return out
-
-    return OdeSystem(n=base_n + k, f=f, t_end=system.t_end)

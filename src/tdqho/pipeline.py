@@ -1,13 +1,15 @@
 """End-to-end propagation of moments for the time-dependent quadratic model.
 
-The chain: solve the displacement pair (beta_x, beta_p) that tracks the
-drives, accumulate the scalar bias ell(t), solve the Ermakov equation for
-the scale rho(t) of the effective oscillator while co-integrating the phase
-quadratures, assemble the linear map (A, B, D, E) relating centered means
-at time t to those at 0, then push first and second moments through that
-map. The map is built as a product of five 2x2 conjugation matrices
-(scaling, basis rotation, shear-scale, phase rotation, inverse basis
-rotation), which keeps AE - BD = 1 to machine precision by construction.
+The chain: integrate one 7-state auxiliary system that co-integrates the
+displacement pair (beta_x, beta_x_dot) tracking the drives, the Ermakov
+scale (rho, rho_dot) of the effective oscillator and the phase quadratures
+(Phi, X, Lambda), with the scalar energy bias ell(t) in Lambda taken from
+the live displacement; assemble the linear map (A, B, D, E) relating
+centered means at time t to those at 0; then push first and second moments
+through that map. The map is built as a product of five 2x2 conjugation
+matrices (scaling, basis rotation, shear-scale, phase rotation, inverse
+basis rotation), which keeps AE - BD = 1 to machine precision by
+construction.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidityError
-from .integrators import OdeSystem, integrate_adaptive, with_quadrature
-from .model import (MomentState, effective_m5_omega5, gamma_squeeze, kappa,
+from .integrators import OdeSystem, integrate_adaptive
+from .model import (MomentState, effective_m5_omega5, gamma_squeeze,
                     m5_log_derivative, validate)
 from .staticdiag import StaticParams, static_translation
 
@@ -40,12 +42,17 @@ def default_grid(params, n_samples=PIPELINE_SAMPLES):
     return np.linspace(0.0, params.horizon, n_samples)
 
 
-# -- displacement pair -----------------------------------------------------
+# -- fused auxiliary solve ---------------------------------------------------
+
+# Layout of the co-integrated state
+# (beta_x, beta_x_dot, rho, rho_dot, Phi, X, Lambda).
+_BETA = slice(0, 2)
+_ERMAKOV = slice(2, 7)
 
 
 @dataclass(frozen=True)
 class BetaSolution:
-    """Sampled displacement pair with its dense interpolant.
+    """Sampled displacement pair, a view of the fused auxiliary solution.
 
     beta_p is recovered algebraically from (beta_x, beta_x_dot), so the
     defining constraint beta_p = m(-beta_x_dot + 2 a_xp beta_x + a_p)
@@ -61,8 +68,7 @@ class BetaSolution:
 
     def at(self, t):
         """(beta_x, beta_x_dot, beta_p) at arbitrary t, from dense output."""
-        y = self._dense(t)
-        bx, bxd = y[0], y[1]
+        bx, bxd = self._dense(t)[_BETA]
         p = self._params
         bp = p.m.value(t) * (-bxd + 2.0 * p.alpha_xp.value(t) * bx + p.alpha_p.value(t))
         return bx, bxd, bp
@@ -77,57 +83,11 @@ class BetaSolution:
         return np.abs(self.beta_p - predicted)
 
 
-def solve_beta(params, grid=None, rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
-    """Integrate the second-order displacement equation on [0, T].
-
-    Initial conditions come from the translation of the frozen t = 0
-    Hamiltonian; a SingularityError propagates if omega(0)^2 = 4 a_xp(0)^2.
-    """
-    if grid is None:
-        grid = default_grid(params)
-    bx0, bp0 = static_translation(_static_at(params, 0.0))
-    m0 = params.m.value(0.0)
-    bxd0 = 2.0 * params.alpha_xp.value(0.0) * bx0 + params.alpha_p.value(0.0) - bp0 / m0
-
-    def rhs(t, y):
-        m = params.m.value(t)
-        w = params.omega.value(t)
-        axp = params.alpha_xp.value(t)
-        ap = params.alpha_p.value(t)
-        mlog = params.m.derivative(t) / m
-        forcing = params.alpha_p.derivative(t) - params.alpha_x.value(t) / m \
-            + 2.0 * ap * axp + ap * mlog
-        coeff = 2.0 * params.alpha_xp.derivative(t) - w * w + 4.0 * axp * axp \
-            + 2.0 * axp * mlog
-        return np.array([y[1], -mlog * y[1] + coeff * y[0] + forcing])
-
-    system = OdeSystem(n=2, f=rhs, t_end=params.horizon)
-    sol = integrate_adaptive(system, [bx0, bxd0], rel_tol, abs_tol, sample_times=grid)
-    bx, bxd = sol.states[0], sol.states[1]
-    ts = sol.times
-    bp = params.m.value(ts) * (-bxd + 2.0 * params.alpha_xp.value(ts) * bx
-                               + params.alpha_p.value(ts))
-    return BetaSolution(times=ts, beta_x=bx, beta_x_dot=bxd, beta_p=bp,
-                        _params=params, _dense=sol.dense)
-
-
-def ell(params, beta, t):
-    """Scalar energy bias accumulated by the displacement at time t."""
-    bx, _, bp = beta.at(t)
-    m = params.m.value(t)
-    w = params.omega.value(t)
-    return bp ** 2 / (2.0 * m) + 0.5 * m * w * w * bx ** 2 \
-        + params.alpha_x.value(t) * bx - params.alpha_p.value(t) * bp \
-        - 2.0 * params.alpha_xp.value(t) * bx * bp
-
-
-# -- Ermakov scale and phase quadratures -----------------------------------
-
-
 @dataclass(frozen=True)
 class ErmakovSolution:
     """Sampled Ermakov scale rho with the three running phase integrals:
-    Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell)."""
+    Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell). A view of the
+    fused auxiliary solution."""
 
     times: np.ndarray
     rho: np.ndarray
@@ -138,24 +98,37 @@ class ErmakovSolution:
     _dense: object
 
     def at(self, t):
-        y = self._dense(t)
-        return y[0], y[1], y[2], y[3], y[4]
+        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, from dense output."""
+        return tuple(self._dense(t)[_ERMAKOV])
 
     @property
     def rho0(self):
         return self.rho[0]
 
 
-def solve_ermakov(params, beta, grid=None,
-                  rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
-    """Integrate the Ermakov equation for the effective oscillator scale.
+def _solve_auxiliary(params, grid, rel_tol, abs_tol):
+    """Integrate the displacement pair and the Ermakov equation as one system.
 
-    State is (rho, rho_dot) plus quadrature channels (Phi, X, Lambda);
-    Lambda needs ell(t), hence the displacement solution comes first.
+    The seven states are the second-order displacement equation
+    (beta_x, beta_x_dot), the Ermakov equation (rho, rho_dot) for the scale
+    of the effective oscillator, and the quadratures Phi = int 1/(m5 rho^2),
+    X = int a_xp and Lambda = int (a_0 + ell), where the energy bias ell
+    comes from the live displacement. Each right-hand-side call evaluates
+    every coefficient once.
+
+    Initial displacement comes from the translation of the frozen t = 0
+    Hamiltonian; a SingularityError propagates if omega(0)^2 = 4 a_xp(0)^2.
+    A ValidityError names the time and the constraint wherever rho,
+    w + kappa or w^2 - kappa^2 stops being positive, on the grid or at any
+    point the integrator evaluates. Returns (BetaSolution, ErmakovSolution)
+    sharing one dense output.
     """
+    p = params
     if grid is None:
-        grid = default_grid(params)
-    m5_grid, w5sq_grid = effective_m5_omega5(params, grid)
+        grid = default_grid(p)
+    bx0, bp0 = static_translation(_static_at(p, 0.0))
+    bxd0 = 2.0 * p.alpha_xp.value(0.0) * bx0 + p.alpha_p.value(0.0) - bp0 / p.m.value(0.0)
+    m5_grid, w5sq_grid = effective_m5_omega5(p, grid)
     if np.any(w5sq_grid <= 0.0):
         i = int(np.argmax(w5sq_grid <= 0.0))
         raise ValidityError("effective squared frequency not positive",
@@ -163,46 +136,74 @@ def solve_ermakov(params, beta, grid=None,
     m5_0 = float(np.atleast_1d(m5_grid)[0])
     w5_0 = math.sqrt(float(np.atleast_1d(w5sq_grid)[0]))
     rho0 = 1.0 / math.sqrt(m5_0 * w5_0)
+    eta0 = p.m.value(0.0) * p.omega.value(0.0)
 
     def rhs(t, y):
-        rho, rho_dot = y
+        bx, bxd, rho, rho_dot = y[0], y[1], y[2], y[3]
         if rho <= 0.0:
             raise ValidityError("Ermakov scale must stay positive", t=t,
                                 constraint="rho > 0")
-        m5, w5sq = effective_m5_omega5(params, t)
-        acc = -m5_log_derivative(params, t) * rho_dot - w5sq * rho \
-            + 1.0 / (m5 * m5 * rho ** 3)
-        return np.array([rho_dot, acc])
+        m, md, mdd = p.m.value(t), p.m.derivative(t), p.m.second_derivative(t)
+        w, wd, wdd = p.omega.value(t), p.omega.derivative(t), p.omega.second_derivative(t)
+        axp, axpd = p.alpha_xp.value(t), p.alpha_xp.derivative(t)
+        ap, apd = p.alpha_p.value(t), p.alpha_p.derivative(t)
+        ax, a0 = p.alpha_x.value(t), p.alpha_0.value(t)
+        mlog, wlog = md / m, wd / w
+        kap = 0.5 * (mlog + wlog) + 2.0 * axp
+        denom = w + kap
+        if denom <= 0.0:
+            raise ValidityError("w + kappa must stay positive", t=t,
+                                constraint="w + kappa > 0")
+        w5sq = w * w - kap * kap
+        if w5sq <= 0.0:
+            raise ValidityError("effective squared frequency not positive", t=t,
+                                constraint="omega^2 - kappa^2 > 0")
+        kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
+        m5 = eta0 / denom
+        m5_log_dot = -(wd + kap_dot) / denom
 
-    def g_phi(t, y):
-        m5, _ = effective_m5_omega5(params, t)
-        return 1.0 / (m5 * y[0] ** 2)
+        forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
+        coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
+        bp = m * (-bxd + 2.0 * axp * bx + ap)
+        ell = bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
+            + ax * bx - ap * bp - 2.0 * axp * bx * bp
+        return np.array([
+            bxd, -mlog * bxd + coeff * bx + forcing,
+            rho_dot, -m5_log_dot * rho_dot - w5sq * rho + 1.0 / (m5 * m5 * rho ** 3),
+            1.0 / (m5 * rho * rho), axp, a0 + ell])
 
-    def g_x(t, y):
-        return params.alpha_xp.value(t)
-
-    def g_lambda(t, y):
-        return params.alpha_0.value(t) + ell(params, beta, t)
-
-    base = OdeSystem(n=2, f=rhs, t_end=params.horizon)
-    system = with_quadrature(base, [g_phi, g_x, g_lambda])
-    sol = integrate_adaptive(system, [rho0, 0.0, 0.0, 0.0, 0.0],
+    system = OdeSystem(n=7, f=rhs, t_end=p.horizon)
+    sol = integrate_adaptive(system, [bx0, bxd0, rho0, 0.0, 0.0, 0.0, 0.0],
                              rel_tol, abs_tol, sample_times=grid)
-    rho = sol.states[0]
+    ts = sol.times
+    bx, bxd, rho, rho_dot, phi, x, lam = sol.states
     if np.any(rho <= 0.0):
         i = int(np.argmax(rho <= 0.0))
         raise ValidityError("Ermakov scale must stay positive",
-                            t=float(sol.times[i]), constraint="rho > 0")
-    return ErmakovSolution(times=sol.times, rho=rho, rho_dot=sol.states[1],
-                           Phi=sol.states[2], X=sol.states[3], Lambda=sol.states[4],
-                           _dense=sol.dense)
+                            t=float(ts[i]), constraint="rho > 0")
+    bp = p.m.value(ts) * (-bxd + 2.0 * p.alpha_xp.value(ts) * bx + p.alpha_p.value(ts))
+    beta = BetaSolution(times=ts, beta_x=bx, beta_x_dot=bxd, beta_p=bp,
+                        _params=p, _dense=sol.dense)
+    ermakov = ErmakovSolution(times=ts, rho=rho, rho_dot=rho_dot, Phi=phi, X=x,
+                              Lambda=lam, _dense=sol.dense)
+    return beta, ermakov
 
 
-def big_omega(params, ermakov, t):
-    """Instantaneous effective frequency (omega + kappa)/(m(0) w(0) rho^2)."""
-    rho = ermakov.at(t)[0]
-    eta0 = params.m.value(0.0) * params.omega.value(0.0)
-    return (params.omega.value(t) + kappa(params, t)) / (eta0 * rho ** 2)
+def solve_beta(params, grid=None, rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
+    """Displacement pair on [0, T]: the BetaSolution half of the fused
+    auxiliary solve."""
+    return _solve_auxiliary(params, grid, rel_tol, abs_tol)[0]
+
+
+def solve_ermakov(params, beta, grid=None,
+                  rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
+    """Ermakov scale and phase quadratures on [0, T]: the ErmakovSolution
+    half of the fused auxiliary solve.
+
+    ``beta`` is not read: the displacement pair that Lambda needs is
+    co-integrated in the same solve.
+    """
+    return _solve_auxiliary(params, grid, rel_tol, abs_tol)[1]
 
 
 # -- propagator coefficients ------------------------------------------------
@@ -377,8 +378,7 @@ def solve(params, n_samples=PIPELINE_SAMPLES,
     """Run the full chain on a uniform grid and return a PipelineSolution."""
     validate(params).raise_if_invalid()
     grid = default_grid(params, n_samples)
-    beta = solve_beta(params, grid, rel_tol, abs_tol)
-    ermakov = solve_ermakov(params, beta, grid, rel_tol, abs_tol)
+    beta, ermakov = _solve_auxiliary(params, grid, rel_tol, abs_tol)
     coeffs = coefficients(params, beta, ermakov, grid)
     return PipelineSolution(params=params, grid=grid, beta=beta,
                             ermakov=ermakov, coeffs=coeffs)

@@ -5,7 +5,7 @@ import pytest
 
 from tdqho.errors import IntegrationError
 from tdqho.integrators import (OdeSystem, integrate_adaptive,
-                               integrate_fixed_rk4, with_quadrature)
+                               integrate_fixed_rk4)
 
 
 def exponential_system(rate=1.0, t_end=2.0):
@@ -72,6 +72,37 @@ def test_adaptive_dense_output_between_samples():
     assert np.max(np.abs(dense[1] + np.sin(ts))) < 1e-8
 
 
+def dense_reference(dense, t):
+    """Per-sample loop over the quintic segments: the reference that the
+    vectorised DenseOutput must reproduce bit for bit."""
+    out = []
+    for ti in np.atleast_1d(t):
+        i = min(int(np.searchsorted(dense._rights, ti, side="left")),
+                len(dense._lefts) - 1)
+        left = dense._lefts[i]
+        theta = (ti - left) / (dense._rights[i] - left)
+        r1, r2, r3, r4, r5 = dense._rcont[i]
+        out.append(r1 + theta * (r2 + (1.0 - theta)
+                                 * (r3 + theta * (r4 + (1.0 - theta) * r5))))
+    return np.array(out).T
+
+
+def test_dense_output_array_matches_scalar_calls():
+    sys_ = harmonic_system(t_end=10.0)
+    sol = integrate_adaptive(sys_, (1.0, 0.0), sample_times=np.linspace(0.0, 10.0, 6))
+    dense = sol.dense
+    # 0, T, every segment boundary, and points strictly inside segments
+    ts = np.sort(np.concatenate([dense._lefts, dense._rights,
+                                 np.linspace(0.0, 10.0, 101)]))
+    assert ts[0] == 0.0 and ts[-1] == 10.0
+    stacked = np.stack([dense(float(t)) for t in ts], axis=1)
+    batched = dense(ts)
+    assert batched.shape == (2, ts.size)
+    assert np.array_equal(batched, stacked)
+    assert np.array_equal(batched, dense_reference(dense, ts))
+    assert dense(0.0).shape == (2,)
+
+
 def test_adaptive_first_and_last_states_exact():
     sys_ = harmonic_system(t_end=3.0)
     samples = np.linspace(0.0, 3.0, 7)
@@ -98,34 +129,3 @@ def test_fixed_step_nonfinite_aborts():
     sys_ = OdeSystem(n=1, f=lambda t, y: (y[0] ** 3,), t_end=10.0)
     with pytest.raises(IntegrationError), np.errstate(all="ignore"):
         integrate_fixed_rk4(sys_, (1.0,), 0.5, np.array([0.0, 10.0]))
-
-
-# -- quadrature augmentation --------------------------------------------------
-
-
-def test_quadrature_of_constant_is_time():
-    base = exponential_system(rate=0.0, t_end=4.0)
-    aug = with_quadrature(base, [lambda t, y: 1.0])
-    samples = np.linspace(0.0, 4.0, 9)
-    sol = integrate_adaptive(aug, (1.0, 0.0), sample_times=samples)
-    assert np.max(np.abs(sol.states[1] - samples)) < 1e-12
-
-
-def test_quadrature_alongside_dynamics():
-    # integral of the position under harmonic motion: the integrand sees
-    # the live augmented state
-    base = harmonic_system(t_end=6.0)
-    aug = with_quadrature(base, [lambda t, y: y[0]])
-    samples = np.linspace(0.0, 6.0, 13)
-    sol = integrate_adaptive(aug, (1.0, 0.0, 0.0), rel_tol=1e-11,
-                             abs_tol=1e-13, sample_times=samples)
-    assert np.max(np.abs(sol.states[2] - np.sin(samples))) < 1e-9
-
-
-def test_pure_quadrature_no_base_state():
-    base = OdeSystem(n=0, f=lambda t, y: (), t_end=1.0)
-    aug = with_quadrature(base, [lambda t, y: 2.0 * t, lambda t, y: 3.0 * t * t])
-    samples = np.linspace(0.0, 1.0, 5)
-    sol = integrate_adaptive(aug, (0.0, 0.0), sample_times=samples)
-    assert np.allclose(sol.states[0], samples ** 2, atol=1e-11)
-    assert np.allclose(sol.states[1], samples ** 3, atol=1e-11)

@@ -7,7 +7,7 @@ from tdqho.errors import SingularityError, ValidityError
 from tdqho.integrators import OdeSystem, integrate_adaptive
 from tdqho.model import MomentState, QuadraticParams, effective_m5_omega5, ground_moments
 from tdqho.pipeline import (beta_ode_residual, ermakov_residual,
-                            gaussian_density, solve)
+                            gaussian_density, solve, solve_ermakov)
 
 
 def standard_params(horizon=4.0 * math.pi, **kw):
@@ -278,3 +278,15 @@ def test_solve_propagates_initial_singularity():
         "horizon": 2.0})
     with pytest.raises((SingularityError, ValidityError)):
         solve(p)
+
+
+def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
+    # kappa = 2 a_xp peaks at 1.6 > omega at t = 2, yet w^2 - kappa^2 > 0 at
+    # both points of the two-point grid: only the right-hand side sees it
+    p = standard_params(horizon=4.0, alpha_xp={
+        "kind": "cosine", "amplitude": 0.8, "angular_frequency": math.pi / 4.0,
+        "phase": -math.pi / 2.0})
+    with pytest.raises(ValidityError) as info:
+        solve_ermakov(p, None, grid=np.array([0.0, 4.0]))
+    assert info.value.constraint == "omega^2 - kappa^2 > 0"
+    assert 0.0 < info.value.t < 4.0

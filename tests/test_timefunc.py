@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,3 +117,42 @@ def test_from_dict_unknown_kind_names_key():
 def test_from_dict_missing_field_names_key():
     with pytest.raises(ConfigError, match="m"):
         TimeFunction.from_dict({"kind": "cosine", "amplitude": 1.0}, "m")
+
+
+# one example per row of the README kind table, using exactly the fields
+# that row documents
+README_EXAMPLES = {
+    "constant": {"value": 2.5},
+    "cosine": {"amplitude": 0.4, "angular_frequency": 1.7, "phase": 0.3},
+    "exponential": {"prefactor": 1.2, "rate": -0.35},
+    "polynomial": {"coefficients": [1.0, -0.5, 0.25]},
+    "tabulated": {"grid": [0.0, 1.0, 2.0, 3.0], "values": [1.0, 2.0, 1.5, 1.0],
+                  "order": 1},
+}
+
+
+def readme_kind_table():
+    """kind -> set of documented fields, read from the README table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            table[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[1]))
+    return table
+
+
+KIND_TABLE = readme_kind_table()
+
+
+def test_readme_kind_table_has_one_example_per_row():
+    assert set(KIND_TABLE) == set(README_EXAMPLES)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_TABLE))
+def test_readme_kind_table_example_parses(kind):
+    example = README_EXAMPLES[kind]
+    assert set(example) == KIND_TABLE[kind]
+    fn = TimeFunction.from_dict({"kind": kind, **example}, kind)
+    assert fn.kind == kind
+    assert TimeFunction.from_dict(fn.to_dict(), kind) == fn
