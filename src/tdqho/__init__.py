@@ -8,16 +8,15 @@ scenarios (``scenarios``), a truncated number-basis cross-check
 """
 
 from .errors import (ConfigError, DomainError, IntegrationError,
-                     SingularityError, TdqhoError, TruncationError,
-                     ValidityError)
-from .model import (MomentState, QuadraticParams, ValidityReport,
-                    coherent_moments, effective_m5_omega5, gamma_squeeze,
-                    ground_moments, kappa, kappa_dot, validate)
-from .pipeline import (BetaSolution, ErmakovSolution, MomentTrajectory,
-                       PipelineSolution, PropagatorCoefficients,
+                     SingularityError, TdqhoError, ValidityError)
+from .model import (MomentState, MomentTrajectory, PropagatorCoefficients,
+                    QuadraticParams, ValidityReport, coherent_moments,
+                    effective_m5_omega5, gamma_squeeze, ground_moments, kappa,
+                    kappa_dot, propagate_moments, validate)
+from .pipeline import (BetaSolution, ErmakovSolution, PipelineSolution,
                        beta_ode_residual, coefficients, ermakov_residual,
-                       gaussian_density, global_phase, propagate_moments,
-                       solve, solve_beta, solve_ermakov)
+                       gaussian_density, global_phase, solve, solve_beta,
+                       solve_ermakov)
 from .scenarios import (CKSpec, DrivenSpec, ck_coefficients, ck_ground_variances,
                         ck_moments, ck_uncertainty, driven_beta,
                         driven_coefficients, driven_moments_exact,
@@ -37,7 +36,7 @@ __all__ = [
     "PipelineSolution", "Polynomial", "PropagatorCoefficients",
     "QuadraticParams", "SingularityError", "StaticDiagResult",
     "StaticParams", "Tabulated", "TdqhoError", "TimeFunction",
-    "TruncationError", "ValidityError", "ValidityReport",
+    "ValidityError", "ValidityReport",
     "beta_ode_residual", "ck_coefficients", "ck_ground_variances",
     "ck_moments", "ck_uncertainty", "coefficients", "coherent_moments",
     "diag_branch_theta_p_zero", "diag_branch_theta_x_zero", "driven_beta",

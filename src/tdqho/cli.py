@@ -45,17 +45,22 @@ COMPARE_SERIES = ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")
 
 
 def _fmt(x):
-    return "%.17g" % x
+    return x if isinstance(x, str) else "%.17g" % x
 
 
 def write_csv(path, columns, rows):
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 # -- config assembly ---------------------------------------------------------
+
+
+def _check_samples(args):
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
 
 
 @dataclass(frozen=True)
@@ -294,6 +299,7 @@ def cmd_static_diag(args):
 
 
 def cmd_evolve(args):
+    _check_samples(args)
     config = build_run_config(args)
     sol, mt, rows = _pipeline_rows(config)
     out = config.out_dir / "moments.csv"
@@ -315,6 +321,7 @@ def cmd_evolve(args):
 
 
 def cmd_oracle(args):
+    _check_samples(args)
     config = build_run_config(args)
     run = _oracle_run(config)
     out = config.out_dir / "oracle.csv"
@@ -328,6 +335,7 @@ def cmd_oracle(args):
 
 
 def cmd_compare(args):
+    _check_samples(args)
     config = build_run_config(args)
     if args.rwa:
         if not isinstance(config.scenario, DrivenSpec):
@@ -397,15 +405,13 @@ def cmd_sweep(args):
         raise ConfigError("sweep bounds must be numbers and count an integer") from None
     if count < 1:
         raise ConfigError("sweep count must be at least 1")
+    _check_samples(args)
     results = [_sweep_point(args, name, float(v)) for v in np.linspace(lo, hi, count)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write(f"{name},status,max_abs_mean_x,max_abs_mean_p,"
-                 "min_uncertainty,max_uncertainty\n")
-        for value, status, *rest in results:
-            fh.write(",".join([_fmt(value), status] + [_fmt(v) for v in rest]) + "\n")
+    write_csv(path, (name, "status", "max_abs_mean_x", "max_abs_mean_p",
+                     "min_uncertainty", "max_uncertainty"), results)
     n_ok = sum(1 for r in results if r[1] == "ok")
     print(f"wrote {path} ({n_ok}/{count} points ok)")
     return EXIT_OK

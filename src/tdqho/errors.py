@@ -34,7 +34,3 @@ class IntegrationError(TdqhoError):
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
-
-
-class TruncationError(TdqhoError):
-    """Fock-basis propagation left its reliable regime (norm drift)."""

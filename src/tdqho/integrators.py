@@ -64,10 +64,6 @@ class OdeSystem:
         if not (self.t_end > 0.0):
             raise ValueError("domain end must be positive")
 
-    @property
-    def domain(self):
-        return (0.0, self.t_end)
-
 
 @dataclass(frozen=True)
 class IntegratorStats:
@@ -114,9 +110,6 @@ class SampledSolution:
             raise IntegrationError("need at least two sample times")
         if not np.all(np.isfinite(self.states)):
             raise IntegrationError("non-finite entries in sampled states")
-
-    def component(self, i):
-        return self.states[i]
 
 
 def _prepare_samples(system, sample_times):

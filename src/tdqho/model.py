@@ -6,7 +6,9 @@ The Hamiltonian is
          + a_x(t) x + a_p(t) p + a_xp(t) {x, p} + a_0(t)
 
 with every coefficient a ``TimeFunction``. This module holds the parameter
-container, first/second moments of a state, the auxiliary frequency-shift
+container, first/second moments of a state and of a trajectory, the one
+linear moment map (A, B; D, E) with its displacement shifts that the
+pipeline and the closed-form scenarios feed, the auxiliary frequency-shift
 kappa(t) and the effective single-mode quantities derived from it, plus a
 grid-based validity scan.
 """
@@ -70,8 +72,13 @@ class QuadraticParams:
         for key in _COEFF_KEYS:
             if key in obj:
                 fns[key] = TimeFunction.from_dict(obj[key], key=key)
-        return QuadraticParams(hbar=float(obj.get("hbar", 1.0)),
-                               horizon=float(obj["horizon"]), **fns)
+        scalars = {}
+        for key in ("hbar", "horizon"):
+            try:
+                scalars[key] = float(obj.get(key, 1.0))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key}: expected a number, got {obj[key]!r}") from None
+        return QuadraticParams(**scalars, **fns)
 
     @staticmethod
     def from_json(text):
@@ -136,6 +143,83 @@ def coherent_moments(alpha, m0, omega0, hbar=1.0, t=0.0):
     mean_p = math.sqrt(2.0 * hbar * m0 * omega0) * alpha.imag
     return MomentState(t, mean_x, mean_p,
                        hbar / (2.0 * m0 * omega0), hbar * m0 * omega0 / 2.0, 0.0)
+
+
+# -- moment map ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MomentTrajectory:
+    """Moment arrays on a common time grid."""
+
+    times: np.ndarray
+    mean_x: np.ndarray
+    mean_p: np.ndarray
+    var_x: np.ndarray
+    var_p: np.ndarray
+    cov_xp: np.ndarray
+
+    def state(self, i):
+        return MomentState(float(self.times[i]), float(self.mean_x[i]),
+                           float(self.mean_p[i]), float(self.var_x[i]),
+                           float(self.var_p[i]), float(self.cov_xp[i]))
+
+    def uncertainty_product(self):
+        return self.var_x * self.var_p - self.cov_xp ** 2
+
+
+def moment_series(t, mean_x, mean_p, var_x, var_p, cov_xp):
+    """Moments at time(s) t: a MomentState for scalar t, else a
+    MomentTrajectory. Constant series are broadcast to the grid by copying,
+    not by arithmetic, so signed zeros survive."""
+    if np.ndim(t) == 0:
+        return MomentState(float(t), float(mean_x), float(mean_p),
+                           float(var_x), float(var_p), float(cov_xp))
+    times = np.asarray(t, dtype=float)
+
+    def series(v):
+        v = np.asarray(v, dtype=float)
+        return v if v.shape == times.shape else np.full(times.shape, v)
+
+    return MomentTrajectory(times, series(mean_x), series(mean_p),
+                            series(var_x), series(var_p), series(cov_xp))
+
+
+@dataclass(frozen=True)
+class PropagatorCoefficients:
+    """Linear map of centered means plus the displacement shifts.
+
+    (A, B; D, E) maps (x - beta_x(0), p + beta_p(0)) at time 0 to the
+    centered pair (x - beta_x(t), p + beta_p(t)) at time t; determinant is 1.
+    """
+
+    t: object
+    A: object
+    B: object
+    D: object
+    E: object
+    beta_x_t: object = 0.0
+    beta_p_t: object = 0.0
+    beta_x_0: float = 0.0
+    beta_p_0: float = 0.0
+
+
+def propagate_moments(initial, coeffs):
+    """Push first and second moments through the linear map.
+
+    Returns a MomentState for a scalar coeffs.t, else a MomentTrajectory.
+    """
+    a, b, d, e = coeffs.A, coeffs.B, coeffs.D, coeffs.E
+    dx0 = initial.mean_x - coeffs.beta_x_0
+    dp0 = initial.mean_p + coeffs.beta_p_0
+    vx, vp, cv = initial.var_x, initial.var_p, initial.cov_xp
+    return moment_series(
+        coeffs.t,
+        a * dx0 + b * dp0 + coeffs.beta_x_t,
+        d * dx0 + e * dp0 - coeffs.beta_p_t,
+        a * a * vx + b * b * vp + 2.0 * a * b * cv,
+        d * d * vx + e * e * vp + 2.0 * d * e * cv,
+        a * d * vx + b * e * vp + (a * e + b * d) * cv)
 
 
 # -- auxiliary quantities --------------------------------------------------

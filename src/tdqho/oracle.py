@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .model import MomentState
-from .pipeline import MomentTrajectory
+from .model import MomentState, MomentTrajectory, moment_series
 
 DEFAULT_N = 64
 MAX_N = 256
@@ -169,7 +168,7 @@ def propagate_state(psi0, params, grid, ops, dt=None):
     states = np.empty((ops.n, len(ts)), dtype=complex)
     norms = np.empty(len(ts))
     tops = np.empty(len(ts))
-    mom = []
+    mom = np.empty((5, len(ts)))
 
     def record(j, t):
         states[:, j] = psi
@@ -178,7 +177,8 @@ def propagate_state(psi0, params, grid, ops, dt=None):
         if abs(norms[j] - 1.0) > NORM_DRIFT_ABORT:
             raise IntegrationError(
                 f"norm drift {abs(norms[j] - 1.0):.3e} exceeds {NORM_DRIFT_ABORT:.0e}", t=t)
-        mom.append(moments_from_state(psi / norms[j], ops, t))
+        st = moments_from_state(psi / norms[j], ops, t)
+        mom[:, j] = st.mean_x, st.mean_p, st.var_x, st.var_p, st.cov_xp
 
     record(0, ts[0])
     t = ts[0]
@@ -194,13 +194,7 @@ def propagate_state(psi0, params, grid, ops, dt=None):
         t = target
         record(j, t)
 
-    moments = MomentTrajectory(
-        times=ts,
-        mean_x=np.array([s.mean_x for s in mom]),
-        mean_p=np.array([s.mean_p for s in mom]),
-        var_x=np.array([s.var_x for s in mom]),
-        var_p=np.array([s.var_p for s in mom]),
-        cov_xp=np.array([s.cov_xp for s in mom]))
+    moments = moment_series(ts, *mom)
     max_top = float(tops.max())
     return OracleRun(times=ts, states=states, moments=moments, norms=norms,
                      top_populations=tops, max_top_population=max_top,

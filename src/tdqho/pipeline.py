@@ -6,7 +6,7 @@ scale (rho, rho_dot) of the effective oscillator and the phase quadratures
 (Phi, X, Lambda), with the scalar energy bias ell(t) in Lambda taken from
 the live displacement; assemble the linear map (A, B, D, E) relating
 centered means at time t to those at 0; then push first and second moments
-through that map. The map is built as a product of five 2x2 conjugation
+through that map with ``model.propagate_moments``. The map is built as a product of five 2x2 conjugation
 matrices (scaling, basis rotation, shear-scale, phase rotation, inverse
 basis rotation), which keeps AE - BD = 1 to machine precision by
 construction.
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidityError
+from .errors import DomainError, ValidityError
 from .integrators import OdeSystem, integrate_adaptive
-from .model import (MomentState, effective_m5_omega5, gamma_squeeze,
-                    m5_log_derivative, validate)
+from .model import (PropagatorCoefficients, effective_m5_omega5, gamma_squeeze,
+                    m5_log_derivative, propagate_moments, validate)
 from .staticdiag import StaticParams, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -209,30 +209,6 @@ def solve_ermakov(params, beta, grid=None,
 # -- propagator coefficients ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropagatorCoefficients:
-    """Linear map of centered means and the scalars entering it.
-
-    (A, B; D, E) maps (x - beta_x(0), p + beta_p(0)) at time 0 to the
-    centered pair at time t; determinant is 1.
-    """
-
-    t: object
-    A: object
-    B: object
-    D: object
-    E: object
-    xi: object
-    eps: object
-    eta: float
-    S: object
-    C: object
-    beta_x_t: object
-    beta_p_t: object
-    beta_x_0: float
-    beta_p_0: float
-
-
 def _mat_mul(p, q):
     # 2x2 blocks with array entries
     return [[p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]],
@@ -258,7 +234,6 @@ def coefficients(params, beta, ermakov, t):
     g = gamma_squeeze(params, ts)
     eta = params.m.value(0.0) * params.omega.value(0.0)
     rho0 = ermakov.rho0
-    eps = m5 * rho_dot * rho
     ones = np.ones_like(ts)
 
     a_d = [[g, 0.0 * ones], [0.0 * ones, 1.0 / g]]
@@ -279,55 +254,11 @@ def coefficients(params, beta, ermakov, t):
     return PropagatorCoefficients(
         t=out(ts), A=out(m[0][0]), B=out(m[0][1]),
         D=out(m[1][0]), E=out(m[1][1]),
-        xi=out((rho / rho0) * g), eps=out(eps), eta=eta,
-        S=out(np.sin(phi)), C=out(np.cos(phi)),
         beta_x_t=out(bx_t), beta_p_t=out(bp_t),
         beta_x_0=float(bx0), beta_p_0=float(bp0))
 
 
 # -- moments ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentTrajectory:
-    """Moment arrays on a common time grid."""
-
-    times: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
-    var_x: np.ndarray
-    var_p: np.ndarray
-    cov_xp: np.ndarray
-
-    def state(self, i):
-        return MomentState(float(self.times[i]), float(self.mean_x[i]),
-                           float(self.mean_p[i]), float(self.var_x[i]),
-                           float(self.var_p[i]), float(self.cov_xp[i]))
-
-    def uncertainty_product(self):
-        return self.var_x * self.var_p - self.cov_xp ** 2
-
-
-def propagate_moments(initial, coeffs):
-    """Push first and second moments through the linear map.
-
-    Returns a MomentState for scalar coefficient sets, else a
-    MomentTrajectory.
-    """
-    a, b, d, e = coeffs.A, coeffs.B, coeffs.D, coeffs.E
-    dx0 = initial.mean_x - coeffs.beta_x_0
-    dp0 = initial.mean_p + coeffs.beta_p_0
-    mean_x = a * dx0 + b * dp0 + coeffs.beta_x_t
-    mean_p = d * dx0 + e * dp0 - coeffs.beta_p_t
-    vx, vp, cv = initial.var_x, initial.var_p, initial.cov_xp
-    var_x = a * a * vx + b * b * vp + 2.0 * a * b * cv
-    var_p = d * d * vx + e * e * vp + 2.0 * d * e * cv
-    cov = a * d * vx + b * e * vp + (a * e + b * d) * cv
-    if np.ndim(coeffs.t) == 0:
-        return MomentState(float(coeffs.t), float(mean_x), float(mean_p),
-                           float(var_x), float(var_p), float(cov))
-    return MomentTrajectory(times=coeffs.t, mean_x=mean_x, mean_p=mean_p,
-                            var_x=var_x, var_p=var_p, cov_xp=cov)
 
 
 def global_phase(ermakov, t, hbar=1.0):
@@ -376,6 +307,8 @@ class PipelineSolution:
 def solve(params, n_samples=PIPELINE_SAMPLES,
           rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
     """Run the full chain on a uniform grid and return a PipelineSolution."""
+    if n_samples < 2:
+        raise DomainError(f"n_samples must be at least 2, got {n_samples}")
     validate(params).raise_if_invalid()
     grid = default_grid(params, n_samples)
     beta, ermakov = _solve_auxiliary(params, grid, rel_tol, abs_tol)

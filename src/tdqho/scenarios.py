@@ -8,41 +8,17 @@ as CLI presets.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidityError
-from .model import MomentState, QuadraticParams, ground_moments
-from .pipeline import MomentTrajectory
+from .model import (PropagatorCoefficients, QuadraticParams, ground_moments,
+                    moment_series, propagate_moments)
 from .timefunc import Constant, Cosine, Exponential
 
 RESONANCE_REL_TOL = 1e-12
-
-
-def _package_moments(t, mean_x, mean_p, var_x, var_p, cov):
-    if np.ndim(t) == 0:
-        return MomentState(float(t), float(mean_x), float(mean_p),
-                           float(var_x), float(var_p), float(cov))
-    z = np.zeros_like(np.asarray(t, dtype=float))
-    return MomentTrajectory(times=np.asarray(t, dtype=float),
-                            mean_x=mean_x + z, mean_p=mean_p + z,
-                            var_x=var_x + z, var_p=var_p + z, cov_xp=cov + z)
-
-
-def _apply_linear_map(initial, t, a, b, d, e, bx0, bp0, bxt, bpt):
-    dx0 = initial.mean_x - bx0
-    dp0 = initial.mean_p + bp0
-    mean_x = a * dx0 + b * dp0 + bxt
-    mean_p = d * dx0 + e * dp0 - bpt
-    vx, vp, cv = initial.var_x, initial.var_p, initial.cov_xp
-    return _package_moments(
-        t, mean_x, mean_p,
-        a * a * vx + b * b * vp + 2.0 * a * b * cv,
-        d * d * vx + e * e * vp + 2.0 * d * e * cv,
-        a * d * vx + b * e * vp + (a * e + b * d) * cv)
 
 
 # -- driven oscillator -------------------------------------------------------
@@ -106,10 +82,10 @@ def driven_coefficients(spec, t):
 
 def driven_moments_exact(spec, initial, t):
     """Closed-form moments of the driven oscillator at time(s) t."""
-    a, b, d, e = driven_coefficients(spec, t)
     bxt, bpt = driven_beta(spec, t)
     bx0 = -spec.drive_strength / (spec.m * spec.omega ** 2)
-    return _apply_linear_map(initial, t, a, b, d, e, bx0, 0.0, bxt, bpt)
+    return propagate_moments(initial, PropagatorCoefficients(
+        t, *driven_coefficients(spec, t), beta_x_t=bxt, beta_p_t=bpt, beta_x_0=bx0))
 
 
 def driven_moments_rwa(spec, alpha0, t):
@@ -133,8 +109,8 @@ def driven_moments_rwa(spec, alpha0, t):
     lab = alpha * np.exp(-1j * wd * t_arr)
     mean_x = math.sqrt(2.0 * hbar / (m * w)) * np.real(lab)
     mean_p = math.sqrt(2.0 * m * w * hbar) * np.imag(lab)
-    return _package_moments(t, mean_x, mean_p,
-                            hbar / (2.0 * m * w), hbar * m * w / 2.0, 0.0)
+    return moment_series(t, mean_x, mean_p,
+                         hbar / (2.0 * m * w), hbar * m * w / 2.0, 0.0)
 
 
 # -- exponentially mass-scaled oscillator ------------------------------------
@@ -211,8 +187,7 @@ def ck_coefficients(spec, t):
 
 def ck_moments(spec, initial, t):
     """Moments of the mass-scaled oscillator at time(s) t, any initial state."""
-    a, b, d, e = ck_coefficients(spec, t)
-    return _apply_linear_map(initial, t, a, b, d, e, 0.0, 0.0, 0.0, 0.0)
+    return propagate_moments(initial, PropagatorCoefficients(t, *ck_coefficients(spec, t)))
 
 
 def ck_uncertainty(spec, t):

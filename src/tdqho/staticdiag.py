@@ -54,7 +54,13 @@ class StaticParams:
                 raise ConfigError(f"unknown static params key {key!r}")
         if "m" not in obj or "omega" not in obj:
             raise ConfigError("static params require 'm' and 'omega'")
-        return StaticParams(**{k: float(v) for k, v in obj.items()})
+        values = {}
+        for key, v in obj.items():
+            try:
+                values[key] = float(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key}: expected a number, got {v!r}") from None
+        return StaticParams(**values)
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,40 @@ def test_static_diag_singular_ridge(tmp_path):
     assert main(["static-diag", "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("config", [
+    {"m": 1.0, "omega": 1.0, "horizon": "ten"},
+    {"m": 1.0, "omega": 1.0, "horizon": None},
+    {"m": 1.0, "omega": 1.0, "horizon": 1.0, "hbar": "x"},
+    {"m": 1.0, "omega": "x"},
+    {"m": None, "omega": 1.0},
+], ids=["horizon-string", "horizon-null", "hbar-string", "static-omega-string",
+        "static-m-null"])
+def test_non_numeric_config_scalar_is_config_error(tmp_path, capsys, config):
+    # QuadraticParams.from_dict behind validate, StaticParams.from_dict
+    # behind static-diag
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    command = "validate" if "horizon" in config else "static-diag"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    bad = next(k for k, v in config.items() if not isinstance(v, (int, float)))
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and bad in err
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["evolve"], ["oracle"], ["compare"], ["compare", "--rwa"],
+    ["sweep", "--sweep", "omega-d:0.6:1.4:2"]], ids=" ".join)
+def test_samples_below_two_is_config_error(tmp_path, capsys, command, samples):
+    out = tmp_path / "out"
+    rc = main(command + ["--scenario", "driven", "--samples", samples,
+                         "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--samples" in err
+    assert not out.exists()
+
+
 def test_compare_pipeline_against_fock_basis(tmp_path, capsys):
     rc = main(["compare", "--scenario", "driven",
                "--horizon", str(2.0 * PI), "--samples", "80",

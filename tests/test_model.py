@@ -1,13 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdqho.errors import ConfigError, DomainError, ValidityError
-from tdqho.model import (MomentState, QuadraticParams, coherent_moments,
-                         effective_m5_omega5, gamma_squeeze, ground_moments,
-                         kappa, kappa_dot, m5_log_derivative, validate)
+from tdqho.model import (UNCERTAINTY_SLACK, MomentState, MomentTrajectory,
+                         PropagatorCoefficients, QuadraticParams,
+                         coherent_moments, effective_m5_omega5, gamma_squeeze,
+                         ground_moments, kappa, kappa_dot, m5_log_derivative,
+                         moment_series, propagate_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Tabulated
 
 
@@ -189,3 +194,71 @@ def test_validate_flags_vanishing_frequency():
 def test_validate_flags_static_strong_coupling():
     report = validate(standard(alpha_xp=0.51))
     assert not report.ok
+
+
+# -- moment map ----------------------------------------------------------------
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def unit_maps(draw):
+    """(A, B, D, E) of rotation . squeeze . shear, so AE - BD = 1."""
+    theta = draw(_floats(-math.pi, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    r = draw(_floats(0.5, 2.0))
+    k = draw(_floats(-1.0, 1.0))
+    return c * r, c * r * k + s / r, -s * r, -s * r * k + c / r
+
+
+@st.composite
+def physical_moments(draw):
+    """(hbar, MomentState) with var_x var_p - cov^2 >= hbar^2/4."""
+    hbar = draw(_floats(0.1, 3.0))
+    var_x = 0.5 * hbar * draw(_floats(0.25, 4.0))
+    cov = hbar * draw(_floats(-1.0, 1.0))
+    excess = draw(_floats(0.0, 3.0))
+    var_p = (0.25 * hbar * hbar * (1.0 + excess) + cov * cov) / var_x
+    return hbar, MomentState(0.0, draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0)),
+                             var_x, var_p, cov)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(unit_maps(), min_size=1, max_size=8), physical_moments(),
+       st.tuples(*[_floats(-3.0, 3.0)] * 4))
+def test_moment_map_preserves_uncertainty_product(maps, state, shifts):
+    hbar, initial = state
+    a, b, d, e = (np.array(col) for col in zip(*maps))
+    bx_t, bp_t, bx0, bp0 = shifts
+    out = propagate_moments(initial, PropagatorCoefficients(
+        np.arange(len(maps), dtype=float), a, b, d, e, bx_t, bp_t, bx0, bp0))
+    u0 = initial.uncertainty_product()
+    u1 = out.uncertainty_product()
+    assert np.all(np.abs(u1 - u0) <= 1e-9 * u0)
+    assert np.all(u1 >= hbar ** 2 / 4.0 - UNCERTAINTY_SLACK)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_maps(), physical_moments(), st.integers(1, 50))
+def test_moment_map_returns_state_or_trajectory(m, state, n):
+    _, initial = state
+    scalar = propagate_moments(initial, PropagatorCoefficients(0.5, *m))
+    assert isinstance(scalar, MomentState) and scalar.t == 0.5
+    ts = np.linspace(0.0, 1.0, n)
+    traj = propagate_moments(initial, PropagatorCoefficients(ts, *m))
+    assert isinstance(traj, MomentTrajectory)
+    for series in (traj.times, traj.mean_x, traj.mean_p, traj.var_x,
+                   traj.var_p, traj.cov_xp):
+        assert series.shape == (n,)
+    for i in range(n):
+        assert traj.state(i) == replace(scalar, t=float(ts[i]))
+
+
+def test_moment_series_broadcasts_constants_keeping_signed_zero():
+    traj = moment_series(np.arange(3.0), np.array([1.0, -0.0, 2.0]), -0.0,
+                         0.5, 0.5, 0.0)
+    assert np.all(np.signbit(traj.mean_p)) and not np.any(np.signbit(traj.cov_xp))
+    assert np.signbit(traj.mean_x[1])
+    assert traj.var_x.shape == (3,)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tdqho.errors import SingularityError, ValidityError
+from tdqho.errors import DomainError, SingularityError, ValidityError
 from tdqho.integrators import OdeSystem, integrate_adaptive
 from tdqho.model import MomentState, QuadraticParams, effective_m5_omega5, ground_moments
 from tdqho.pipeline import (beta_ode_residual, ermakov_residual,
@@ -265,6 +265,12 @@ def test_gaussian_density_rejects_collapsed_state():
 def test_solve_rejects_invalid_horizon_dynamics():
     with pytest.raises(ValidityError):
         solve(standard_params(alpha_xp=-0.6))
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_solve_rejects_fewer_than_two_samples(n_samples):
+    with pytest.raises(DomainError, match="n_samples"):
+        solve(standard_params(), n_samples=n_samples)
 
 
 def test_solve_propagates_initial_singularity():
