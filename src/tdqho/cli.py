@@ -44,15 +44,13 @@ MOMENT_COLUMNS = ("t", "mean_x", "mean_p", "sigma_x", "sigma_p", "cov_xp",
 COMPARE_SERIES = ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")
 
 
-def _fmt(x):
-    return x if isinstance(x, str) else "%.17g" % x
-
-
 def write_csv(path, columns, rows):
+    """Write a CSV, making its directory: %.17g cells, or %s where the first row has a str."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    fmt = ",".join("%s" if isinstance(c, str) else "%.17g" for c in rows[0]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 # -- config assembly ---------------------------------------------------------
@@ -138,12 +136,10 @@ def build_run_config(args):
         scenario = _build_scenario(args)
         params = scenario.to_params()
     initial, kind, amp = _parse_initial(args.initial, params)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     return RunConfig(params=params, initial=initial, initial_kind=kind,
                      coherent_amplitude=amp, samples=args.samples,
                      oracle_n=args.oracle_n, oracle_dt=args.oracle_dt,
-                     threshold=args.threshold, out_dir=out_dir,
+                     threshold=args.threshold, out_dir=Path(args.out),
                      scenario=scenario)
 
 
@@ -363,6 +359,7 @@ def cmd_compare(args):
         data += [_trajectory_dict(ref)[name], _trajectory_dict(other)[name]]
     out = config.out_dir / "compare.csv"
     write_csv(out, columns, np.column_stack(data))
+    # write_csv has made the directory
     (config.out_dir / "report.json").write_text(report.to_json() + "\n")
     for line in report.lines():
         print(line)
@@ -407,9 +404,7 @@ def cmd_sweep(args):
         raise ConfigError("sweep count must be at least 1")
     _check_samples(args)
     results = [_sweep_point(args, name, float(v)) for v in np.linspace(lo, hi, count)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
+    path = Path(args.out) / "sweep.csv"
     write_csv(path, (name, "status", "max_abs_mean_x", "max_abs_mean_p",
                      "min_uncertainty", "max_uncertainty"), results)
     n_ok = sum(1 for r in results if r[1] == "ok")
@@ -466,10 +461,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValidityError, SingularityError, IntegrationError) as exc:

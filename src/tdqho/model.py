@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, ValidityError
-from .timefunc import Constant, TimeFunction
+from .timefunc import Constant, TimeFunction, parse_number
 
 DEFAULT_VALIDATION_GRID = 4096
 UNCERTAINTY_SLACK = 1e-9
@@ -68,17 +68,10 @@ class QuadraticParams:
         for key in ("m", "omega", "horizon"):
             if key not in obj:
                 raise ConfigError(f"missing required config key {key!r}")
-        fns = {}
-        for key in _COEFF_KEYS:
-            if key in obj:
-                fns[key] = TimeFunction.from_dict(obj[key], key=key)
-        scalars = {}
-        for key in ("hbar", "horizon"):
-            try:
-                scalars[key] = float(obj.get(key, 1.0))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected a number, got {obj[key]!r}") from None
-        return QuadraticParams(**scalars, **fns)
+        fns = {key: TimeFunction.from_dict(obj[key], key=key) for key in _COEFF_KEYS
+               if key in obj}
+        return QuadraticParams(hbar=parse_number(obj.get("hbar", 1.0), "hbar"),
+                               horizon=parse_number(obj["horizon"], "horizon"), **fns)
 
     @staticmethod
     def from_json(text):
@@ -222,54 +215,90 @@ def propagate_moments(initial, coeffs):
         a * d * vx + b * e * vp + (a * e + b * d) * cv)
 
 
-# -- auxiliary quantities --------------------------------------------------
+# -- effective oscillator --------------------------------------------------
+
+_SHIFTED_FREQUENCY = "omega + kappa > 0"
+_EFFECTIVE_FREQUENCY = "omega^2 - kappa^2 > 0"
+
+
+def _violation(constraint, t, value):
+    return ValidityError(f"constraint violated: {constraint} (value {value:.6e})",
+                         t=t, constraint=constraint)
+
+
+def _require_positive(value, t, constraint):
+    """Raise ValidityError at the first t where ``value`` <= 0."""
+    bad = np.flatnonzero(value <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise _violation(constraint, float(np.ravel(t)[i]), float(np.ravel(value)[i]))
+
+
+def _kappa(m_log_dot, w_log_dot, axp):
+    return 0.5 * (m_log_dot + w_log_dot) + 2.0 * axp
+
+
+class _EffectiveOscillator:
+    """The effective oscillator, with eta0 = m(0) w(0). ``at(t)``, scalar or
+    array t, evaluates each coefficient once and returns the plain tuple
+    (m, m', m'', w, w', w'', a_xp, a_xp', a_p, a_p', a_x, a_0, kappa, kappa',
+    m5, d ln m5/dt, w5^2), or raises ValidityError where w + kappa or
+    w5^2 = w^2 - kappa^2 is not positive."""
+
+    def __init__(self, params):
+        self.params = params
+        self.eta0 = params.m.value(0.0) * params.omega.value(0.0)
+
+    def at(self, t):
+        p = self.params
+        m, md, mdd = p.m.value(t), p.m.derivative(t), p.m.second_derivative(t)
+        w, wd, wdd = p.omega.value(t), p.omega.derivative(t), p.omega.second_derivative(t)
+        axp, axpd = p.alpha_xp.value(t), p.alpha_xp.derivative(t)
+        ap, apd = p.alpha_p.value(t), p.alpha_p.derivative(t)
+        ax, a0 = p.alpha_x.value(t), p.alpha_0.value(t)
+        mlog, wlog = md / m, wd / w
+        kap = _kappa(mlog, wlog, axp)
+        denom = w + kap
+        w5sq = w * w - kap * kap
+        # two comparisons for a valid scalar t, as at every integrator stage
+        if not (isinstance(denom, float) and denom > 0.0 and w5sq > 0.0):
+            _require_positive(denom, t, _SHIFTED_FREQUENCY)
+            _require_positive(w5sq, t, _EFFECTIVE_FREQUENCY)
+        kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
+        return (m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
+                kap, kap_dot, self.eta0 / denom, -(wd + kap_dot) / denom, w5sq)
 
 
 def kappa(params, t):
     """Frequency shift kappa = (m'/m + w'/w)/2 + 2*a_xp."""
-    m = params.m.value(t)
-    w = params.omega.value(t)
-    return 0.5 * (params.m.derivative(t) / m + params.omega.derivative(t) / w) \
-        + 2.0 * params.alpha_xp.value(t)
+    return _kappa(params.m.derivative(t) / params.m.value(t),
+                  params.omega.derivative(t) / params.omega.value(t),
+                  params.alpha_xp.value(t))
 
 
 def kappa_dot(params, t):
     """Time derivative of kappa, using analytic second derivatives."""
-    m = params.m.value(t)
-    w = params.omega.value(t)
-    md, wd = params.m.derivative(t), params.omega.derivative(t)
-    mdd, wdd = params.m.second_derivative(t), params.omega.second_derivative(t)
-    return 0.5 * (mdd / m - (md / m) ** 2 + wdd / w - (wd / w) ** 2) \
-        + 2.0 * params.alpha_xp.derivative(t)
+    *_, k_dot, _, _, _ = _EffectiveOscillator(params).at(t)
+    return k_dot
 
 
 def effective_m5_omega5(params, t):
     """Effective mass and squared frequency after the time-dependent part of
     the diagonalization chain: m5 = m(0) w(0) / (w + kappa), w5^2 = w^2 - kappa^2.
-
-    Returns (m5, omega5_sq). Raises ValidityError where w + kappa <= 0.
-    """
-    w = params.omega.value(t)
-    k = kappa(params, t)
-    denom = w + k
-    bad = denom <= 0.0
-    if np.any(bad):
-        t_bad = float(np.atleast_1d(np.asarray(t, dtype=float))[np.argmax(np.atleast_1d(bad))])
-        raise ValidityError("w + kappa must stay positive", t=t_bad, constraint="w + kappa > 0")
-    eta0 = params.m.value(0.0) * params.omega.value(0.0)
-    return eta0 / denom, w * w - k * k
+    Returns (m5, omega5_sq); raises ValidityError where either is not positive."""
+    *_, m5, _, w5sq = _EffectiveOscillator(params).at(t)
+    return m5, w5sq
 
 
 def m5_log_derivative(params, t):
     """d/dt ln m5 = -(w' + kappa') / (w + kappa)."""
-    w = params.omega.value(t)
-    k = kappa(params, t)
-    return -(params.omega.derivative(t) + kappa_dot(params, t)) / (w + k)
+    *_, m5_log_dot, _ = _EffectiveOscillator(params).at(t)
+    return m5_log_dot
 
 
 def gamma_squeeze(params, t):
     """Scaling gamma(t) = sqrt(m(0) w(0) / (m(t) w(t)))."""
-    eta0 = params.m.value(0.0) * params.omega.value(0.0)
+    eta0 = _EffectiveOscillator(params).eta0
     return np.sqrt(eta0 / (params.m.value(t) * params.omega.value(t)))
 
 
@@ -284,9 +313,7 @@ class ValidityReport:
 
     def raise_if_invalid(self):
         if not self.ok:
-            constraint, t, value = self.failures[0]
-            raise ValidityError(f"constraint violated: {constraint} (value {value:.6e})",
-                                t=t, constraint=constraint)
+            raise _violation(*self.failures[0])
         return self
 
 
@@ -303,19 +330,16 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
     failures = []
 
     def scan(name, arr):
-        bad = ~(arr > 0.0)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            failures.append((name, float(ts[i]), float(arr[i])))
+        bad = np.flatnonzero(~(arr > 0.0))
+        if bad.size:
+            failures.append((name, float(ts[bad[0]]), float(arr[bad[0]])))
 
     scan("m > 0", m)
     scan("omega > 0", w)
     if not failures:
-        k = 0.5 * (np.asarray(params.m.derivative(ts), dtype=float) / m
-                   + np.asarray(params.omega.derivative(ts), dtype=float) / w) \
-            + 2.0 * np.asarray(params.alpha_xp.value(ts), dtype=float)
-        scan("omega + kappa > 0", w + k)
-        scan("omega^2 - kappa^2 > 0", w * w - k * k)
+        k = kappa(params, ts)
+        scan(_SHIFTED_FREQUENCY, w + k)
+        scan(_EFFECTIVE_FREQUENCY, w * w - k * k)
     if params.is_structurally_static():
         axp = params.alpha_xp.value(0.0)
         w0 = params.omega.value(0.0)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, ValidityError
 from .integrators import OdeSystem, integrate_adaptive
-from .model import (PropagatorCoefficients, effective_m5_omega5, gamma_squeeze,
-                    m5_log_derivative, propagate_moments, validate)
+from .model import (PropagatorCoefficients, _EffectiveOscillator, _require_positive,
+                    gamma_squeeze, propagate_moments, validate)
 from .staticdiag import StaticParams, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -50,6 +50,10 @@ _BETA = slice(0, 2)
 _ERMAKOV = slice(2, 7)
 
 
+def _beta_p(m, axp, ap, bx, bxd):
+    return m * (-bxd + 2.0 * axp * bx + ap)
+
+
 @dataclass(frozen=True)
 class BetaSolution:
     """Sampled displacement pair, a view of the fused auxiliary solution.
@@ -70,8 +74,7 @@ class BetaSolution:
         """(beta_x, beta_x_dot, beta_p) at arbitrary t, from dense output."""
         bx, bxd = self._dense(t)[_BETA]
         p = self._params
-        bp = p.m.value(t) * (-bxd + 2.0 * p.alpha_xp.value(t) * bx + p.alpha_p.value(t))
-        return bx, bxd, bp
+        return bx, bxd, _beta_p(p.m.value(t), p.alpha_xp.value(t), p.alpha_p.value(t), bx, bxd)
 
     def constraint_residual(self):
         """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid."""
@@ -128,43 +131,20 @@ def _solve_auxiliary(params, grid, rel_tol, abs_tol):
         grid = default_grid(p)
     bx0, bp0 = static_translation(_static_at(p, 0.0))
     bxd0 = 2.0 * p.alpha_xp.value(0.0) * bx0 + p.alpha_p.value(0.0) - bp0 / p.m.value(0.0)
-    m5_grid, w5sq_grid = effective_m5_omega5(p, grid)
-    if np.any(w5sq_grid <= 0.0):
-        i = int(np.argmax(w5sq_grid <= 0.0))
-        raise ValidityError("effective squared frequency not positive",
-                            t=float(grid[i]), constraint="omega^2 - kappa^2 > 0")
-    m5_0 = float(np.atleast_1d(m5_grid)[0])
-    w5_0 = math.sqrt(float(np.atleast_1d(w5sq_grid)[0]))
-    rho0 = 1.0 / math.sqrt(m5_0 * w5_0)
-    eta0 = p.m.value(0.0) * p.omega.value(0.0)
+    oscillator = _EffectiveOscillator(p)
+    *_, m5_grid, _, w5sq_grid = oscillator.at(grid)
+    rho0 = 1.0 / math.sqrt(m5_grid[0] * math.sqrt(w5sq_grid[0]))
 
     def rhs(t, y):
         bx, bxd, rho, rho_dot = y[0], y[1], y[2], y[3]
         if rho <= 0.0:
-            raise ValidityError("Ermakov scale must stay positive", t=t,
-                                constraint="rho > 0")
-        m, md, mdd = p.m.value(t), p.m.derivative(t), p.m.second_derivative(t)
-        w, wd, wdd = p.omega.value(t), p.omega.derivative(t), p.omega.second_derivative(t)
-        axp, axpd = p.alpha_xp.value(t), p.alpha_xp.derivative(t)
-        ap, apd = p.alpha_p.value(t), p.alpha_p.derivative(t)
-        ax, a0 = p.alpha_x.value(t), p.alpha_0.value(t)
-        mlog, wlog = md / m, wd / w
-        kap = 0.5 * (mlog + wlog) + 2.0 * axp
-        denom = w + kap
-        if denom <= 0.0:
-            raise ValidityError("w + kappa must stay positive", t=t,
-                                constraint="w + kappa > 0")
-        w5sq = w * w - kap * kap
-        if w5sq <= 0.0:
-            raise ValidityError("effective squared frequency not positive", t=t,
-                                constraint="omega^2 - kappa^2 > 0")
-        kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
-        m5 = eta0 / denom
-        m5_log_dot = -(wd + kap_dot) / denom
-
+            _require_positive(rho, t, "rho > 0")
+        (m, md, _, w, _, _, axp, axpd, ap, apd, ax, a0,
+         _, _, m5, m5_log_dot, w5sq) = oscillator.at(t)
+        mlog = md / m
         forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
         coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
-        bp = m * (-bxd + 2.0 * axp * bx + ap)
+        bp = _beta_p(m, axp, ap, bx, bxd)
         ell = bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
             + ax * bx - ap * bp - 2.0 * axp * bx * bp
         return np.array([
@@ -177,11 +157,8 @@ def _solve_auxiliary(params, grid, rel_tol, abs_tol):
                              rel_tol, abs_tol, sample_times=grid)
     ts = sol.times
     bx, bxd, rho, rho_dot, phi, x, lam = sol.states
-    if np.any(rho <= 0.0):
-        i = int(np.argmax(rho <= 0.0))
-        raise ValidityError("Ermakov scale must stay positive",
-                            t=float(ts[i]), constraint="rho > 0")
-    bp = p.m.value(ts) * (-bxd + 2.0 * p.alpha_xp.value(ts) * bx + p.alpha_p.value(ts))
+    _require_positive(rho, ts, "rho > 0")
+    bp = _beta_p(p.m.value(ts), p.alpha_xp.value(ts), p.alpha_p.value(ts), bx, bxd)
     beta = BetaSolution(times=ts, beta_x=bx, beta_x_dot=bxd, beta_p=bp,
                         _params=p, _dense=sol.dense)
     ermakov = ErmakovSolution(times=ts, rho=rho, rho_dot=rho_dot, Phi=phi, X=x,
@@ -230,17 +207,17 @@ def coefficients(params, beta, ermakov, t):
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rho, rho_dot, phi, _, _ = ermakov.at(ts)
-    m5, _ = effective_m5_omega5(params, ts)
+    oscillator = _EffectiveOscillator(params)
+    *_, m5, _, _ = oscillator.at(ts)
     g = gamma_squeeze(params, ts)
-    eta = params.m.value(0.0) * params.omega.value(0.0)
     rho0 = ermakov.rho0
     ones = np.ones_like(ts)
 
     a_d = [[g, 0.0 * ones], [0.0 * ones, 1.0 / g]]
-    a_e = _rot(math.pi / 4.0, eta)
+    a_e = _rot(math.pi / 4.0, oscillator.eta0)
     a_f = [[rho / rho0, 0.0 * ones], [m5 * rho_dot / rho0, rho0 / rho]]
     a_7 = _rot(phi, 1.0 / rho0 ** 2)
-    a_e_inv = _rot(-math.pi / 4.0, eta)
+    a_e_inv = _rot(-math.pi / 4.0, oscillator.eta0)
 
     m = _mat_mul(a_d, _mat_mul(a_e, _mat_mul(a_f, _mat_mul(a_7, a_e_inv))))
 
@@ -330,9 +307,8 @@ def ermakov_residual(params, ermakov, n_points=257, h=None):
     rho_dd = (-ermakov.at(tt + 2 * h)[1] + 8.0 * ermakov.at(tt + h)[1]
               - 8.0 * ermakov.at(tt - h)[1] + ermakov.at(tt - 2 * h)[1]) / (12.0 * h)
     rho, rho_dot = ermakov.at(tt)[0], ermakov.at(tt)[1]
-    m5, w5sq = effective_m5_omega5(params, tt)
-    res = rho_dd + m5_log_derivative(params, tt) * rho_dot + w5sq * rho \
-        - 1.0 / (m5 * m5 * rho ** 3)
+    *_, m5, m5_log_dot, w5sq = _EffectiveOscillator(params).at(tt)
+    res = rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
     return float(np.abs(res).max())
 
 

@@ -76,6 +76,7 @@ def driven_beta(spec, t):
 def driven_coefficients(spec, t):
     """(A, B, D, E) of the undriven rotation; drives only shift the means."""
     m, w = spec.m, spec.omega
+    t = np.asarray(t, dtype=float) if np.ndim(t) else t
     c, s = np.cos(w * t), np.sin(w * t)
     return c, s / (m * w), -m * w * s, c
 
@@ -175,8 +176,9 @@ def ck_coefficients(spec, t):
     aux = ck_aux(spec)
     m, w, g = spec.m, spec.omega, spec.gamma
     w5, gp, gm = aux.omega5, aux.gamma_plus, aux.gamma_minus
+    t = np.asarray(t, dtype=float) if np.ndim(t) else t
     c, s = np.cos(w5 * t), np.sin(w5 * t)
-    down = np.exp(-g * np.asarray(t, dtype=float) / 2.0)
+    down = np.exp(-g * t / 2.0)
     up = 1.0 / down
     a = 0.5 * down * (2.0 * c + gm * s)
     b = down * gp * s / (2.0 * m * w)

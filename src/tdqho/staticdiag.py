@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, DomainError, SingularityError, ValidityError
+from .timefunc import parse_number
 
 TRANSCENDENTAL_TOL = 1e-10
 
@@ -54,13 +55,7 @@ class StaticParams:
                 raise ConfigError(f"unknown static params key {key!r}")
         if "m" not in obj or "omega" not in obj:
             raise ConfigError("static params require 'm' and 'omega'")
-        values = {}
-        for key, v in obj.items():
-            try:
-                values[key] = float(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected a number, got {v!r}") from None
-        return StaticParams(**values)
+        return StaticParams(**{key: parse_number(v, key) for key, v in obj.items()})
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ from scipy.interpolate import CubicSpline
 from .errors import ConfigError
 
 
+def parse_number(value, key):
+    """A JSON number as a float; ConfigError naming ``key`` for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 class TimeFunction:
     """Base class. Subclasses implement value/derivative/second_derivative,
     accepting scalars or numpy arrays."""
@@ -46,10 +53,8 @@ class TimeFunction:
     def from_dict(obj, key="<anonymous>"):
         """Build a TimeFunction from a JSON-style dict (or a bare number,
         shorthand for a constant). ``key`` names the field in error messages."""
-        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return Constant(float(obj))
         if not isinstance(obj, dict):
-            raise ConfigError(f"{key}: expected a number or an object with a 'kind'")
+            return Constant(parse_number(obj, key))
         kind = obj.get("kind")
         if kind not in _KINDS:
             raise ConfigError(f"{key}: unknown kind {kind!r}")
@@ -57,7 +62,7 @@ class TimeFunction:
             return _KINDS[kind]._parse(obj)
         except KeyError as exc:
             raise ConfigError(f"{key}: missing field {exc.args[0]!r} for kind {kind!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -83,7 +88,7 @@ class Constant(TimeFunction):
 
     @classmethod
     def _parse(cls, obj):
-        return cls(float(obj["value"]))
+        return cls(parse_number(obj["value"], "value"))
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,9 @@ class Cosine(TimeFunction):
 
     @classmethod
     def _parse(cls, obj):
-        return cls(float(obj["amplitude"]), float(obj["angular_frequency"]),
-                   float(obj.get("phase", 0.0)))
+        return cls(parse_number(obj["amplitude"], "amplitude"),
+                   parse_number(obj["angular_frequency"], "angular_frequency"),
+                   parse_number(obj.get("phase", 0.0), "phase"))
 
 
 @dataclass(frozen=True)
@@ -150,7 +156,8 @@ class Exponential(TimeFunction):
 
     @classmethod
     def _parse(cls, obj):
-        return cls(float(obj["prefactor"]), float(obj["rate"]))
+        return cls(parse_number(obj["prefactor"], "prefactor"),
+                   parse_number(obj["rate"], "rate"))
 
 
 @dataclass(frozen=True)
@@ -252,7 +259,8 @@ class Tabulated(TimeFunction):
 
     @classmethod
     def _parse(cls, obj):
-        return cls(tuple(obj["grid"]), tuple(obj["values"]), int(obj.get("order", 3)))
+        return cls(tuple(obj["grid"]), tuple(obj["values"]),
+                   int(parse_number(obj.get("order", 3), "order")))
 
 
 _KINDS = {c.kind: c for c in (Constant, Cosine, Exponential, Polynomial, Tabulated)}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tdqho.cli import main
+from tdqho.cli import main, write_csv
 
 PI = math.pi
 
@@ -133,6 +133,53 @@ def test_non_numeric_config_scalar_is_config_error(tmp_path, capsys, config):
     bad = next(k for k, v in config.items() if not isinstance(v, (int, float)))
     err = capsys.readouterr().err
     assert err.startswith("config error:") and bad in err
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("validate", {"m": 1.0, "omega": 1.0, "horizon": True}, "horizon"),
+    ("validate", {"m": 1.0, "omega": 1.0, "horizon": "10"}, "horizon"),
+    ("validate", {"m": 1.0, "omega": 1.0, "horizon": 1.0, "hbar": False}, "hbar"),
+    ("validate", {"m": {"kind": "constant", "value": True}, "omega": 1.0,
+                  "horizon": 1.0}, "value"),
+    ("validate", {"m": 1.0, "omega": 1.0, "horizon": 1.0, "alpha_x": {
+        "kind": "cosine", "amplitude": "0.1", "angular_frequency": 1.0}}, "amplitude"),
+    ("validate", {"m": {"kind": "exponential", "prefactor": 1.0, "rate": True},
+                  "omega": 1.0, "horizon": 1.0}, "rate"),
+    ("static-diag", {"m": True, "omega": 2.0}, "m"),
+    ("static-diag", {"m": 1.0, "omega": "2"}, "omega"),
+], ids=["horizon-true", "horizon-numeric-string", "hbar-false", "constant-true",
+        "amplitude-numeric-string", "rate-true", "static-m-true",
+        "static-omega-numeric-string"])
+def test_boolean_or_string_is_not_a_number(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key}: expected a number" in err
+
+
+def test_output_directory_is_made_only_for_written_files(tmp_path):
+    fresh = tmp_path / "validate"
+    assert main(["validate", "--scenario", "driven", "--out", str(fresh)]) == 0
+    assert not fresh.exists()
+    nested = tmp_path / "a" / "b"
+    assert main(["evolve", "--scenario", "driven", "--samples", "20",
+                 "--out", str(nested)]) == 0
+    assert (nested / "moments.csv").exists()
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    # the row format built once per file against the per-cell reference
+    floats = np.array([[0.1, -0.0, 1e-300, math.nan],
+                       [2.0 / 3.0, -1e20, math.inf, 123456789.123456789]])
+    sweep = [(0.6, "ok", 0.25, -0.0), (1.4, "error: ValidityError", math.nan, math.nan)]
+    for rows in (floats, list(floats), sweep):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b", "c", "d"), rows)
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(x if isinstance(x, str) else "%.17g" % x for x in row) + "\n"
+            for row in rows)
+        assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("samples", ["1", "0", "-3"])

@@ -13,7 +13,7 @@ from tdqho.model import (UNCERTAINTY_SLACK, MomentState, MomentTrajectory,
                          coherent_moments, effective_m5_omega5, gamma_squeeze,
                          ground_moments, kappa, kappa_dot, m5_log_derivative,
                          moment_series, propagate_moments, validate)
-from tdqho.timefunc import Constant, Cosine, Exponential, Tabulated
+from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 
 
 def standard(horizon=10.0, **kw):
@@ -254,6 +254,38 @@ def test_moment_map_returns_state_or_trajectory(m, state, n):
         assert series.shape == (n,)
     for i in range(n):
         assert traj.state(i) == replace(scalar, t=float(ts[i]))
+
+
+@st.composite
+def quadratic_params(draw):
+    """Any QuadraticParams whose coefficients cover [0, horizon]."""
+    horizon = draw(_floats(0.1, 4.0))
+
+    def coefficient():
+        kind = draw(st.sampled_from(("constant", "cosine", "exponential",
+                                     "polynomial", "tabulated")))
+        if kind == "constant":
+            return Constant(draw(_floats(-5.0, 5.0)))
+        if kind == "cosine":
+            return Cosine(draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0)),
+                          draw(_floats(-5.0, 5.0)))
+        if kind == "exponential":
+            return Exponential(draw(_floats(-5.0, 5.0)), draw(_floats(-1.0, 1.0)))
+        if kind == "polynomial":
+            return Polynomial(draw(st.lists(_floats(-5.0, 5.0), min_size=1, max_size=4)))
+        grid = np.linspace(-0.5, horizon + 0.5, draw(st.integers(2, 6)))
+        values = draw(st.lists(_floats(-5.0, 5.0), min_size=len(grid), max_size=len(grid)))
+        return Tabulated(tuple(grid), tuple(values), draw(st.sampled_from((1, 3))))
+
+    return QuadraticParams(*(coefficient() for _ in range(6)),
+                           hbar=draw(_floats(0.01, 10.0)), horizon=horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratic_params())
+def test_quadratic_params_from_dict_inverts_to_dict(params):
+    assert QuadraticParams.from_dict(params.to_dict()) == params
+    assert QuadraticParams.from_json(json.dumps(params.to_dict())) == params
 
 
 def test_moment_series_broadcasts_constants_keeping_signed_zero():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdqho.errors import DomainError, SingularityError, ValidityError
 from tdqho.integrators import OdeSystem, integrate_adaptive
-from tdqho.model import MomentState, QuadraticParams, effective_m5_omega5, ground_moments
+from tdqho.model import (MomentState, QuadraticParams, effective_m5_omega5,
+                         ground_moments, validate)
 from tdqho.pipeline import (beta_ode_residual, ermakov_residual,
                             gaussian_density, solve, solve_ermakov)
 
@@ -296,3 +299,53 @@ def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
         solve_ermakov(p, None, grid=np.array([0.0, 4.0]))
     assert info.value.constraint == "omega^2 - kappa^2 > 0"
     assert 0.0 < info.value.t < 4.0
+
+
+def test_shifted_frequency_failure_is_named_alike_everywhere():
+    # kappa = 2 a_xp dips to -1.6 at t = 2, so omega + kappa < 0 on
+    # (0.86, 3.14), while both points of the grid [0, 4] are admissible
+    p = standard_params(horizon=4.0, alpha_xp={
+        "kind": "cosine", "amplitude": 0.8, "angular_frequency": math.pi / 4.0,
+        "phase": math.pi / 2.0})
+    constraint = "omega + kappa > 0"
+    assert validate(p).failures[0][0] == constraint
+    with pytest.raises(ValidityError) as grid_check:
+        solve_ermakov(p, None, grid=np.linspace(0.0, 4.0, 5))
+    assert (grid_check.value.constraint, grid_check.value.t) == (constraint, 1.0)
+    with pytest.raises(ValidityError) as rhs_check:
+        solve_ermakov(p, None, grid=np.array([0.0, 4.0]))
+    assert rhs_check.value.constraint == constraint
+    assert 0.85 < rhs_check.value.t < 3.15
+
+
+# -- unit determinant over random admissible profiles ---------------------------
+
+
+def _drive(max_amp):
+    constant = st.floats(-max_amp, max_amp)
+    cosine = st.fixed_dictionaries({
+        "kind": st.just("cosine"), "amplitude": st.floats(-max_amp, max_amp),
+        "angular_frequency": st.floats(0.3, 1.5), "phase": st.floats(0.0, 2.0 * math.pi)})
+    return st.one_of(constant, cosine)
+
+
+def _level(lo, hi, max_rate):
+    exponential = st.fixed_dictionaries({
+        "kind": st.just("exponential"), "prefactor": st.floats(lo, hi),
+        "rate": st.floats(-max_rate, max_rate)})
+    return st.one_of(st.floats(lo, hi), exponential)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.fixed_dictionaries({
+    "m": _level(0.7, 1.5, 0.05), "omega": _level(0.8, 1.5, 0.03),
+    "alpha_x": _drive(0.3), "alpha_p": _drive(0.3), "alpha_xp": _drive(0.08),
+    "alpha_0": _drive(0.2), "horizon": st.just(10.0)}),
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=16))
+def test_coefficients_keep_unit_determinant_over_random_profiles(config, times):
+    # the profile ranges of acceptance criterion 5, which are all admissible
+    params = QuadraticParams.from_dict(config)
+    assert validate(params).ok
+    sol = solve(params, n_samples=200)
+    for c in (sol.coeffs, sol.coefficients_at(np.array(times))):
+        assert np.max(np.abs(c.A * c.E - c.B * c.D - 1.0)) < 1e-9

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,24 @@ from tdqho.scenarios import (CKSpec, DrivenSpec, ck_aux, ck_coefficients,
 
 
 # -- periodically driven oscillator -------------------------------------------
+
+
+def test_list_of_times_matches_array():
+    driven = DrivenSpec(m=1.2, omega=1.0, drive_strength=0.3, drive_frequency=0.8)
+    ck = CKSpec(m=1.1, omega=1.0, gamma=-0.3)
+    times = [0.0, 0.7, 2.5, 9.0]
+    cases = {
+        "driven_coefficients": lambda t: driven_coefficients(driven, t),
+        "ck_coefficients": lambda t: ck_coefficients(ck, t),
+        "ck_uncertainty": lambda t: (ck_uncertainty(ck, t),),
+        "driven_moments_exact": lambda t: astuple(
+            driven_moments_exact(driven, driven.ground_state(), t)),
+        "driven_moments_rwa": lambda t: astuple(driven_moments_rwa(driven, 0.2 - 0.1j, t)),
+        "ck_moments": lambda t: astuple(ck_moments(ck, ck.ground_state(), t)),
+    }
+    for name, call in cases.items():
+        for a, b in zip(call(times), call(np.array(times)), strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 def test_driven_spec_defaults():

@@ -1,9 +1,12 @@
+import json
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdqho.errors import ConfigError
 from tdqho.timefunc import (Constant, Cosine, Exponential, Polynomial,
@@ -101,6 +104,37 @@ def test_from_dict_roundtrip():
         assert type(back) is type(fn)
         for t in (0.1, 0.9, 1.7):
             assert back.value(t) == pytest.approx(fn.value(t), rel=1e-15)
+
+
+def _floats(lo=-1e6, hi=1e6):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tabulated_functions(draw):
+    # grid on multiples of 1/8 keeps the spline well conditioned
+    ticks = draw(st.lists(st.integers(-80, 80), min_size=2, max_size=8, unique=True))
+    grid = tuple(sorted(i / 8.0 for i in ticks))
+    values = tuple(draw(st.lists(_floats(), min_size=len(grid), max_size=len(grid))))
+    return Tabulated(grid, values, draw(st.sampled_from((1, 3))))
+
+
+KIND_STRATEGIES = {
+    "constant": st.builds(Constant, _floats()),
+    "cosine": st.builds(Cosine, _floats(), _floats(), _floats()),
+    "exponential": st.builds(Exponential, _floats(), _floats(-10.0, 10.0)),
+    "polynomial": st.builds(Polynomial, st.lists(_floats(), min_size=1, max_size=6)),
+    "tabulated": tabulated_functions(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_STRATEGIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_dict_inverts_to_dict(kind, data):
+    fn = data.draw(KIND_STRATEGIES[kind])
+    assert TimeFunction.from_dict(fn.to_dict(), "m") == fn
+    assert TimeFunction.from_dict(json.loads(json.dumps(fn.to_dict())), "m") == fn
 
 
 def test_from_dict_accepts_bare_number():
