@@ -176,6 +176,11 @@ def _oracle_run(config):
     return oracle_mod.propagate_state(psi0, params, grid, ops, dt=config.oracle_dt)
 
 
+def _oracle_summary(run):
+    return (f"max top-decile population {run.max_top_population:.3e}, "
+            f"max norm drift {run.max_norm_drift:.3e}, {run.matvecs} matvecs")
+
+
 def _oracle_rows(run):
     mt = run.moments
     nan = np.full_like(run.times, np.nan)
@@ -322,8 +327,7 @@ def cmd_oracle(args):
     run = _oracle_run(config)
     out = config.out_dir / "oracle.csv"
     write_csv(out, MOMENT_COLUMNS + ("norm", "top_population"), _oracle_rows(run))
-    print(f"wrote {out} ({len(run.times)} rows); "
-          f"max top-decile population {run.max_top_population:.3e}")
+    print(f"wrote {out} ({len(run.times)} rows); {_oracle_summary(run)}")
     if not run.reliable:
         print("warning: truncation alarm, run is unreliable; increase --oracle-n")
         return EXIT_UNRELIABLE
@@ -350,6 +354,7 @@ def cmd_compare(args):
         ref, other = mt, run.moments
         reliable = run.reliable
         label = "oracle"
+        print(f"oracle: {_oracle_summary(run)}")
     report = compare_series(times, _trajectory_dict(ref), _trajectory_dict(other),
                             config.threshold, reliable)
     columns = ["t"]

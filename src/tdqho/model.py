@@ -90,9 +90,6 @@ class QuadraticParams:
     def with_horizon(self, horizon):
         return replace(self, horizon=float(horizon))
 
-    def is_structurally_static(self):
-        return all(getattr(self, k).is_effectively_constant() for k in _COEFF_KEYS)
-
 
 @dataclass(frozen=True)
 class MomentState:
@@ -321,8 +318,9 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
     """Scan a uniform grid on [0, T] for the applicability conditions of the
     diagonalization chain. Deterministic for fixed inputs.
 
-    Checks m > 0, w > 0, w + kappa > 0 and w^2 - kappa^2 > 0 everywhere; if
-    all coefficients are structurally constant, also w^2 > 4 a_xp^2.
+    Checks m > 0, w > 0, w + kappa > 0 and w^2 - kappa^2 > 0 everywhere. For
+    structurally constant coefficients kappa = 2 a_xp, so the last check is
+    also the static condition w^2 > 4 a_xp^2.
     """
     ts = np.linspace(0.0, params.horizon, grid_points)
     m = np.asarray(params.m.value(ts), dtype=float)
@@ -340,9 +338,4 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
         k = kappa(params, ts)
         scan(_SHIFTED_FREQUENCY, w + k)
         scan(_EFFECTIVE_FREQUENCY, w * w - k * k)
-    if params.is_structurally_static():
-        axp = params.alpha_xp.value(0.0)
-        w0 = params.omega.value(0.0)
-        if not (w0 * w0 > 4.0 * axp * axp):
-            failures.append(("omega^2 > 4 alpha_xp^2", 0.0, w0 * w0 - 4.0 * axp * axp))
     return ValidityReport(ok=not failures, failures=tuple(failures), grid_points=grid_points)

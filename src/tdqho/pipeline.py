@@ -54,6 +54,10 @@ def _beta_p(m, axp, ap, bx, bxd):
     return m * (-bxd + 2.0 * axp * bx + ap)
 
 
+def _beta_p_at(p, t, bx, bxd):
+    return _beta_p(p.m.value(t), p.alpha_xp.value(t), p.alpha_p.value(t), bx, bxd)
+
+
 @dataclass(frozen=True)
 class BetaSolution:
     """Sampled displacement pair, a view of the fused auxiliary solution.
@@ -73,8 +77,7 @@ class BetaSolution:
     def at(self, t):
         """(beta_x, beta_x_dot, beta_p) at arbitrary t, from dense output."""
         bx, bxd = self._dense(t)[_BETA]
-        p = self._params
-        return bx, bxd, _beta_p(p.m.value(t), p.alpha_xp.value(t), p.alpha_p.value(t), bx, bxd)
+        return bx, bxd, _beta_p_at(self._params, t, bx, bxd)
 
     def constraint_residual(self):
         """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid."""
@@ -158,7 +161,7 @@ def _solve_auxiliary(params, grid, rel_tol, abs_tol):
     ts = sol.times
     bx, bxd, rho, rho_dot, phi, x, lam = sol.states
     _require_positive(rho, ts, "rho > 0")
-    bp = _beta_p(p.m.value(ts), p.alpha_xp.value(ts), p.alpha_p.value(ts), bx, bxd)
+    bp = _beta_p_at(p, ts, bx, bxd)
     beta = BetaSolution(times=ts, beta_x=bx, beta_x_dot=bxd, beta_p=bp,
                         _params=p, _dense=sol.dense)
     ermakov = ErmakovSolution(times=ts, rho=rho, rho_dot=rho_dot, Phi=phi, X=x,
@@ -206,7 +209,10 @@ def coefficients(params, beta, ermakov, t):
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    rho, rho_dot, phi, _, _ = ermakov.at(ts)
+    # beta and ermakov view one dense output: evaluate it once, at 0 and ts
+    states = beta._dense(np.concatenate(([0.0], ts)))
+    bx0, bxd0 = states[_BETA, 0]
+    bx_t, bxd_t, rho, rho_dot, phi = states[:5, 1:]
     oscillator = _EffectiveOscillator(params)
     *_, m5, _, _ = oscillator.at(ts)
     g = gamma_squeeze(params, ts)
@@ -221,8 +227,8 @@ def coefficients(params, beta, ermakov, t):
 
     m = _mat_mul(a_d, _mat_mul(a_e, _mat_mul(a_f, _mat_mul(a_7, a_e_inv))))
 
-    bx_t, _, bp_t = beta.at(ts)
-    bx0, _, bp0 = beta.at(0.0)
+    bp_t = _beta_p_at(params, ts, bx_t, bxd_t)
+    bp0 = _beta_p_at(params, 0.0, bx0, bxd0)
 
     def out(v):
         v = np.asarray(v, dtype=float) + 0.0 * ones
@@ -306,7 +312,7 @@ def ermakov_residual(params, ermakov, n_points=257, h=None):
     tt = np.linspace(2.0 * h, T - 2.0 * h, n_points)
     rho_dd = (-ermakov.at(tt + 2 * h)[1] + 8.0 * ermakov.at(tt + h)[1]
               - 8.0 * ermakov.at(tt - h)[1] + ermakov.at(tt - 2 * h)[1]) / (12.0 * h)
-    rho, rho_dot = ermakov.at(tt)[0], ermakov.at(tt)[1]
+    rho, rho_dot, *_ = ermakov.at(tt)
     *_, m5, m5_log_dot, w5sq = _EffectiveOscillator(params).at(tt)
     res = rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
     return float(np.abs(res).max())

@@ -24,6 +24,14 @@ def parse_number(value, key):
     return float(value)
 
 
+def parse_numbers(value, key):
+    """A JSON list of numbers as a tuple of floats; ConfigError naming ``key``
+    for a string, any other non-list, or a non-number element."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
+    return tuple(parse_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
 class TimeFunction:
     """Base class. Subclasses implement value/derivative/second_derivative,
     accepting scalars or numpy arrays."""
@@ -194,7 +202,7 @@ class Polynomial(TimeFunction):
 
     @classmethod
     def _parse(cls, obj):
-        return cls(tuple(obj["coefficients"]))
+        return cls(parse_numbers(obj["coefficients"], "coefficients"))
 
 
 @dataclass(frozen=True)
@@ -259,8 +267,11 @@ class Tabulated(TimeFunction):
 
     @classmethod
     def _parse(cls, obj):
-        return cls(tuple(obj["grid"]), tuple(obj["values"]),
-                   int(parse_number(obj.get("order", 3), "order")))
+        order = parse_number(obj.get("order", 3), "order")
+        if not order.is_integer():
+            raise ConfigError(f"order: expected an integer, got {obj['order']!r}")
+        return cls(parse_numbers(obj["grid"], "grid"), parse_numbers(obj["values"], "values"),
+                   int(order))
 
 
 _KINDS = {c.kind: c for c in (Constant, Cosine, Exponential, Polynomial, Tabulated)}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,8 @@ def test_compare_pipeline_against_fock_basis(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "overall: PASS" in out
+    assert re.search(r"^oracle: max top-decile population \S+, max norm drift \S+, "
+                     r"\d+ matvecs$", out, re.M)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] and report["reliable"]
     names = {s["name"] for s in report["series"]}
@@ -235,10 +238,12 @@ def test_compare_unreliable_oracle(tmp_path):
     assert rc == 5
 
 
-def test_oracle_subcommand(tmp_path):
+def test_oracle_subcommand(tmp_path, capsys):
     rc = main(["oracle", "--scenario", "driven", "--horizon", str(PI),
                "--samples", "25", "--out", str(tmp_path)])
     assert rc == 0
+    drift = re.search(r"max norm drift (\S+), (\d+) matvecs$", capsys.readouterr().out, re.M)
+    assert drift and float(drift[1]) < 1e-10 and int(drift[2]) > 0
     header, data = read_csv(tmp_path / "oracle.csv")
     assert header[-2:] == ["norm", "top_population"]
     assert np.max(np.abs(data[:, header.index("norm")] - 1.0)) < 1e-10

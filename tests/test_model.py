@@ -57,12 +57,6 @@ def test_horizon_must_be_positive():
         standard(horizon=-1.0)
 
 
-def test_structurally_static_detection():
-    assert standard().is_structurally_static()
-    assert not standard(m={"kind": "exponential", "prefactor": 1.0,
-                           "rate": 0.1}).is_structurally_static()
-
-
 # -- kappa and the effective oscillator --------------------------------------
 
 
@@ -194,6 +188,17 @@ def test_validate_flags_vanishing_frequency():
 def test_validate_flags_static_strong_coupling():
     report = validate(standard(alpha_xp=0.51))
     assert not report.ok
+
+
+def test_validate_reports_static_strong_coupling_once():
+    # kappa = 2 a_xp for constant coefficients, so the one effective-frequency
+    # failure is the static condition omega^2 > 4 a_xp^2
+    report = validate(standard(horizon=1.0, alpha_xp=0.51))
+    assert len(report.failures) == 1
+    constraint, t, value = report.failures[0]
+    assert constraint == "omega^2 - kappa^2 > 0"
+    assert t == 0.0
+    assert value == pytest.approx(1.0 - 4.0 * 0.51 ** 2, rel=1e-12)
 
 
 # -- moment map ----------------------------------------------------------------

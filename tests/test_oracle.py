@@ -1,13 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tdqho.errors import DomainError
+import tdqho.oracle
+from tdqho.errors import DomainError, IntegrationError
 from tdqho.model import QuadraticParams
-from tdqho.oracle import (build_operators, coherent_state, ground_state,
-                          hamiltonian_matrix, moments_from_state,
-                          propagate_state)
+from tdqho.oracle import (TAYLOR_MAX_TERMS, _taylor_step, build_operators,
+                          coherent_state, ground_state, hamiltonian_matrix,
+                          moments_from_state, propagate_state)
 from tdqho.scenarios import DrivenSpec
 
 
@@ -119,6 +123,7 @@ def test_propagation_norm_preserved():
     grid = np.linspace(0.0, params.horizon, 30)
     run = propagate_state(ground_state(ops), params, grid, ops)
     assert np.max(np.abs(run.norms - 1.0)) < 1e-10
+    assert run.max_norm_drift == np.max(np.abs(run.norms - 1.0))
 
 
 def test_propagation_step_refinement():
@@ -168,3 +173,76 @@ def test_grid_without_origin_is_prepended():
     run = propagate_state(ground_state(ops), params, grid, ops)
     assert run.times[0] == 0.0
     assert len(run.times) == 5
+
+
+# -- Taylor stepping -----------------------------------------------------------
+
+
+def _complex_hamiltonian(n, hbar):
+    params = QuadraticParams.from_dict({
+        "m": {"kind": "exponential", "prefactor": 1.1, "rate": 0.05},
+        "omega": 0.9, "alpha_x": 0.2, "alpha_p": -0.15, "alpha_xp": 0.07,
+        "alpha_0": 0.3, "hbar": hbar, "horizon": 2.0})
+    ops = build_operators(n, 1.1, 0.9, hbar)
+    return hamiltonian_matrix(params, ops, 0.4), ops
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("h, split", [(3e-3, False), (0.5, True)])
+def test_taylor_step_matches_expm(n, h, split):
+    hbar = 0.7
+    hmat, ops = _complex_hamiltonian(n, hbar)
+    assert np.iscomplexobj(hmat)
+    psi = coherent_state(ops, 0.8 - 0.5j)
+    got, matvecs = _taylor_step(hmat, psi, h / hbar, 0.4)
+    ref = scipy.linalg.expm(-1j * hmat * h / hbar) @ psi
+    assert np.max(np.abs(got - ref)) < 1e-13
+    norm = np.abs(hmat * h / hbar).sum(axis=0).max()
+    if split:
+        # ||H h / hbar||_1 >> 1: substeps take more products than one series may
+        assert norm > 10.0 and matvecs > TAYLOR_MAX_TERMS
+    else:
+        assert norm < 2.0
+
+
+@pytest.mark.parametrize("where", ["state", "hamiltonian"])
+def test_taylor_step_names_time_of_non_finite_input(where):
+    hmat, ops = _complex_hamiltonian(16, 1.0)
+    psi = ground_state(ops)
+    if where == "state":
+        psi[3] = np.nan
+    else:
+        hmat[2, 3] = np.inf
+    with pytest.raises(IntegrationError, match="t=1.25") as exc:
+        _taylor_step(hmat, psi, 1e-3, 1.25)
+    assert exc.value.t == 1.25
+
+
+def test_criterion_1_run_averages_at_most_8_matvecs_per_step(monkeypatch):
+    params = driven_params(horizon=6.0 * 2.0 * math.pi)
+    ops = build_operators(64, 1.0, 1.0)
+    steps = []
+
+    def counted(*args):
+        steps.append(None)
+        return hamiltonian_matrix(*args)
+
+    monkeypatch.setattr(tdqho.oracle, "hamiltonian_matrix", counted)
+    grid = np.linspace(0.0, params.horizon, 2000)
+    run = propagate_state(ground_state(ops), params, grid, ops,
+                          dt=5e-4 * 2.0 * math.pi)
+    assert len(steps) > 10_000
+    assert run.matvecs <= 8 * len(steps)
+
+
+def test_oracle_imports_nothing_from_the_analytic_path():
+    tree = ast.parse(Path(tdqho.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & {"pipeline", "integrators", "scenarios"}

@@ -153,6 +153,24 @@ def test_from_dict_missing_field_names_key():
         TimeFunction.from_dict({"kind": "cosine", "amplitude": 1.0}, "m")
 
 
+_GRID3 = [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "polynomial", "coefficients": "12"}, "coefficients"),
+    ({"kind": "polynomial", "coefficients": [True, "2"]}, "coefficients"),
+    ({"kind": "polynomial", "coefficients": 3.0}, "coefficients"),
+    ({"kind": "tabulated", "grid": "012", "values": [1.0, 2.0, 3.0]}, "grid"),
+    ({"kind": "tabulated", "grid": _GRID3, "values": [1.0, "2", 3.0]}, "values"),
+    ({"kind": "tabulated", "grid": _GRID3, "values": [1.0, 2.0, True]}, "values"),
+    ({"kind": "tabulated", "grid": _GRID3, "values": [1.0, 2.0, 3.0], "order": 3.7}, "order"),
+], ids=["poly-string", "poly-bool-and-string", "poly-scalar", "tab-grid-string",
+        "tab-values-string-element", "tab-values-bool", "tab-order-fraction"])
+def test_list_fields_and_order_take_only_numbers(obj, field):
+    with pytest.raises(ConfigError, match=rf"^m: {field}"):
+        TimeFunction.from_dict(obj, "m")
+
+
 # one example per row of the README kind table, using exactly the fields
 # that row documents
 README_EXAMPLES = {
