@@ -470,7 +470,10 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValidityError, SingularityError, IntegrationError) as exc:
-        print(f"validity error: {exc}", file=sys.stderr)
+        t = getattr(exc, "t", None)
+        # name the failure time unless the message already does
+        where = "" if t is None or f"t={t:.6g}" in str(exc) else f" at t={t:.6g}"
+        print(f"validity error: {exc}{where}", file=sys.stderr)
         return EXIT_VALIDITY
 
 

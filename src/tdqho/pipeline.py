@@ -1,15 +1,17 @@
 """End-to-end propagation of moments for the time-dependent quadratic model.
 
-The chain: integrate one 7-state auxiliary system that co-integrates the
-displacement pair (beta_x, beta_x_dot) tracking the drives, the Ermakov
-scale (rho, rho_dot) of the effective oscillator and the phase quadratures
-(Phi, X, Lambda), with the scalar energy bias ell(t) in Lambda taken from
-the live displacement; assemble the linear map (A, B, D, E) relating
-centered means at time t to those at 0; then push first and second moments
-through that map with ``model.propagate_moments``. The map is built as a product of five 2x2 conjugation
-matrices (scaling, basis rotation, shear-scale, phase rotation, inverse
-basis rotation), which keeps AE - BD = 1 to machine precision by
-construction.
+The chain: integrate, with the adaptive DOP853 solver of ``integrators``,
+one 7-state auxiliary system that co-integrates the displacement pair
+(beta_x, beta_x_dot) tracking the drives, the Ermakov scale (rho, rho_dot)
+of the effective oscillator and the phase quadratures (Phi, X, Lambda),
+with the scalar energy bias ell(t) in Lambda taken from the live
+displacement; assemble the linear map (A, B, D, E) relating centered means
+at time t to those at 0; then push first and second moments through that
+map with ``model.propagate_moments``. Off-grid queries read the solve's
+order-7 dense output. The map is built as a product of five 2x2
+conjugation matrices (scaling, basis rotation, shear-scale, phase
+rotation, inverse basis rotation), which keeps AE - BD = 1 to machine
+precision by construction.
 """
 
 from __future__ import annotations

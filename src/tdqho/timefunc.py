@@ -47,10 +47,6 @@ class TimeFunction:
     def second_derivative(self, t):
         raise NotImplementedError
 
-    def is_effectively_constant(self):
-        """Structurally constant (zero derivative for all t)."""
-        return False
-
     def check_domain(self, horizon):
         """Raise ConfigError if the function cannot cover [0, horizon]."""
 
@@ -88,9 +84,6 @@ class Constant(TimeFunction):
 
     second_derivative = derivative
 
-    def is_effectively_constant(self):
-        return True
-
     def to_dict(self):
         return {"kind": "constant", "value": self.const}
 
@@ -123,9 +116,6 @@ class Cosine(TimeFunction):
         return a * np.cos(self.angular_frequency * np.asarray(t, dtype=float) + self.phase) \
             if np.ndim(t) else a * math.cos(self.angular_frequency * t + self.phase)
 
-    def is_effectively_constant(self):
-        return self.amplitude == 0.0 or (self.angular_frequency == 0.0)
-
     def to_dict(self):
         return {"kind": "cosine", "amplitude": self.amplitude,
                 "angular_frequency": self.angular_frequency, "phase": self.phase}
@@ -155,9 +145,6 @@ class Exponential(TimeFunction):
 
     def second_derivative(self, t):
         return self.rate ** 2 * self.value(t)
-
-    def is_effectively_constant(self):
-        return self.rate == 0.0 or self.prefactor == 0.0
 
     def to_dict(self):
         return {"kind": "exponential", "prefactor": self.prefactor, "rate": self.rate}
@@ -193,9 +180,6 @@ class Polynomial(TimeFunction):
         c = np.polynomial.polynomial.polyder(self.coefficients, 2)
         return np.polynomial.polynomial.polyval(t, c) if len(c) else (
             np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0)
-
-    def is_effectively_constant(self):
-        return all(c == 0.0 for c in self.coefficients[1:])
 
     def to_dict(self):
         return {"kind": "polynomial", "coefficients": list(self.coefficients)}
@@ -257,9 +241,6 @@ class Tabulated(TimeFunction):
             d = self._spline(t, 2)
             return d if np.ndim(t) else float(d)
         return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-
-    def is_effectively_constant(self):
-        return all(v == self.values[0] for v in self.values)
 
     def to_dict(self):
         return {"kind": "tabulated", "grid": list(self.grid),

@@ -190,9 +190,9 @@ def test_criterion_5_unit_determinant_over_random_sets():
     for _ in range(n_sets):
         params = _mixed_random_params(rng)
         assert validate(params).ok
-        assert not params.alpha_xp.is_effectively_constant() \
-            or params.alpha_xp.value(0.0) != 0.0
         sol = solve(params, n_samples=2000)
+        # the data must exercise the a_xp coupling somewhere on the grid
+        assert np.any(params.alpha_xp.value(sol.grid) != 0.0)
         c = sol.coeffs
         det = c.A * c.E - c.B * c.D
         assert np.max(np.abs(det - 1.0)) < 1e-9

@@ -87,6 +87,18 @@ def test_overdamped_scaling_is_validity_error(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_evolve_validity_error_names_the_time(tmp_path, capsys):
+    # omega + kappa turns negative at t = 1.05641, inside the horizon
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({
+        "m": 1, "omega": 1,
+        "alpha_xp": {"kind": "cosine", "amplitude": 0.6,
+                     "angular_frequency": 1.0, "phase": 1.5},
+        "horizon": 3}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "at t=1.05641" in capsys.readouterr().err
+
+
 def test_validate_ok(tmp_path, capsys):
     assert main(["validate", "--scenario", "driven",
                  "--out", str(tmp_path)]) == 0

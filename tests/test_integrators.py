@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from tdqho.errors import IntegrationError
-from tdqho.integrators import (OdeSystem, integrate_adaptive,
-                               integrate_fixed_rk4)
+from tdqho.integrators import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, OdeSystem,
+                               integrate_adaptive, integrate_fixed_rk4)
 
 
 def exponential_system(rate=1.0, t_end=2.0):
@@ -72,18 +73,27 @@ def test_adaptive_dense_output_between_samples():
     assert np.max(np.abs(dense[1] + np.sin(ts))) < 1e-8
 
 
-def dense_reference(dense, t):
-    """Per-sample loop over the quintic segments: the reference that the
-    vectorised DenseOutput must reproduce bit for bit."""
+def scipy_steps(system, y0, rel_tol, abs_tol):
+    """Each step's own scipy DOP853 interpolant, from a separate run."""
+    solver = DOP853(system.f, 0.0, np.array(y0, dtype=float), system.t_end,
+                    rtol=rel_tol, atol=abs_tol)
+    steps = []
+    while solver.status == "running":
+        solver.step()
+        steps.append(solver.dense_output())
+    assert solver.status == "finished"
+    return steps
+
+
+def dense_reference(steps, t):
+    """Per-sample loop calling the interpolant of the first step that ends at
+    or after each time: the reference that the vectorised DenseOutput must
+    reproduce bit for bit."""
+    rights = np.array([s.t for s in steps])
     out = []
     for ti in np.atleast_1d(t):
-        i = min(int(np.searchsorted(dense._rights, ti, side="left")),
-                len(dense._lefts) - 1)
-        left = dense._lefts[i]
-        theta = (ti - left) / (dense._rights[i] - left)
-        r1, r2, r3, r4, r5 = dense._rcont[i]
-        out.append(r1 + theta * (r2 + (1.0 - theta)
-                                 * (r3 + theta * (r4 + (1.0 - theta) * r5))))
+        i = min(int(np.searchsorted(rights, ti, side="left")), len(steps) - 1)
+        out.append(steps[i](ti))
     return np.array(out).T
 
 
@@ -91,16 +101,34 @@ def test_dense_output_array_matches_scalar_calls():
     sys_ = harmonic_system(t_end=10.0)
     sol = integrate_adaptive(sys_, (1.0, 0.0), sample_times=np.linspace(0.0, 10.0, 6))
     dense = sol.dense
+    steps = scipy_steps(sys_, (1.0, 0.0), DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+    assert len(steps) == sol.stats.steps
     # 0, T, every segment boundary, and points strictly inside segments
-    ts = np.sort(np.concatenate([dense._lefts, dense._rights,
-                                 np.linspace(0.0, 10.0, 101)]))
+    bounds = [s.t_old for s in steps] + [s.t for s in steps]
+    ts = np.sort(np.concatenate([bounds, np.linspace(0.0, 10.0, 101)]))
     assert ts[0] == 0.0 and ts[-1] == 10.0
     stacked = np.stack([dense(float(t)) for t in ts], axis=1)
     batched = dense(ts)
     assert batched.shape == (2, ts.size)
     assert np.array_equal(batched, stacked)
-    assert np.array_equal(batched, dense_reference(dense, ts))
+    assert np.array_equal(batched, dense_reference(steps, ts))
     assert dense(0.0).shape == (2,)
+
+
+def test_adaptive_rejection_count_from_rhs_calls():
+    # rejections are derived from scipy's RHS-call count: two start-up calls,
+    # twelve per attempted step, three per dense output
+    calls = 0
+
+    def f(t, y):
+        nonlocal calls
+        calls += 1
+        return (50.0 * math.cos(50.0 * t) * y[0],)
+
+    sol = integrate_adaptive(OdeSystem(n=1, f=f, t_end=3.0), (1.0,), rel_tol=1e-12)
+    steps, rejected = sol.stats.steps, sol.stats.rejected
+    assert rejected > 0
+    assert calls == 2 + 15 * steps + 12 * rejected
 
 
 def test_adaptive_first_and_last_states_exact():
@@ -121,8 +149,19 @@ def test_adaptive_rejects_nonmonotonic_samples():
 def test_adaptive_step_underflow_raises():
     # derivative blows up at t = 1: forced failure inside the domain
     sys_ = OdeSystem(n=1, f=lambda t, y: (y[0] / (1.0 - t),), t_end=2.0)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match="underflow") as info:
         integrate_adaptive(sys_, (1.0,), sample_times=np.array([0.0, 2.0]))
+    # raised just before the singularity, not after scipy's own 10-ulp floor
+    assert 0.99 < info.value.t <= 1.0
+
+
+@pytest.mark.parametrize("f, y0", [(lambda t, y: (math.nan,), 1.0),
+                                    (lambda t, y: (1.0,), math.nan)])
+def test_adaptive_nonfinite_start_raises(f, y0):
+    # scipy alone would raise a ValueError for y0, and hang for f(0, y0)
+    with pytest.raises(IntegrationError) as info:
+        integrate_adaptive(OdeSystem(n=1, f=f, t_end=1.0), (y0,))
+    assert info.value.t == 0.0
 
 
 def test_fixed_step_nonfinite_aborts():

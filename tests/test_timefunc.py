@@ -41,7 +41,6 @@ def test_constant_is_flat():
     assert c.value(57.0) == 3.0
     assert c.derivative(12.0) == 0.0
     assert c.second_derivative(12.0) == 0.0
-    assert c.is_effectively_constant()
 
 
 def test_cosine_closed_form():
