@@ -47,10 +47,25 @@ COMPARE_SERIES = ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")
 def write_csv(path, columns, rows):
     """Write a CSV, making its directory: %.17g cells, or %s where the first row has a str."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     fmt = ",".join("%s" if isinstance(c, str) else "%.17g" for c in rows[0]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(fmt % tuple(row) for row in rows)
+
+
+def _write_density_csv(path, times, xs, block):
+    """Write block[i, j] as time-major (t, x, value) rows, the bytes of
+    write_csv, formatting each x once per file and each t once per row."""
+    row_fmt = "".join("%%s,%.17g,%%.17g\n" % x for x in xs.tolist())
+    cells = [None] * (2 * len(xs))
+    with open(path, "w") as fh:
+        fh.write("t,x,value\n")
+        for t, values in zip(times.tolist(), block.tolist()):
+            cells[0::2] = ["%.17g" % t] * len(xs)
+            cells[1::2] = values
+            fh.write(row_fmt % tuple(cells))
 
 
 # -- config assembly ---------------------------------------------------------
@@ -311,13 +326,11 @@ def cmd_evolve(args):
         lo = float(np.min(mt.mean_x)) - 5.0 * sx_max
         hi = float(np.max(mt.mean_x)) + 5.0 * sx_max
         xs = np.linspace(lo, hi, args.density)
-        dens_rows = []
-        for i, t in enumerate(sol.grid):
-            vals = pipeline.gaussian_density(mt.state(i), xs)
-            dens_rows.extend((t, x, v) for x, v in zip(xs, vals))
+        block = pipeline.gaussian_density(mt, xs)
         dens_out = config.out_dir / "density.csv"
-        write_csv(dens_out, ("t", "x", "value"), dens_rows)
-        print(f"wrote {dens_out} ({len(dens_rows)} rows)")
+        # write_csv has made the directory
+        _write_density_csv(dens_out, sol.grid, xs, block)
+        print(f"wrote {dens_out} ({block.size} rows)")
     return EXIT_OK
 
 
@@ -385,7 +398,12 @@ def _sweep_point(args, name, value):
                 float(np.abs(mt.mean_p).max()), float(unc.min()), float(unc.max()))
     except (ConfigError, DomainError, ValidityError, SingularityError,
             IntegrationError) as exc:
-        return (value, f"error: {type(exc).__name__}", math.nan, math.nan,
+        status = f"error: {type(exc).__name__}"
+        if getattr(exc, "constraint", None):
+            status += f": {exc.constraint}"
+        if getattr(exc, "t", None) is not None:
+            status += f" at t={exc.t:.6g}"
+        return (value, status.replace(",", ";"), math.nan, math.nan,
                 math.nan, math.nan)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, ValidityError
 from .integrators import OdeSystem, integrate_adaptive
-from .model import (PropagatorCoefficients, _EffectiveOscillator, _require_positive,
-                    gamma_squeeze, propagate_moments, validate)
+from .model import (MomentTrajectory, PropagatorCoefficients, _EffectiveOscillator,
+                    _require_positive, gamma_squeeze, propagate_moments, validate)
 from .staticdiag import StaticParams, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -253,13 +253,25 @@ def global_phase(ermakov, t, hbar=1.0):
 
 
 def gaussian_density(state, x_grid):
-    """Normal position density of a Gaussian state on x_grid."""
-    if not (state.var_x > 0.0):
+    """Normal position density of a Gaussian state on x_grid.
+
+    A MomentState gives one row; a MomentTrajectory gives the
+    (len(times), len(x_grid)) block, equal bit for bit to the stacked rows
+    of its states. A variance that is not positive (NaN included) is a
+    ValidityError at the first such time.
+    """
+    trajectory = isinstance(state, MomentTrajectory)
+    mean_x, var_x = state.mean_x, state.var_x
+    bad = np.flatnonzero(~(np.asarray(var_x) > 0.0))
+    if bad.size:
+        t = state.times[bad[0]] if trajectory else state.t
         raise ValidityError("position variance must be positive for a density",
-                            t=state.t, constraint="var_x > 0")
+                            t=float(t), constraint="var_x > 0")
+    if trajectory:
+        mean_x, var_x = mean_x[:, None], var_x[:, None]
     x = np.asarray(x_grid, dtype=float)
-    return np.exp(-((x - state.mean_x) ** 2) / (2.0 * state.var_x)) \
-        / math.sqrt(2.0 * math.pi * state.var_x)
+    return np.exp(-((x - mean_x) ** 2) / (2.0 * var_x)) \
+        / np.sqrt(2.0 * math.pi * var_x)
 
 
 # -- one-call pipeline -------------------------------------------------------

@@ -5,7 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from tdqho.cli import main, write_csv
+from tdqho import cli
+from tdqho.cli import build_parser, build_run_config, main, write_csv
+from tdqho.errors import ValidityError
+from tdqho.pipeline import gaussian_density
 
 PI = math.pi
 
@@ -61,6 +64,24 @@ def test_density_output(tmp_path):
     assert header == ["t", "x", "value"]
     assert data.shape == (88, 3)
     assert np.all(data[:, 2] >= 0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "ck", "--samples", "8", "--density", "11"],
+    ["--scenario", "driven", "--samples", "40", "--density", "9",
+     "--initial", "coherent:0.3-0.2j"]], ids=" ".join)
+def test_density_csv_matches_per_cell_reference(tmp_path, argv):
+    assert main(["evolve", *argv, "--out", str(tmp_path)]) == 0
+    args = build_parser().parse_args(["evolve", *argv])
+    sol, mt, _ = cli._pipeline_rows(build_run_config(args))
+    sx_max = math.sqrt(float(np.max(mt.var_x)))
+    xs = np.linspace(float(np.min(mt.mean_x)) - 5.0 * sx_max,
+                     float(np.max(mt.mean_x)) + 5.0 * sx_max, args.density)
+    expected = "t,x,value\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % (t, x, v)
+        for i, t in enumerate(sol.grid)
+        for x, v in zip(xs, gaussian_density(mt.state(i), xs)))
+    assert (tmp_path / "density.csv").read_text() == expected
 
 
 def test_config_and_scenario_mutually_exclusive(tmp_path):
@@ -303,4 +324,17 @@ def test_sweep_records_per_point_failures(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     statuses = [ln.split(",")[1] for ln in lines[1:]]
     assert statuses[0] == "ok"
-    assert any(s.startswith("error") for s in statuses[1:])
+    assert statuses[1:] == ["error: ValidityError: |gamma| < 2 omega"] * 2
+
+
+def test_sweep_failure_names_constraint_and_time(tmp_path, monkeypatch):
+    def fail(config):
+        raise ValidityError("collapsed", t=1.25, constraint="var_x > 0, var_p > 0")
+
+    monkeypatch.setattr(cli, "_pipeline_rows", fail)
+    assert main(["sweep", "--scenario", "driven", "--sweep", "omega-d:0.5:1.5:2",
+                 "--samples", "20", "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [len(r) for r in rows] == [6, 6]
+    assert {r[1] for r in rows} == {"error: ValidityError: var_x > 0; var_p > 0 at t=1.25"}

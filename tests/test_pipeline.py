@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tdqho.errors import DomainError, SingularityError, ValidityError
 from tdqho.integrators import OdeSystem, integrate_adaptive
-from tdqho.model import (MomentState, QuadraticParams, effective_m5_omega5,
+from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
+                         effective_m5_omega5,
                          ground_moments, validate)
 from tdqho.pipeline import (beta_ode_residual, ermakov_residual,
                             gaussian_density, solve, solve_ermakov)
@@ -260,6 +261,29 @@ def test_gaussian_density_rejects_collapsed_state():
     st = MomentState(0.0, 0.0, 0.0, -1e-3, 0.5, 0.0)
     with pytest.raises(ValidityError):
         gaussian_density(st, np.linspace(-1.0, 1.0, 11))
+
+
+def test_gaussian_density_block_equals_stacked_states(generic_solution):
+    mt = generic_solution.moments(ground_moments(1.0, 1.0, 1.0))
+    xs = np.linspace(-4.0, 4.0, 37)
+    block = gaussian_density(mt, xs)
+    assert block.shape == (len(mt.times), 37)
+    stacked = np.stack([gaussian_density(mt.state(i), xs)
+                        for i in range(len(mt.times))])
+    assert np.array_equal(block, stacked)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
+def test_gaussian_density_block_names_first_bad_time(bad):
+    times = np.linspace(0.0, 1.0, 6)
+    var_x = np.full(6, 0.5)
+    var_x[[2, 4]] = bad
+    ones = np.ones(6)
+    mt = MomentTrajectory(times, 0.0 * ones, 0.0 * ones, var_x, 0.5 * ones, 0.0 * ones)
+    with pytest.raises(ValidityError) as info:
+        gaussian_density(mt, np.linspace(-1.0, 1.0, 11))
+    assert info.value.t == times[2]
+    assert info.value.constraint == "var_x > 0"
 
 
 # -- failure modes -------------------------------------------------------------
