@@ -316,6 +316,8 @@ def cmd_static_diag(args):
 
 def cmd_evolve(args):
     _check_samples(args)
+    if args.density < 0:
+        raise ConfigError(f"--density must not be negative, got {args.density}")
     config = build_run_config(args)
     sol, mt, rows = _pipeline_rows(config)
     out = config.out_dir / "moments.csv"
@@ -349,6 +351,8 @@ def cmd_oracle(args):
 
 def cmd_compare(args):
     _check_samples(args)
+    if not args.threshold >= 0.0:
+        raise ConfigError(f"--threshold must be a non-negative number, got {args.threshold}")
     config = build_run_config(args)
     if args.rwa:
         if not isinstance(config.scenario, DrivenSpec):

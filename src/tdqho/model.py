@@ -237,7 +237,7 @@ def _kappa(m_log_dot, w_log_dot, axp):
 
 class _EffectiveOscillator:
     """The effective oscillator, with eta0 = m(0) w(0). ``at(t)``, scalar or
-    array t, evaluates each coefficient once and returns the plain tuple
+    array t, takes one jet of each coefficient and returns the plain tuple
     (m, m', m'', w, w', w'', a_xp, a_xp', a_p, a_p', a_x, a_0, kappa, kappa',
     m5, d ln m5/dt, w5^2), or raises ValidityError where w + kappa or
     w5^2 = w^2 - kappa^2 is not positive."""
@@ -248,11 +248,11 @@ class _EffectiveOscillator:
 
     def at(self, t):
         p = self.params
-        m, md, mdd = p.m.value(t), p.m.derivative(t), p.m.second_derivative(t)
-        w, wd, wdd = p.omega.value(t), p.omega.derivative(t), p.omega.second_derivative(t)
-        axp, axpd = p.alpha_xp.value(t), p.alpha_xp.derivative(t)
-        ap, apd = p.alpha_p.value(t), p.alpha_p.derivative(t)
-        ax, a0 = p.alpha_x.value(t), p.alpha_0.value(t)
+        m, md, mdd = p.m.jet(t)
+        w, wd, wdd = p.omega.jet(t)
+        axp, axpd, _ = p.alpha_xp.jet(t)
+        ap, apd, _ = p.alpha_p.jet(t)
+        ax, a0 = p.alpha_x.jet(t)[0], p.alpha_0.jet(t)[0]
         mlog, wlog = md / m, wd / w
         kap = _kappa(mlog, wlog, axp)
         denom = w + kap
@@ -268,9 +268,9 @@ class _EffectiveOscillator:
 
 def kappa(params, t):
     """Frequency shift kappa = (m'/m + w'/w)/2 + 2*a_xp."""
-    return _kappa(params.m.derivative(t) / params.m.value(t),
-                  params.omega.derivative(t) / params.omega.value(t),
-                  params.alpha_xp.value(t))
+    m, md, _ = params.m.jet(t)
+    w, wd, _ = params.omega.jet(t)
+    return _kappa(md / m, wd / w, params.alpha_xp.jet(t)[0])
 
 
 def kappa_dot(params, t):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, ValidityError
 from .integrators import OdeSystem, integrate_adaptive
 from .model import (MomentTrajectory, PropagatorCoefficients, _EffectiveOscillator,
-                    _require_positive, gamma_squeeze, propagate_moments, validate)
+                    _require_positive, propagate_moments, validate)
 from .staticdiag import StaticParams, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -216,8 +216,8 @@ def coefficients(params, beta, ermakov, t):
     bx0, bxd0 = states[_BETA, 0]
     bx_t, bxd_t, rho, rho_dot, phi = states[:5, 1:]
     oscillator = _EffectiveOscillator(params)
-    *_, m5, _, _ = oscillator.at(ts)
-    g = gamma_squeeze(params, ts)
+    m, _, _, w, _, _, axp, _, ap, *_, m5, _, _ = oscillator.at(ts)
+    g = np.sqrt(oscillator.eta0 / (m * w))
     rho0 = ermakov.rho0
     ones = np.ones_like(ts)
 
@@ -227,9 +227,9 @@ def coefficients(params, beta, ermakov, t):
     a_7 = _rot(phi, 1.0 / rho0 ** 2)
     a_e_inv = _rot(-math.pi / 4.0, oscillator.eta0)
 
-    m = _mat_mul(a_d, _mat_mul(a_e, _mat_mul(a_f, _mat_mul(a_7, a_e_inv))))
+    mat = _mat_mul(a_d, _mat_mul(a_e, _mat_mul(a_f, _mat_mul(a_7, a_e_inv))))
 
-    bp_t = _beta_p_at(params, ts, bx_t, bxd_t)
+    bp_t = _beta_p(m, axp, ap, bx_t, bxd_t)
     bp0 = _beta_p_at(params, 0.0, bx0, bxd0)
 
     def out(v):
@@ -237,8 +237,8 @@ def coefficients(params, beta, ermakov, t):
         return float(v[0]) if scalar else v
 
     return PropagatorCoefficients(
-        t=out(ts), A=out(m[0][0]), B=out(m[0][1]),
-        D=out(m[1][0]), E=out(m[1][1]),
+        t=out(ts), A=out(mat[0][0]), B=out(mat[0][1]),
+        D=out(mat[1][0]), E=out(mat[1][1]),
         beta_x_t=out(bx_t), beta_p_t=out(bp_t),
         beta_x_0=float(bx0), beta_p_0=float(bp0))
 

@@ -1,7 +1,8 @@
 """Time-dependent real coefficients with analytic derivatives.
 
 Every Hamiltonian coefficient is a ``TimeFunction``: a real-valued function
-of time exposing ``value``, ``derivative`` and ``second_derivative``. The
+of time whose ``jet`` gives its value and first two derivatives in one call,
+with ``value``, ``derivative`` and ``second_derivative`` derived from it. The
 closed-form kinds carry exact derivatives; the tabulated kind differentiates
 its interpolant.
 """
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
@@ -33,19 +35,26 @@ def parse_numbers(value, key):
 
 
 class TimeFunction:
-    """Base class. Subclasses implement value/derivative/second_derivative,
-    accepting scalars or numpy arrays."""
+    """Base class. Each kind implements ``jet(t)``, returning (value, first
+    derivative, second derivative): with ``math`` for a float t (Python float
+    or numpy float64, as the integrator passes), else with numpy after an
+    ``np.ndim`` dispatch, giving scalars for any other scalar t and arrays for
+    an array t. ``value``, ``derivative`` and ``second_derivative`` are
+    derived from ``jet``."""
 
     kind = "abstract"
 
-    def value(self, t):
+    def jet(self, t):
         raise NotImplementedError
+
+    def value(self, t):
+        return self.jet(t)[0]
 
     def derivative(self, t):
-        raise NotImplementedError
+        return self.jet(t)[1]
 
     def second_derivative(self, t):
-        raise NotImplementedError
+        return self.jet(t)[2]
 
     def check_domain(self, horizon):
         """Raise ConfigError if the function cannot cover [0, horizon]."""
@@ -76,13 +85,11 @@ class Constant(TimeFunction):
 
     kind = "constant"
 
-    def value(self, t):
-        return self.const + np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.const
-
-    def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-
-    second_derivative = derivative
+    def jet(self, t):
+        if isinstance(t, float) or not np.ndim(t):
+            return self.const, 0.0, 0.0
+        t = np.asarray(t, dtype=float)
+        return self.const + np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
 
     def to_dict(self):
         return {"kind": "constant", "value": self.const}
@@ -102,19 +109,15 @@ class Cosine(TimeFunction):
 
     kind = "cosine"
 
-    def value(self, t):
-        return self.amplitude * np.cos(self.angular_frequency * np.asarray(t, dtype=float) + self.phase) \
-            if np.ndim(t) else self.amplitude * math.cos(self.angular_frequency * t + self.phase)
-
-    def derivative(self, t):
-        a = -self.amplitude * self.angular_frequency
-        return a * np.sin(self.angular_frequency * np.asarray(t, dtype=float) + self.phase) \
-            if np.ndim(t) else a * math.sin(self.angular_frequency * t + self.phase)
-
-    def second_derivative(self, t):
-        a = -self.amplitude * self.angular_frequency ** 2
-        return a * np.cos(self.angular_frequency * np.asarray(t, dtype=float) + self.phase) \
-            if np.ndim(t) else a * math.cos(self.angular_frequency * t + self.phase)
+    def jet(self, t):
+        a, w = self.amplitude, self.angular_frequency
+        if isinstance(t, float) or not np.ndim(t):
+            cos, sin = math.cos, math.sin
+        else:
+            cos, sin, t = np.cos, np.sin, np.asarray(t, dtype=float)
+        arg = w * t + self.phase
+        c = cos(arg)
+        return a * c, -a * w * sin(arg), -a * w ** 2 * c
 
     def to_dict(self):
         return {"kind": "cosine", "amplitude": self.amplitude,
@@ -136,15 +139,11 @@ class Exponential(TimeFunction):
 
     kind = "exponential"
 
-    def value(self, t):
-        return self.prefactor * np.exp(self.rate * np.asarray(t, dtype=float)) \
-            if np.ndim(t) else self.prefactor * math.exp(self.rate * t)
-
-    def derivative(self, t):
-        return self.rate * self.value(t)
-
-    def second_derivative(self, t):
-        return self.rate ** 2 * self.value(t)
+    def jet(self, t):
+        r = self.rate
+        v = self.prefactor * math.exp(r * t) if isinstance(t, float) or not np.ndim(t) \
+            else self.prefactor * np.exp(r * np.asarray(t, dtype=float))
+        return v, r * v, r ** 2 * v
 
     def to_dict(self):
         return {"kind": "exponential", "prefactor": self.prefactor, "rate": self.rate}
@@ -160,26 +159,21 @@ class Polynomial(TimeFunction):
     """sum_k coefficients[k] * t**k"""
 
     coefficients: tuple
+    _derivatives: tuple = field(default=(), compare=False, repr=False)
 
     kind = "polynomial"
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if not self.coefficients:
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if not coeffs:
             raise ConfigError("polynomial needs at least one coefficient")
+        object.__setattr__(self, "coefficients", coeffs)
+        # polyder keeps at least one (zero) coefficient, so polyval always has one
+        object.__setattr__(self, "_derivatives", (P.polyder(coeffs), P.polyder(coeffs, 2)))
 
-    def value(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coefficients)
-
-    def derivative(self, t):
-        c = np.polynomial.polynomial.polyder(self.coefficients)
-        return np.polynomial.polynomial.polyval(t, c) if len(c) else (
-            np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0)
-
-    def second_derivative(self, t):
-        c = np.polynomial.polynomial.polyder(self.coefficients, 2)
-        return np.polynomial.polynomial.polyval(t, c) if len(c) else (
-            np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0)
+    def jet(self, t):
+        d1, d2 = self._derivatives
+        return P.polyval(t, self.coefficients), P.polyval(t, d1), P.polyval(t, d2)
 
     def to_dict(self):
         return {"kind": "polynomial", "coefficients": list(self.coefficients)}
@@ -198,7 +192,8 @@ class Tabulated(TimeFunction):
     grid: tuple
     values: tuple
     order: int = 3
-    _spline: object = field(default=None, compare=False, repr=False)
+    # order 3: the CubicSpline; order 1: the (grid, values, slopes) arrays
+    _fit: object = field(default=None, compare=False, repr=False)
 
     kind = "tabulated"
 
@@ -213,34 +208,23 @@ class Tabulated(TimeFunction):
             raise ConfigError(f"tabulated interpolation order must be 1 or 3, got {self.order}")
         object.__setattr__(self, "grid", tuple(g))
         object.__setattr__(self, "values", tuple(v))
-        if self.order == 3:
-            object.__setattr__(self, "_spline", CubicSpline(g, v))
+        object.__setattr__(self, "_fit", CubicSpline(g, v) if self.order == 3
+                           else (g, v, np.diff(v) / np.diff(g)))
 
     def check_domain(self, horizon):
         if self.grid[0] > 0.0 or self.grid[-1] < horizon:
             raise ConfigError(
                 f"tabulated grid [{self.grid[0]}, {self.grid[-1]}] does not cover [0, {horizon}]")
 
-    def value(self, t):
+    def jet(self, t):
         if self.order == 3:
-            return self._spline(t) if np.ndim(t) else float(self._spline(t))
-        out = np.interp(t, self.grid, self.values)
-        return out if np.ndim(t) else float(out)
-
-    def derivative(self, t):
-        if self.order == 3:
-            d = self._spline(t, 1)
-            return d if np.ndim(t) else float(d)
-        g = np.asarray(self.grid)
-        slopes = np.diff(self.values) / np.diff(g)
-        idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx] if np.ndim(t) else float(slopes[idx])
-
-    def second_derivative(self, t):
-        if self.order == 3:
-            d = self._spline(t, 2)
-            return d if np.ndim(t) else float(d)
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+            spline = self._fit
+            out = spline(t), spline(t, 1), spline(t, 2)
+        else:
+            g, v, slopes = self._fit
+            idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(slopes) - 1)
+            out = np.interp(t, g, v), slopes[idx], np.zeros_like(np.asarray(t, dtype=float))
+        return out if np.ndim(t) else tuple(float(x) for x in out)
 
     def to_dict(self):
         return {"kind": "tabulated", "grid": list(self.grid),

@@ -230,6 +230,22 @@ def test_samples_below_two_is_config_error(tmp_path, capsys, command, samples):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--density", "-5"], "--density"),
+    (["compare", "--threshold", "-1"], "--threshold"),
+    (["compare", "--threshold", "nan"], "--threshold"),
+    (["compare", "--rwa", "--threshold", "-1"], "--threshold"),
+], ids=["evolve-density--5", "compare-threshold--1", "compare-threshold-nan",
+        "compare-rwa-threshold--1"])
+def test_negative_density_or_threshold_is_config_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    rc = main(argv + ["--scenario", "driven", "--samples", "20", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert not out.exists()
+
+
 def test_compare_pipeline_against_fock_basis(tmp_path, capsys):
     rc = main(["compare", "--scenario", "driven",
                "--horizon", str(2.0 * PI), "--samples", "80",

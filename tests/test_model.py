@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from tdqho.errors import ConfigError, DomainError, ValidityError
 from tdqho.model import (UNCERTAINTY_SLACK, MomentState, MomentTrajectory,
                          PropagatorCoefficients, QuadraticParams,
-                         coherent_moments, effective_m5_omega5, gamma_squeeze,
+                         _EffectiveOscillator, coherent_moments,
+                         effective_m5_omega5, gamma_squeeze,
                          ground_moments, kappa, kappa_dot, m5_log_derivative,
                          moment_series, propagate_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
+
+from test_acceptance import _mixed_random_params
 
 
 def standard(horizon=10.0, **kw):
@@ -125,6 +128,72 @@ def test_effective_oscillator_rejects_negative_shifted_frequency():
     p = standard(alpha_xp=-0.6)  # omega + kappa = 1 - 1.2 < 0
     with pytest.raises(ValidityError):
         effective_m5_omega5(p, 0.0)
+
+
+def _reference_evaluators(fn, t):
+    """(value, derivative, second derivative) at a scalar t, by the
+    per-evaluator formulas of the kinds that criterion-5 sets draw."""
+    if isinstance(fn, Constant):
+        return fn.const, 0.0, 0.0
+    if isinstance(fn, Cosine):
+        a1 = -fn.amplitude * fn.angular_frequency
+        a2 = -fn.amplitude * fn.angular_frequency ** 2
+        return (fn.amplitude * math.cos(fn.angular_frequency * t + fn.phase),
+                a1 * math.sin(fn.angular_frequency * t + fn.phase),
+                a2 * math.cos(fn.angular_frequency * t + fn.phase))
+    if isinstance(fn, Exponential):
+        value = fn.prefactor * math.exp(fn.rate * t)
+        return value, fn.rate * value, fn.rate ** 2 * value
+    raise TypeError(fn)
+
+
+def _reference_at(params, t):
+    """The effective-oscillator tuple from separate evaluator calls."""
+    m, md, mdd = _reference_evaluators(params.m, t)
+    w, wd, wdd = _reference_evaluators(params.omega, t)
+    axp, axpd, _ = _reference_evaluators(params.alpha_xp, t)
+    ap, apd, _ = _reference_evaluators(params.alpha_p, t)
+    ax = _reference_evaluators(params.alpha_x, t)[0]
+    a0 = _reference_evaluators(params.alpha_0, t)[0]
+    eta0 = _reference_evaluators(params.m, 0.0)[0] * _reference_evaluators(params.omega, 0.0)[0]
+    mlog, wlog = md / m, wd / w
+    kap = 0.5 * (mlog + wlog) + 2.0 * axp
+    kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
+    denom = w + kap
+    return (m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
+            kap, kap_dot, eta0 / denom, -(wd + kap_dot) / denom, w * w - kap * kap)
+
+
+def test_scalar_at_matches_per_evaluator_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        params = _mixed_random_params(rng)
+        oscillator = _EffectiveOscillator(params)
+        for t in rng.uniform(0.0, params.horizon, 4):
+            for tt in (float(t), np.float64(t)):
+                got, ref = oscillator.at(tt), _reference_at(params, tt)
+                assert len(got) == len(ref) == 17
+                assert [np.float64(v).tobytes() for v in got] \
+                    == [np.float64(v).tobytes() for v in ref]
+
+
+def test_scalar_at_takes_one_jet_per_coefficient(monkeypatch):
+    calls = []
+    for cls in (Constant, Cosine, Exponential, Polynomial, Tabulated):
+        def counted(self, t, jet=cls.jet):
+            calls.append(t)
+            return jet(self, t)
+        monkeypatch.setattr(cls, "jet", counted)
+    p = standard(m={"kind": "exponential", "prefactor": 1.2, "rate": 0.05},
+                 alpha_x={"kind": "cosine", "amplitude": 0.2, "angular_frequency": 0.7},
+                 alpha_xp=0.05)
+    oscillator = _EffectiveOscillator(p)
+    calls.clear()
+    oscillator.at(1.3)
+    assert len(calls) == 6
+    calls.clear()
+    kappa(p, 1.3)
+    assert len(calls) == 3
 
 
 def test_gamma_squeeze_initial_value_is_one():

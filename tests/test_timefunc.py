@@ -136,6 +136,42 @@ def test_from_dict_inverts_to_dict(kind, data):
     assert TimeFunction.from_dict(json.loads(json.dumps(fn.to_dict())), "m") == fn
 
 
+def _same_bits(a, b):
+    a_arr, b_arr = np.asarray(a), np.asarray(b)
+    return (type(a) is type(b) and a_arr.dtype == b_arr.dtype
+            and a_arr.shape == b_arr.shape and a_arr.tobytes() == b_arr.tobytes())
+
+
+# the integrator passes float or numpy float64; any other time goes through
+# the np.ndim dispatch
+TIME_STRATEGIES = {
+    "float": _floats(-10.0, 10.0),
+    "float64": _floats(-10.0, 10.0).map(np.float64),
+    "int": st.integers(-10, 10),
+    "array": st.lists(_floats(-10.0, 10.0), min_size=1, max_size=5).map(np.array),
+}
+
+
+@pytest.mark.parametrize("time_type", sorted(TIME_STRATEGIES))
+@pytest.mark.parametrize("kind", sorted(KIND_STRATEGIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_jet_is_value_and_derivatives(kind, time_type, data):
+    fn = data.draw(KIND_STRATEGIES[kind])
+    t = data.draw(TIME_STRATEGIES[time_type])
+    jet = fn.jet(t)
+    assert len(jet) == 3
+    for v, evaluator in zip(jet, (fn.value, fn.derivative, fn.second_derivative)):
+        assert _same_bits(v, evaluator(t))
+        assert np.ndim(v) == np.ndim(t)
+
+
+@pytest.mark.parametrize("cls", [Constant, Cosine, Exponential, Polynomial, Tabulated])
+def test_kinds_write_their_formulas_once_in_jet(cls):
+    assert "jet" in cls.__dict__
+    assert not {"value", "derivative", "second_derivative"} & set(cls.__dict__)
+
+
 def test_from_dict_accepts_bare_number():
     fn = TimeFunction.from_dict(4.5, "omega")
     assert isinstance(fn, Constant)
