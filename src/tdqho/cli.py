@@ -161,16 +161,9 @@ def build_run_config(args):
 # -- run helpers -------------------------------------------------------------
 
 
-def _pipeline_rows(config):
+def _pipeline_moments(config):
     sol = pipeline.solve(config.params, n_samples=config.samples)
-    mt = sol.moments(config.initial)
-    c = sol.coeffs
-    phase = sol.global_phase()
-    rows = np.column_stack([
-        sol.grid, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
-        mt.cov_xp, mt.var_x * mt.var_p, c.A, c.B, c.D, c.E,
-        sol.ermakov.rho, sol.ermakov.Phi, c.beta_x_t, c.beta_p_t, phase])
-    return sol, mt, rows
+    return sol, sol.moments(config.initial)
 
 
 def _oracle_initial(config, ops):
@@ -319,7 +312,12 @@ def cmd_evolve(args):
     if args.density < 0:
         raise ConfigError(f"--density must not be negative, got {args.density}")
     config = build_run_config(args)
-    sol, mt, rows = _pipeline_rows(config)
+    sol, mt = _pipeline_moments(config)
+    c = sol.coeffs
+    rows = np.column_stack([
+        sol.grid, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
+        mt.cov_xp, mt.var_x * mt.var_p, c.A, c.B, c.D, c.E,
+        sol.ermakov.rho, sol.ermakov.Phi, c.beta_x_t, c.beta_p_t, sol.global_phase()])
     out = config.out_dir / "moments.csv"
     write_csv(out, MOMENT_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -365,7 +363,7 @@ def cmd_compare(args):
         reliable = True
         label = "rwa"
     else:
-        sol, mt, _ = _pipeline_rows(config)
+        sol, mt = _pipeline_moments(config)
         run = _oracle_run(config)
         times = sol.grid
         ref, other = mt, run.moments
@@ -396,7 +394,7 @@ def _sweep_point(args, name, value):
     setattr(sub, name.replace("-", "_"), value)
     try:
         config = build_run_config(sub)
-        sol, mt, _ = _pipeline_rows(config)
+        _, mt = _pipeline_moments(config)
         unc = mt.var_x * mt.var_p
         return (value, "ok", float(np.abs(mt.mean_x).max()),
                 float(np.abs(mt.mean_p).max()), float(unc.min()), float(unc.max()))

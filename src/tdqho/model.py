@@ -45,10 +45,10 @@ class QuadraticParams:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0.0):
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
-        if not (self.horizon > 0.0):
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if not (0.0 < self.hbar < math.inf):
+            raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
+        if not (0.0 < self.horizon < math.inf):
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         for key in _COEFF_KEYS:
             fn = getattr(self, key)
             if not isinstance(fn, TimeFunction):
@@ -309,8 +309,9 @@ class ValidityReport:
     grid_points: int = DEFAULT_VALIDATION_GRID
 
     def raise_if_invalid(self):
+        """Raise the failure at the earliest time (the first listed on a tie)."""
         if not self.ok:
-            raise _violation(*self.failures[0])
+            raise _violation(*min(self.failures, key=lambda f: f[1]))
         return self
 
 
@@ -323,8 +324,8 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
     also the static condition w^2 > 4 a_xp^2.
     """
     ts = np.linspace(0.0, params.horizon, grid_points)
-    m = np.asarray(params.m.value(ts), dtype=float)
-    w = np.asarray(params.omega.value(ts), dtype=float)
+    m, md, _ = params.m.jet(ts)
+    w, wd, _ = params.omega.jet(ts)
     failures = []
 
     def scan(name, arr):
@@ -335,7 +336,7 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
     scan("m > 0", m)
     scan("omega > 0", w)
     if not failures:
-        k = kappa(params, ts)
+        k = _kappa(md / m, wd / w, params.alpha_xp.jet(ts)[0])
         scan(_SHIFTED_FREQUENCY, w + k)
         scan(_EFFECTIVE_FREQUENCY, w * w - k * k)
     return ValidityReport(ok=not failures, failures=tuple(failures), grid_points=grid_points)

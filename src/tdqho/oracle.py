@@ -203,8 +203,8 @@ def propagate_state(psi0, params, grid, ops, dt=None):
         raise DomainError(f"basis size {ops.n} exceeds the supported {MAX_N}")
     if dt is None:
         dt = DEFAULT_DT_PERIODS * 2.0 * math.pi / ops.omega_ref
-    if not (dt > 0.0):
-        raise DomainError("dt must be positive")
+    if not (0.0 < dt < math.inf):
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     ts = np.asarray(grid, dtype=float)
     if ts[0] != 0.0:
         ts = np.concatenate(([0.0], ts))

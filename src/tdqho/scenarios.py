@@ -21,6 +21,14 @@ from .timefunc import Constant, Cosine, Exponential
 RESONANCE_REL_TOL = 1e-12
 
 
+def _require_finite(spec, names):
+    """DomainError naming the first of ``names`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 # -- driven oscillator -------------------------------------------------------
 
 
@@ -37,6 +45,8 @@ class DrivenSpec:
     horizon: float = None
 
     def __post_init__(self):
+        _require_finite(self, ("m", "omega", "drive_strength", "drive_frequency",
+                               "hbar", "horizon"))
         if not (self.m > 0.0 and self.omega > 0.0 and self.hbar > 0.0):
             raise DomainError("m, omega, hbar must be positive")
         if not (self.drive_frequency >= 0.0):
@@ -128,6 +138,7 @@ class CKSpec:
     horizon: float = None
 
     def __post_init__(self):
+        _require_finite(self, ("m", "omega", "gamma", "hbar", "horizon"))
         if not (self.m > 0.0 and self.omega > 0.0 and self.hbar > 0.0):
             raise DomainError("m, omega, hbar must be positive")
         if not (abs(self.gamma) < 2.0 * self.omega):

@@ -20,10 +20,18 @@ from .errors import ConfigError
 
 
 def parse_number(value, key):
-    """A JSON number as a float; ConfigError naming ``key`` for anything else."""
+    """A finite JSON number as a float; ConfigError naming ``key`` for anything
+    else, NaN, Infinity (Python's json accepts both) and integers beyond the
+    float range included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {number}")
+    return number
 
 
 def parse_numbers(value, key):

@@ -10,6 +10,8 @@ from tdqho.cli import build_parser, build_run_config, main, write_csv
 from tdqho.errors import ValidityError
 from tdqho.pipeline import gaussian_density
 
+from test_pipeline import _m5_stub
+
 PI = math.pi
 
 
@@ -73,7 +75,7 @@ def test_density_output(tmp_path):
 def test_density_csv_matches_per_cell_reference(tmp_path, argv):
     assert main(["evolve", *argv, "--out", str(tmp_path)]) == 0
     args = build_parser().parse_args(["evolve", *argv])
-    sol, mt, _ = cli._pipeline_rows(build_run_config(args))
+    sol, mt = cli._pipeline_moments(build_run_config(args))
     sx_max = math.sqrt(float(np.max(mt.var_x)))
     xs = np.linspace(float(np.min(mt.mean_x)) - 5.0 * sx_max,
                      float(np.max(mt.mean_x)) + 5.0 * sx_max, args.density)
@@ -118,6 +120,68 @@ def test_evolve_validity_error_names_the_time(tmp_path, capsys):
         "horizon": 3}))
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "at t=1.05641" in capsys.readouterr().err
+
+
+def _exponential_mass_config(tmp_path):
+    # kappa = 50 breaks omega^2 - kappa^2 > 0 from t = 0; m = e^(100 t)
+    # overflows near t = 7.1, where omega + kappa turns NaN
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({
+        "m": {"kind": "exponential", "prefactor": 1, "rate": 100},
+        "omega": 1, "horizon": 10}))
+    return str(cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evolve_names_the_earliest_validity_failure(tmp_path, capsys):
+    cfg = _exponential_mass_config(tmp_path)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "omega^2 - kappa^2 > 0" in err and "at t=0" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_prints_every_failure(tmp_path, capsys):
+    cfg = _exponential_mass_config(tmp_path)
+    assert main(["validate", "--config", cfg]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(" at ")[0] for ln in lines] == [
+        "violated: omega + kappa > 0", "violated: omega^2 - kappa^2 > 0"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["evolve", "--scenario", "driven", "--strength", "nan"], "drive_strength"),
+    (["evolve", "--scenario", "driven", "--omega-d", "inf"], "drive_frequency"),
+    (["evolve", "--scenario", "driven", "--m", "inf"], "m must be finite"),
+    (["evolve", "--scenario", "ck", "--gamma", "nan"], "gamma"),
+    (["evolve", "--scenario", "driven", "--horizon", "inf"], "horizon"),
+    (["compare", "--scenario", "driven", "--rwa", "--strength", "nan"],
+     "drive_strength"),
+    (["evolve", "--config", "{cfg}"], "m: expected a finite number"),
+    (["evolve", "--config", "{cfg}", "--horizon", "inf"], "horizon"),
+    (["oracle", "--scenario", "driven", "--oracle-dt", "inf"], "dt must be"),
+], ids=["strength-nan", "omega-d-inf", "m-inf", "ck-gamma-nan", "horizon-inf",
+        "compare-rwa-strength-nan", "config-nan", "config-horizon-inf", "oracle-dt-inf"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "model.json"
+    # Python's json reads NaN and Infinity; m is parsed before horizon
+    cfg.write_text('{"m": NaN, "omega": 1, "horizon": Infinity}'
+                   if "--horizon" not in argv else '{"m": 1, "omega": 1, "horizon": 1}')
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg) for a in argv]
+    assert main(argv + ["--samples", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+def test_rhs_overflow_exits_with_validity_error(tmp_path, capsys, monkeypatch):
+    # m5 = 1e-300 m5 makes rho(0) about 1e150, so rho ** 3 overflows
+    _m5_stub(monkeypatch, 1e-300)
+    assert main(["evolve", "--scenario", "driven", "--samples", "20",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validity error: right-hand side failed") and "at t=0" in err
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -347,7 +411,7 @@ def test_sweep_failure_names_constraint_and_time(tmp_path, monkeypatch):
     def fail(config):
         raise ValidityError("collapsed", t=1.25, constraint="var_x > 0, var_p > 0")
 
-    monkeypatch.setattr(cli, "_pipeline_rows", fail)
+    monkeypatch.setattr(cli, "_pipeline_moments", fail)
     assert main(["sweep", "--scenario", "driven", "--sweep", "omega-d:0.5:1.5:2",
                  "--samples", "20", "--out", str(tmp_path)]) == 0
     rows = [ln.split(",") for ln in

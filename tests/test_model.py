@@ -60,6 +60,28 @@ def test_horizon_must_be_positive():
         standard(horizon=-1.0)
 
 
+@pytest.mark.parametrize("key", ["horizon", "hbar"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_horizon_and_hbar_must_be_finite(key, value):
+    with pytest.raises(DomainError, match=key):
+        replace(standard(), **{key: value})
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"m": NaN, "omega": 1, "horizon": 1}', "m"),
+    ('{"m": 1, "omega": 1, "horizon": Infinity}', "horizon"),
+    ('{"m": 1, "omega": 1, "horizon": 1, "hbar": -Infinity}', "hbar"),
+    ('{"m": 1, "omega": {"kind": "cosine", "amplitude": 1, '
+     '"angular_frequency": NaN}, "horizon": 1}', "angular_frequency"),
+    ('{"m": 1%s, "omega": 1, "horizon": 1}' % ("0" * 400), "m"),
+], ids=["m-nan", "horizon-infinity", "hbar-minus-infinity", "frequency-nan",
+        "m-int-beyond-float"])
+def test_json_non_finite_number_is_config_error(text, key):
+    # Python's json reads NaN and Infinity
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        QuadraticParams.from_json(text)
+
+
 # -- kappa and the effective oscillator --------------------------------------
 
 
@@ -268,6 +290,34 @@ def test_validate_reports_static_strong_coupling_once():
     assert constraint == "omega^2 - kappa^2 > 0"
     assert t == 0.0
     assert value == pytest.approx(1.0 - 4.0 * 0.51 ** 2, rel=1e-12)
+
+
+def test_raise_if_invalid_raises_the_earliest_failure():
+    # kappa = 50 gives omega^2 - kappa^2 < 0 from t = 0; m = e^(100 t)
+    # overflows near t = 7.1, where omega + kappa turns NaN
+    p = standard(m={"kind": "exponential", "prefactor": 1.0, "rate": 100.0})
+    with np.errstate(all="ignore"):
+        report = validate(p)
+    assert [c for c, _, _ in report.failures] == ["omega + kappa > 0",
+                                                  "omega^2 - kappa^2 > 0"]
+    assert report.failures[0][1] > 7.0
+    with pytest.raises(ValidityError) as info:
+        report.raise_if_invalid()
+    assert (info.value.constraint, info.value.t) == ("omega^2 - kappa^2 > 0", 0.0)
+
+
+def test_validate_takes_three_array_jets(monkeypatch):
+    calls = []
+    for cls in (Constant, Cosine, Exponential, Polynomial, Tabulated):
+        def counted(self, t, jet=cls.jet):
+            calls.append(np.ndim(t))
+            return jet(self, t)
+        monkeypatch.setattr(cls, "jet", counted)
+    p = standard(m={"kind": "exponential", "prefactor": 1.2, "rate": 0.05},
+                 alpha_x={"kind": "cosine", "amplitude": 0.2, "angular_frequency": 0.7},
+                 alpha_xp=0.05)
+    assert validate(p).ok
+    assert calls == [1, 1, 1]
 
 
 # -- moment map ----------------------------------------------------------------

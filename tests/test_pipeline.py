@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdqho.errors import DomainError, SingularityError, ValidityError
+from tdqho.errors import DomainError, IntegrationError, SingularityError, ValidityError
 from tdqho.integrators import OdeSystem, integrate_adaptive
 from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
-                         effective_m5_omega5,
+                         _EffectiveOscillator, effective_m5_omega5,
                          ground_moments, validate)
+from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 from tdqho.pipeline import (beta_ode_residual, ermakov_residual,
                             gaussian_density, solve, solve_ermakov)
 
@@ -325,6 +326,16 @@ def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
     assert 0.0 < info.value.t < 4.0
 
 
+def test_auxiliary_solve_starts_at_zero_on_any_grid():
+    # rho(0) comes from m5 and w5^2 at t = 0, also when the grid starts later
+    p = generic_params()
+    full = solve_ermakov(p, None)
+    late = solve_ermakov(p, None, grid=np.linspace(1.0, 5.0, 9))
+    assert late.times[0] == 0.0 and late.times[-1] == p.horizon
+    assert late.rho0 == full.rho0
+    assert late.at(3.0) == full.at(3.0)
+
+
 def test_shifted_frequency_failure_is_named_alike_everywhere():
     # kappa = 2 a_xp dips to -1.6 at t = 2, so omega + kappa < 0 on
     # (0.86, 3.14), while both points of the grid [0, 4] are admissible
@@ -340,6 +351,53 @@ def test_shifted_frequency_failure_is_named_alike_everywhere():
         solve_ermakov(p, None, grid=np.array([0.0, 4.0]))
     assert rhs_check.value.constraint == constraint
     assert 0.85 < rhs_check.value.t < 3.15
+
+
+def _m5_stub(monkeypatch, scale, after=-1.0):
+    """Scale m5 in every effective-oscillator tuple taken at a scalar t > after
+    (and at every array t when after < 0)."""
+    real_at = _EffectiveOscillator.at
+
+    def at(self, t):
+        out = real_at(self, t)
+        if (np.ndim(t) == 0 and t > after) or after < 0.0:
+            out = out[:14] + (out[14] * scale,) + out[15:]
+        return out
+
+    monkeypatch.setattr(_EffectiveOscillator, "at", at)
+
+
+def test_rhs_overflow_is_integration_error_at_its_time(monkeypatch):
+    # m5 = 1e-300 m5 makes rho(0) about 1e150, so rho ** 3 overflows a
+    # Python float in the first right-hand-side call
+    _m5_stub(monkeypatch, 1e-300)
+    with pytest.raises(IntegrationError) as info:
+        solve(standard_params())
+    assert info.value.t == 0.0
+    assert "right-hand side" in str(info.value)
+
+
+def test_rhs_division_by_zero_is_integration_error_at_its_time(monkeypatch):
+    # m5 = 0 from t = 1 on divides by zero in the Ermakov term
+    _m5_stub(monkeypatch, 0.0, after=1.0)
+    with pytest.raises(IntegrationError) as info:
+        solve(standard_params())
+    assert 1.0 < info.value.t < 4.0 * math.pi
+
+
+def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
+    sizes = []
+    for cls in (Constant, Cosine, Exponential, Polynomial, Tabulated):
+        def counted(self, t, jet=cls.jet):
+            if np.ndim(t):
+                sizes.append(np.size(t))
+            return jet(self, t)
+        monkeypatch.setattr(cls, "jet", counted)
+    p = standard_params(horizon=10.0, alpha_x={
+        "kind": "cosine", "amplitude": 0.2, "angular_frequency": 0.9})
+    solve(p, n_samples=2000)
+    # validate takes m, omega and alpha_xp on its grid; the kernel all six
+    assert sorted(sizes) == [2000] * 6 + [4096] * 3
 
 
 # -- unit determinant over random admissible profiles ---------------------------

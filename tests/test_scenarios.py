@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from tdqho.errors import ValidityError
+from tdqho.errors import DomainError, ValidityError
 from tdqho.model import MomentState, ground_moments
 from tdqho.pipeline import solve
 from tdqho.scenarios import (CKSpec, DrivenSpec, ck_aux, ck_coefficients,
@@ -168,6 +168,21 @@ def test_ck_spec_validity_window():
     spec = CKSpec(m=1.0, omega=1.0, gamma=0.5)
     aux = ck_aux(spec)
     assert aux.omega5 == pytest.approx(math.sqrt(1.0 - 0.0625), rel=1e-15)
+
+
+@pytest.mark.parametrize("spec, field", [
+    (DrivenSpec, "m"), (DrivenSpec, "omega"), (DrivenSpec, "drive_strength"),
+    (DrivenSpec, "drive_frequency"), (DrivenSpec, "hbar"), (DrivenSpec, "horizon"),
+    (CKSpec, "m"), (CKSpec, "omega"), (CKSpec, "gamma"), (CKSpec, "hbar"),
+    (CKSpec, "horizon")])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_specs_reject_non_finite_numbers(spec, field, value):
+    fields = {"m": 1.0, "omega": 1.0, "hbar": 1.0, "horizon": 10.0}
+    fields.update({"drive_strength": 0.1, "drive_frequency": 1.0}
+                  if spec is DrivenSpec else {"gamma": 0.25})
+    fields[field] = value
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        spec(**fields)
 
 
 def test_ck_aux_identities():
