@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 validity error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -83,9 +84,6 @@ class RunConfig:
     initial_kind: str          # "ground" | "coherent" | "moments"
     coherent_amplitude: complex
     samples: int
-    oracle_n: int
-    oracle_dt: float           # absolute step; None picks 1e-3 reference periods
-    threshold: float
     out_dir: Path
     scenario: object           # DrivenSpec | CKSpec | None
 
@@ -104,6 +102,8 @@ def _parse_initial(text, params):
             amp = complex(text[len("coherent:"):])
         except ValueError:
             raise ConfigError(f"bad coherent amplitude in {text!r}") from None
+        if not cmath.isfinite(amp):
+            raise ConfigError(f"--initial: coherent amplitude must be finite, got {text!r}")
         return coherent_moments(amp, m0, w0, params.hbar), "coherent", amp
     if text.startswith("moments:"):
         parts = text[len("moments:"):].split(",")
@@ -135,7 +135,8 @@ def _build_scenario(args):
     raise ConfigError(f"unknown scenario {args.scenario!r}; use driven or ck")
 
 
-def build_run_config(args):
+def _model(args):
+    """(params, scenario) from --config or a --scenario preset."""
     if (args.config is None) == (args.scenario is None):
         raise ConfigError("exactly one of --config and --scenario is required")
     scenario = None
@@ -150,12 +151,15 @@ def build_run_config(args):
     else:
         scenario = _build_scenario(args)
         params = scenario.to_params()
+    return params, scenario
+
+
+def build_run_config(args):
+    params, scenario = _model(args)
     initial, kind, amp = _parse_initial(args.initial, params)
     return RunConfig(params=params, initial=initial, initial_kind=kind,
                      coherent_amplitude=amp, samples=args.samples,
-                     oracle_n=args.oracle_n, oracle_dt=args.oracle_dt,
-                     threshold=args.threshold, out_dir=Path(args.out),
-                     scenario=scenario)
+                     out_dir=Path(args.out), scenario=scenario)
 
 
 # -- run helpers -------------------------------------------------------------
@@ -175,13 +179,13 @@ def _oracle_initial(config, ops):
                       "states; explicit moments have no unique state vector")
 
 
-def _oracle_run(config):
+def _oracle_run(config, args):
     params = config.params
-    ops = oracle_mod.build_operators(config.oracle_n, params.m.value(0.0),
+    ops = oracle_mod.build_operators(args.oracle_n, params.m.value(0.0),
                                      params.omega.value(0.0), params.hbar)
     psi0 = _oracle_initial(config, ops)
     grid = np.linspace(0.0, params.horizon, config.samples)
-    return oracle_mod.propagate_state(psi0, params, grid, ops, dt=config.oracle_dt)
+    return oracle_mod.propagate_state(psi0, params, grid, ops, dt=args.oracle_dt)
 
 
 def _oracle_summary(run):
@@ -281,8 +285,8 @@ def _trajectory_dict(mt):
 
 
 def cmd_validate(args):
-    config = build_run_config(args)
-    report = validate(config.params)
+    params, _ = _model(args)
+    report = validate(params)
     if report.ok:
         print(f"ok: all validity constraints hold on a {report.grid_points}-point grid")
         return EXIT_OK
@@ -337,7 +341,7 @@ def cmd_evolve(args):
 def cmd_oracle(args):
     _check_samples(args)
     config = build_run_config(args)
-    run = _oracle_run(config)
+    run = _oracle_run(config, args)
     out = config.out_dir / "oracle.csv"
     write_csv(out, MOMENT_COLUMNS + ("norm", "top_population"), _oracle_rows(run))
     print(f"wrote {out} ({len(run.times)} rows); {_oracle_summary(run)}")
@@ -364,14 +368,14 @@ def cmd_compare(args):
         label = "rwa"
     else:
         sol, mt = _pipeline_moments(config)
-        run = _oracle_run(config)
+        run = _oracle_run(config, args)
         times = sol.grid
         ref, other = mt, run.moments
         reliable = run.reliable
         label = "oracle"
         print(f"oracle: {_oracle_summary(run)}")
     report = compare_series(times, _trajectory_dict(ref), _trajectory_dict(other),
-                            config.threshold, reliable)
+                            args.threshold, reliable)
     columns = ["t"]
     data = [times]
     for name in COMPARE_SERIES:
@@ -441,43 +445,53 @@ def cmd_sweep(args):
 
 
 def build_parser():
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--config", default=None, help="model parameters JSON")
+    model.add_argument("--scenario", default=None, choices=("driven", "ck"))
+    model.add_argument("--m", type=float, default=1.0)
+    model.add_argument("--omega", type=float, default=1.0)
+    model.add_argument("--omega-d", type=float, default=None,
+                       help="drive frequency (driven preset; default resonant)")
+    model.add_argument("--strength", type=float, default=0.1,
+                       help="drive strength (driven preset)")
+    model.add_argument("--gamma", type=float, default=None,
+                       help="mass-scaling rate (ck preset; default -omega/4)")
+    model.add_argument("--hbar", type=float, default=1.0)
+    model.add_argument("--horizon", type=float, default=None)
+    run = argparse.ArgumentParser(add_help=False, parents=[model])
+    run.add_argument("--samples", type=int, default=2000)
+    run.add_argument("--initial", default="ground",
+                     help="ground | coherent:<amp> | moments:x,p,vx,vp,cv")
+    run.add_argument("--out", default=".")
+    fock = argparse.ArgumentParser(add_help=False)
+    fock.add_argument("--oracle-n", type=int, default=64)
+    fock.add_argument("--oracle-dt", type=float, default=None,
+                      help="the oracle's midpoint step (absolute time units)")
+
     parser = argparse.ArgumentParser(
         prog="tdqho",
         description="Quadratic time-dependent oscillator: analytic moment "
                     "propagation with a Fock-basis cross-check.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("validate", cmd_validate), ("static-diag", cmd_static_diag),
-                     ("evolve", cmd_evolve), ("oracle", cmd_oracle),
-                     ("compare", cmd_compare), ("sweep", cmd_sweep)):
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        p.add_argument("--config", default=None, help="model parameters JSON")
-        p.add_argument("--scenario", default=None, choices=("driven", "ck"))
-        p.add_argument("--m", type=float, default=1.0)
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--omega-d", type=float, default=None,
-                       help="drive frequency (driven preset; default resonant)")
-        p.add_argument("--strength", type=float, default=0.1,
-                       help="drive strength (driven preset)")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="mass-scaling rate (ck preset; default -omega/4)")
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--initial", default="ground",
-                       help="ground | coherent:<amp> | moments:x,p,vx,vp,cv")
-        p.add_argument("--out", default=".")
-        p.add_argument("--density", type=int, default=0,
-                       help="also write density.csv with this many x points")
-        p.add_argument("--oracle-n", type=int, default=64)
-        p.add_argument("--oracle-dt", type=float, default=None,
-                       help="Magnus step (absolute time units)")
-        p.add_argument("--threshold", type=float, default=1e-4)
-        p.add_argument("--rwa", action="store_true",
-                       help="compare: exact vs rotating-wave instead of oracle")
-        p.add_argument("--branch", default="theta-p-zero",
-                       choices=("theta-p-zero", "theta-x-zero"))
-        p.add_argument("--sweep", default=None, help="param:lo:hi:count")
+    sub.add_parser("validate", parents=[model]).set_defaults(fn=cmd_validate)
+    p = sub.add_parser("static-diag")
+    p.set_defaults(fn=cmd_static_diag)
+    p.add_argument("--config", default=None, help="static parameters JSON")
+    p.add_argument("--branch", default="theta-p-zero",
+                   choices=("theta-p-zero", "theta-x-zero"))
+    p = sub.add_parser("evolve", parents=[run])
+    p.set_defaults(fn=cmd_evolve)
+    p.add_argument("--density", type=int, default=0,
+                   help="also write density.csv with this many x points")
+    sub.add_parser("oracle", parents=[run, fock]).set_defaults(fn=cmd_oracle)
+    p = sub.add_parser("compare", parents=[run, fock])
+    p.set_defaults(fn=cmd_compare)
+    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--rwa", action="store_true",
+                   help="exact vs rotating-wave instead of oracle")
+    p = sub.add_parser("sweep", parents=[run])
+    p.set_defaults(fn=cmd_sweep)
+    p.add_argument("--sweep", default=None, help="param:lo:hi:count")
     return parser
 
 

@@ -315,7 +315,7 @@ class ValidityReport:
         return self
 
 
-def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
+def validate(params):
     """Scan a uniform grid on [0, T] for the applicability conditions of the
     diagonalization chain. Deterministic for fixed inputs.
 
@@ -323,7 +323,7 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
     structurally constant coefficients kappa = 2 a_xp, so the last check is
     also the static condition w^2 > 4 a_xp^2.
     """
-    ts = np.linspace(0.0, params.horizon, grid_points)
+    ts = np.linspace(0.0, params.horizon, DEFAULT_VALIDATION_GRID)
     m, md, _ = params.m.jet(ts)
     w, wd, _ = params.omega.jet(ts)
     failures = []
@@ -339,4 +339,4 @@ def validate(params, grid_points=DEFAULT_VALIDATION_GRID):
         k = _kappa(md / m, wd / w, params.alpha_xp.jet(ts)[0])
         scan(_SHIFTED_FREQUENCY, w + k)
         scan(_EFFECTIVE_FREQUENCY, w * w - k * k)
-    return ValidityReport(ok=not failures, failures=tuple(failures), grid_points=grid_points)
+    return ValidityReport(ok=not failures, failures=tuple(failures))

@@ -57,6 +57,8 @@ def build_operators(n, m_ref, omega_ref, hbar=1.0):
     """Ladder-operator construction of x, p and their quadratic products."""
     if n < 4:
         raise DomainError(f"basis size must be at least 4, got {n}")
+    if n > MAX_N:
+        raise DomainError(f"basis size {n} exceeds the supported {MAX_N}")
     if not (m_ref > 0.0 and omega_ref > 0.0 and hbar > 0.0):
         raise DomainError("reference scales must be positive")
     a = np.zeros((n, n))

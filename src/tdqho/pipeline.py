@@ -114,7 +114,7 @@ class ErmakovSolution:
         return self.rho[0]
 
 
-def _solve_auxiliary(params, grid, rel_tol, abs_tol):
+def _solve_auxiliary(params, grid):
     """Integrate the displacement pair and the Ermakov equation as one system.
 
     The seven states are the second-order displacement equation
@@ -169,7 +169,7 @@ def _solve_auxiliary(params, grid, rel_tol, abs_tol):
 
     system = OdeSystem(n=7, f=rhs, t_end=p.horizon)
     sol = integrate_adaptive(system, [bx0, bxd0, rho0, 0.0, 0.0, 0.0, 0.0],
-                             rel_tol, abs_tol, sample_times=grid)
+                             PIPELINE_REL_TOL, PIPELINE_ABS_TOL, sample_times=grid)
     ts = sol.times
     bx, bxd, rho, rho_dot, phi, x, lam = sol.states
     _require_positive(rho, ts, "rho > 0")
@@ -181,21 +181,17 @@ def _solve_auxiliary(params, grid, rel_tol, abs_tol):
     return beta, ermakov, kernel
 
 
-def solve_beta(params, grid=None, rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
+def solve_beta(params, grid=None):
     """Displacement pair on [0, T]: the BetaSolution half of the fused
     auxiliary solve."""
-    return _solve_auxiliary(params, grid, rel_tol, abs_tol)[0]
+    return _solve_auxiliary(params, grid)[0]
 
 
-def solve_ermakov(params, beta, grid=None,
-                  rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
+def solve_ermakov(params, grid=None):
     """Ermakov scale and phase quadratures on [0, T]: the ErmakovSolution
-    half of the fused auxiliary solve.
-
-    ``beta`` is not read: the displacement pair that Lambda needs is
-    co-integrated in the same solve.
-    """
-    return _solve_auxiliary(params, grid, rel_tol, abs_tol)[1]
+    half of the fused auxiliary solve, which co-integrates the displacement
+    pair that Lambda needs."""
+    return _solve_auxiliary(params, grid)[1]
 
 
 # -- propagator coefficients ------------------------------------------------
@@ -315,14 +311,13 @@ class PipelineSolution:
         return global_phase(self.ermakov, ts, self.params.hbar)
 
 
-def solve(params, n_samples=PIPELINE_SAMPLES,
-          rel_tol=PIPELINE_REL_TOL, abs_tol=PIPELINE_ABS_TOL):
+def solve(params, n_samples=PIPELINE_SAMPLES):
     """Run the full chain on a uniform grid and return a PipelineSolution."""
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples}")
     validate(params).raise_if_invalid()
     grid = default_grid(params, n_samples)
-    beta, ermakov, kernel = _solve_auxiliary(params, grid, rel_tol, abs_tol)
+    beta, ermakov, kernel = _solve_auxiliary(params, grid)
     # from the solve's own samples and kernel tuple: no second pass on the grid
     coeffs = _assemble(params, _EffectiveOscillator(params).eta0, ermakov.rho0,
                        (beta.beta_x[0], beta.beta_x_dot[0]), kernel,
@@ -335,13 +330,12 @@ def solve(params, n_samples=PIPELINE_SAMPLES,
 # -- independent residual checks --------------------------------------------
 
 
-def ermakov_residual(params, ermakov, n_points=257, h=None):
+def ermakov_residual(params, ermakov):
     """Max Ermakov-equation residual, with the second derivative taken by a
     five-point central difference of the integrated rho_dot channel."""
     T = float(ermakov.times[-1])
-    if h is None:
-        h = T / 4096.0
-    tt = np.linspace(2.0 * h, T - 2.0 * h, n_points)
+    h = T / 4096.0
+    tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
     rho_dd = (-ermakov.at(tt + 2 * h)[1] + 8.0 * ermakov.at(tt + h)[1]
               - 8.0 * ermakov.at(tt - h)[1] + ermakov.at(tt - 2 * h)[1]) / (12.0 * h)
     rho, rho_dot, *_ = ermakov.at(tt)
@@ -350,13 +344,12 @@ def ermakov_residual(params, ermakov, n_points=257, h=None):
     return float(np.abs(res).max())
 
 
-def beta_ode_residual(params, beta, n_points=257, h=None):
+def beta_ode_residual(params, beta):
     """Max second-order displacement-equation residual via a five-point
     central difference of the integrated beta_x_dot channel."""
     T = float(beta.times[-1])
-    if h is None:
-        h = T / 4096.0
-    tt = np.linspace(2.0 * h, T - 2.0 * h, n_points)
+    h = T / 4096.0
+    tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
     bxdd = (-beta.at(tt + 2 * h)[1] + 8.0 * beta.at(tt + h)[1]
             - 8.0 * beta.at(tt - h)[1] + beta.at(tt - 2 * h)[1]) / (12.0 * h)
     bx, bxd, _ = beta.at(tt)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -105,9 +106,65 @@ def test_bad_initial_state(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--initial", "coherent:nan"],
+    ["compare", "--rwa", "--initial", "coherent:nanj"],
+    ["oracle", "--initial", "coherent:inf+0j"],
+], ids=["evolve", "compare-rwa", "oracle"])
+def test_non_finite_coherent_amplitude_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--scenario", "driven", "--samples", "20", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--initial" in err
+    assert not out.exists()
+
+
+def test_validate_reports_a_failure_at_zero_like_any_other(tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"m": {"kind": "polynomial", "coefficients": [-1, 1]},
+                               "omega": 1, "horizon": 2}))
+    assert main(["validate", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("violated: m > 0 at t=0 ")
+    assert captured.err == ""
+
+
+MODEL_FLAGS = {"--config", "--scenario", "--m", "--omega", "--omega-d", "--strength",
+               "--gamma", "--hbar", "--horizon"}
+RUN_FLAGS = MODEL_FLAGS | {"--samples", "--initial", "--out"}
+FOCK_FLAGS = {"--oracle-n", "--oracle-dt"}
+SUBCOMMAND_FLAGS = {
+    "validate": MODEL_FLAGS,
+    "static-diag": {"--config", "--branch"},
+    "evolve": RUN_FLAGS | {"--density"},
+    "oracle": RUN_FLAGS | FOCK_FLAGS,
+    "compare": RUN_FLAGS | FOCK_FLAGS | {"--threshold", "--rwa"},
+    "sweep": RUN_FLAGS | {"--sweep"},
+}
+
+
+def _subparsers():
+    action, = (a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    sub = _subparsers()[command]
+    flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+    assert flags == SUBCOMMAND_FLAGS[command]
+    # any other flag is an argparse error, the configuration-error code
+    for flag in set().union(*SUBCOMMAND_FLAGS.values()) - flags:
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, "1"])
+        assert info.value.code == 2, flag
+    capsys.readouterr()
+
+
 def test_overdamped_scaling_is_validity_error(tmp_path):
-    assert main(["validate", "--scenario", "ck", "--gamma", "2.5",
-                 "--out", str(tmp_path)]) == 3
+    assert main(["validate", "--scenario", "ck", "--gamma", "2.5"]) == 3
 
 
 def test_evolve_validity_error_names_the_time(tmp_path, capsys):
@@ -185,8 +242,7 @@ def test_rhs_overflow_exits_with_validity_error(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_ok(tmp_path, capsys):
-    assert main(["validate", "--scenario", "driven",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["validate", "--scenario", "driven"]) == 0
     assert "ok" in capsys.readouterr().out
 
 
@@ -227,7 +283,7 @@ def test_non_numeric_config_scalar_is_config_error(tmp_path, capsys, config):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(config))
     command = "validate" if "horizon" in config else "static-diag"
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", str(cfg)]) == 2
     bad = next(k for k, v in config.items() if not isinstance(v, (int, float)))
     err = capsys.readouterr().err
     assert err.startswith("config error:") and bad in err
@@ -258,7 +314,9 @@ def test_boolean_or_string_is_not_a_number(tmp_path, capsys, command, config, ke
 
 def test_output_directory_is_made_only_for_written_files(tmp_path):
     fresh = tmp_path / "validate"
-    assert main(["validate", "--scenario", "driven", "--out", str(fresh)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--scenario", "driven", "--out", str(fresh)])
+    assert info.value.code == 2
     assert not fresh.exists()
     nested = tmp_path / "a" / "b"
     assert main(["evolve", "--scenario", "driven", "--samples", "20",

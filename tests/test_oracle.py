@@ -9,7 +9,7 @@ import scipy.linalg
 import tdqho.oracle
 from tdqho.errors import DomainError, IntegrationError
 from tdqho.model import QuadraticParams
-from tdqho.oracle import (TAYLOR_MAX_TERMS, _taylor_step, build_operators,
+from tdqho.oracle import (MAX_N, TAYLOR_MAX_TERMS, _taylor_step, build_operators,
                           coherent_state, ground_state, hamiltonian_matrix,
                           moments_from_state, propagate_state)
 from tdqho.scenarios import DrivenSpec
@@ -23,6 +23,11 @@ def ops():
 def test_minimum_dimension():
     with pytest.raises(DomainError):
         build_operators(3, 1.0, 1.0)
+
+
+def test_oversized_basis_is_refused_before_any_allocation():
+    with pytest.raises(DomainError, match="exceeds the supported"):
+        build_operators(MAX_N + 1, 1.0, 1.0)
 
 
 def test_operators_hermitian(ops):

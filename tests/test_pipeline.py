@@ -321,7 +321,7 @@ def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
         "kind": "cosine", "amplitude": 0.8, "angular_frequency": math.pi / 4.0,
         "phase": -math.pi / 2.0})
     with pytest.raises(ValidityError) as info:
-        solve_ermakov(p, None, grid=np.array([0.0, 4.0]))
+        solve_ermakov(p, grid=np.array([0.0, 4.0]))
     assert info.value.constraint == "omega^2 - kappa^2 > 0"
     assert 0.0 < info.value.t < 4.0
 
@@ -329,8 +329,8 @@ def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
 def test_auxiliary_solve_starts_at_zero_on_any_grid():
     # rho(0) comes from m5 and w5^2 at t = 0, also when the grid starts later
     p = generic_params()
-    full = solve_ermakov(p, None)
-    late = solve_ermakov(p, None, grid=np.linspace(1.0, 5.0, 9))
+    full = solve_ermakov(p)
+    late = solve_ermakov(p, grid=np.linspace(1.0, 5.0, 9))
     assert late.times[0] == 0.0 and late.times[-1] == p.horizon
     assert late.rho0 == full.rho0
     assert late.at(3.0) == full.at(3.0)
@@ -345,10 +345,10 @@ def test_shifted_frequency_failure_is_named_alike_everywhere():
     constraint = "omega + kappa > 0"
     assert validate(p).failures[0][0] == constraint
     with pytest.raises(ValidityError) as grid_check:
-        solve_ermakov(p, None, grid=np.linspace(0.0, 4.0, 5))
+        solve_ermakov(p, grid=np.linspace(0.0, 4.0, 5))
     assert (grid_check.value.constraint, grid_check.value.t) == (constraint, 1.0)
     with pytest.raises(ValidityError) as rhs_check:
-        solve_ermakov(p, None, grid=np.array([0.0, 4.0]))
+        solve_ermakov(p, grid=np.array([0.0, 4.0]))
     assert rhs_check.value.constraint == constraint
     assert 0.85 < rhs_check.value.t < 3.15
 
