@@ -4,7 +4,8 @@ The package splits into model description (``model``, ``timefunc``), the
 static diagonalization layer (``staticdiag``), the dynamic pipeline built on
 an auxiliary-equation reduction (``pipeline``), closed-form benchmark
 scenarios (``scenarios``), a truncated number-basis cross-check
-(``oracle``), and the supporting ODE machinery (``integrators``).
+(``oracle``), and Runge-Kutta integrators (``integrators``) that the
+pipeline no longer uses and the tests keep as references.
 """
 
 from .errors import (ConfigError, DomainError, IntegrationError,

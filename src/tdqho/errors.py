@@ -29,7 +29,9 @@ class SingularityError(TdqhoError):
 
 
 class IntegrationError(TdqhoError):
-    """ODE integration failed (non-finite state or step-size underflow)."""
+    """ODE solve failed: a non-finite coefficient, propagator or state, a
+    step size that underflows or a step sequence that does not settle.
+    Carries the offending time."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

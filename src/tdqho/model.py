@@ -257,10 +257,8 @@ class _EffectiveOscillator:
         kap = _kappa(mlog, wlog, axp)
         denom = w + kap
         w5sq = w * w - kap * kap
-        # two comparisons for a valid scalar t, as at every integrator stage
-        if not (isinstance(denom, float) and denom > 0.0 and w5sq > 0.0):
-            _require_positive(denom, t, _SHIFTED_FREQUENCY)
-            _require_positive(w5sq, t, _EFFECTIVE_FREQUENCY)
+        _require_positive(denom, t, _SHIFTED_FREQUENCY)
+        _require_positive(w5sq, t, _EFFECTIVE_FREQUENCY)
         kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
         return (m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
                 kap, kap_dot, self.eta0 / denom, -(wd + kap_dot) / denom, w5sq)

@@ -1,35 +1,45 @@
 """End-to-end propagation of moments for the time-dependent quadratic model.
 
-The chain: integrate, with the adaptive DOP853 solver of ``integrators``,
-one 7-state auxiliary system that co-integrates the displacement pair
-(beta_x, beta_x_dot) tracking the drives, the Ermakov scale (rho, rho_dot)
-of the effective oscillator and the phase quadratures (Phi, X, Lambda),
-with the scalar energy bias ell(t) in Lambda taken from the live
-displacement; assemble the linear map (A, B, D, E) relating centered means
-at time t to those at 0; then push first and second moments through that
-map with ``model.propagate_moments``. Off-grid queries read the solve's
-order-7 dense output. The map is built as a product of five 2x2
-conjugation matrices (scaling, basis rotation, shear-scale, phase
-rotation, inverse basis rotation), which keeps AE - BD = 1 to machine
-precision by construction.
+The chain: solve the auxiliary problems as two linear systems, the affine
+displacement pair (beta_x, m beta_x') tracking the drives and the Ermakov
+partner (u, m5 u') of the effective oscillator; read the Ermakov scale
+(rho, rho_dot) and the phase Phi off two solutions of the partner by Pinney
+superposition, and take the quadratures X = int a_xp and
+Lambda = int (a_0 + ell) by Gauss rules, with the energy bias ell(t) from
+the displacement; assemble the linear map (A, B, D, E) relating centered
+means at time t to those at 0; then push first and second moments through
+that map with ``model.propagate_moments``.
+
+Both systems are stepped together by the order-6, three-Gauss-node Magnus
+formula, every step of the solve in one batch, and the running product of
+the step propagators is a Hillis-Steele scan. The steps depend only on the
+parameters, not on the sample grid; a sample, on the grid or off it, is one
+batched partial step from its left step edge. The map is built as a product
+of five 2x2 conjugation matrices (scaling, basis rotation, shear-scale,
+phase rotation, inverse basis rotation), which keeps AE - BD = 1 to machine
+precision by construction. The solve uses numpy alone (``tdqho.integrators``
+is not on this path), so its digits do not depend on the scipy version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError, ValidityError
-from .integrators import OdeSystem, integrate_adaptive
+# not used here; perfbench/tracing.py patches this name
+from .integrators import integrate_adaptive  # noqa: F401
 from .model import (MomentTrajectory, PropagatorCoefficients, _EffectiveOscillator,
-                    _require_positive, propagate_moments, validate)
+                    propagate_moments, validate)
 from .staticdiag import StaticParams, static_translation
 
 PIPELINE_SAMPLES = 2000
-PIPELINE_REL_TOL = 1e-12
-PIPELINE_ABS_TOL = 1e-14
+# Largest |Omega6 - Omega4| a Magnus step may keep (an estimate of the local
+# error of the order-4 exponent; the order-6 one is far smaller).
+MAGNUS_TOL = 1e-10
 
 
 def _static_at(params, t):
@@ -44,12 +54,26 @@ def default_grid(params, n_samples=PIPELINE_SAMPLES):
     return np.linspace(0.0, params.horizon, n_samples)
 
 
-# -- fused auxiliary solve ---------------------------------------------------
+# -- linear auxiliary solve ------------------------------------------------------
 
-# Layout of the co-integrated state
-# (beta_x, beta_x_dot, rho, rho_dot, Phi, X, Lambda).
-_BETA = slice(0, 2)
-_ERMAKOV = slice(2, 7)
+# Nodes of the three-node Gauss-Legendre rule on [0, 1] (weights in _gauss):
+# the Magnus nodes, and the rule for X and Lambda.
+_GAUSS = math.sqrt(15.0) / 10.0
+_NODES = np.array([0.5 - _GAUSS, 0.5, 0.5 + _GAUSS])
+# Lambda needs the displacement at each node c_j of an interval, from a
+# partial step whose own nodes are c_i c_j: nine distinct sorted fractions.
+_LAMBDA_FRACTIONS = np.unique(np.concatenate((_NODES, np.outer(_NODES, _NODES).ravel())))
+_MAIN = np.searchsorted(_LAMBDA_FRACTIONS, _NODES)
+_NESTED = [np.searchsorted(_LAMBDA_FRACTIONS, _NODES * c) for c in _NODES]
+# First steps advance the effective phase at t = 0 by this much; refinement
+# splits them where MAGNUS_TOL asks, or where an Ermakov step turns by more
+# than _MAX_ROTATION, which keeps every phase step far below the pi that
+# unwrap needs.
+_FIRST_ROTATION = 1.0 / 32.0
+_MAX_ROTATION = 0.5
+_MAX_REFINEMENTS = 6
+_LAMBDA_CHUNK = 256
+_MAX_STEPS = 1 << 20
 
 
 def _beta_p(m, axp, ap, bx, bxd):
@@ -60,9 +84,269 @@ def _beta_p_at(p, t, bx, bxd):
     return _beta_p(p.m.value(t), p.alpha_xp.value(t), p.alpha_p.value(t), bx, bxd)
 
 
+def _gauss(f1, f2, f3):
+    """The Gauss rule on [0, 1] from the values at the three nodes."""
+    return (5.0 * f1 + 8.0 * f2 + 5.0 * f3) / 18.0
+
+
+def _require_finite(values, t, what):
+    """IntegrationError at the earliest t where one of ``values`` (arrays whose
+    trailing elements line up with t) is not finite."""
+    ok = np.isfinite(np.array(values)).reshape(-1, np.size(t)).all(axis=0)
+    if not ok.all():
+        raise IntegrationError(f"non-finite {what}", t=float(np.min(np.ravel(t)[~ok])))
+
+
+def _kernel_at(oscillator, t):
+    """The effective-oscillator tuple at times t in any order; a validity
+    failure names the earliest failing time."""
+    try:
+        return oscillator.at(t)
+    except ValidityError:
+        oscillator.at(np.sort(t))
+        raise
+
+
+def _generators(kernel):
+    """Per time, the generators of row 0, the displacement pair
+    (beta_x, m beta_x') with d/dt = [[0, 1/m], [m coeff, 0]] and forcing
+    (0, m forcing), and of row 1, the Ermakov partner (u, m5 u') with
+    d/dt = [[0, 1/m5], [-m5 w5^2, 0]], as (b, c, g): upper, lower and forcing."""
+    m, md, _, w, _, _, axp, axpd, ap, apd, ax, _, _, _, m5, _, w5sq = kernel
+    mlog = md / m
+    coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
+    forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
+    return (np.stack((1.0 / m, 1.0 / m5)), np.stack((m * coeff, -m5 * w5sq)),
+            np.stack((m * forcing, 0.0 * m)))
+
+
+# Traceless 2x2 generators with forcing, [[a, b], [c, -a]] and (f, g), are
+# 5-tuples of arrays; unit-determinant affine maps, [[p, q], [r, s]] and
+# (v, w), are 6-tuples. All algebra is per component: no batched matmul.
+
+
+def _magnus(nodes, h, forcing_scale=None):
+    """Order-6 Magnus exponent over steps of length h from the generators
+    (b, c, g) at the three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470, 151 (2009), eq. 253). Given ``forcing_scale``, also the largest
+    entry of |Omega6 - Omega4| per step, its forcing part relative to that
+    scale: the displacement, and its error, grow with the forcing.
+
+    With a1, a2, a3 the Legendre moments of the generator, k1 = [a1, a2]
+    and k2 = [a1, 2 a3 + k1]:
+    Omega6 = a1 + a3/12 + [-20 a1 - a3 + k1, a2 - k2/60]/240 and
+    Omega4 = a1 + a3/12 - k1/12. The moments have a = f = 0, which the
+    commutators below use.
+    """
+    (b1, c1, g1), (b2, c2, g2), (b3, c3, g3) = nodes
+    r15 = math.sqrt(15.0) / 3.0 * h
+    r10 = 10.0 / 3.0 * h
+    ab, ac, ag = h * b2, h * c2, h * g2
+    bb, bc, bg = r15 * (b3 - b1), r15 * (c3 - c1), r15 * (g3 - g1)
+    cb, cc, cg = r10 * (b3 - 2.0 * b2 + b1), r10 * (c3 - 2.0 * c2 + c1), r10 * (g3 - 2.0 * g2 + g1)
+    # k1 = (ka, 0, 0, kf, 0); right = a2 - k2/60; left = -20 a1 - a3 + k1
+    ka, kf = ab * bc - bb * ac, ab * bg - bb * ag
+    ra = (cb * ac - ab * cc) / 30.0
+    rb, rc = bb + ka * ab / 30.0, bc - ka * ac / 30.0
+    rf = (cb * ag - ab * cg) / 30.0
+    rg = bg - (ac * kf + ka * ag) / 60.0
+    lb, lc, lg = -20.0 * ab - cb, -20.0 * ac - cc, -20.0 * ag - cg
+    # tail = [left, right] / 240
+    ta = (lb * rc - rb * lc) / 240.0
+    tb = (ka * rb - ra * lb) / 120.0
+    tc = (lc * ra - ka * rc) / 120.0
+    tf = (ka * rf + lb * rg - ra * kf - rb * lg) / 240.0
+    tg = (lc * rf - ka * rg - rc * kf + ra * lg) / 240.0
+    omega = (ta, ab + cb / 12.0 + tb, ac + cc / 12.0 + tc, tf, ag + cg / 12.0 + tg)
+    if forcing_scale is None:
+        return omega
+    return omega, np.maximum(np.max(np.abs([ta + ka / 12.0, tb, tc]), axis=0),
+                             np.maximum(abs(tf + kf / 12.0), abs(tg)) / forcing_scale)
+
+
+def _expm(omega):
+    """exp of the affine generator: e^M = cosh(s) I + sinh(s)/s M with
+    s^2 = a^2 + bc, and the forcing through phi1(M) = sinh(s)/s I
+    + (sinh(s/2)/(s/2))^2/2 M, all from the half angle (cos and sin when
+    s^2 < 0)."""
+    a, b, c, f, g = omega
+    d = a * a + b * c
+    r = 0.5 * np.sqrt(np.abs(d))
+    grow = d > 0.0
+    if grow.any():
+        ch, sh = np.where(grow, np.cosh(r), np.cos(r)), np.where(grow, np.sinh(r), np.sin(r))
+    else:
+        ch, sh = np.cos(r), np.sin(r)
+    sinc = np.divide(sh, r, out=np.ones_like(r), where=r > 0.0)
+    half = 0.5 * sinc * sinc
+    s1 = sinc * ch
+    c1 = 1.0 + d * half
+    return (c1 + s1 * a, s1 * b, s1 * c, c1 - s1 * a,
+            s1 * f + half * (a * f + b * g), s1 * g + half * (c * f - a * g))
+
+
+def _compose(later, earlier):
+    p2, q2, r2, s2, v2, w2 = later
+    p1, q1, r1, s1, v1, w1 = earlier
+    return (p2 * p1 + q2 * r1, p2 * q1 + q2 * s1, r2 * p1 + s2 * r1, r2 * q1 + s2 * s1,
+            p2 * v1 + q2 * w1 + v2, r2 * v1 + s2 * w1 + w2)
+
+
+def _scan(maps):
+    """Running products along the last axis: entry k becomes map k after
+    map k-1 ... after map 0 (Hillis & Steele, Comm. ACM 29, 1170 (1986))."""
+    maps = [x.copy() for x in maps]
+    d, n = 1, maps[0].shape[-1]
+    while d < n:
+        later = [x[..., d:] for x in maps]
+        done = _compose(later, [x[..., :-d] for x in maps])
+        for x, y in zip(later, done):
+            x[...] = y
+        d *= 2
+    return maps
+
+
+def _subdivide(edges, split):
+    """Split step k into split[k] equal steps."""
+    n = split.astype(int)
+    k = np.repeat(np.arange(n.size), n)
+    part = np.arange(k.size) - np.repeat(np.cumsum(n) - n, n)
+    return np.append(edges[k] + (edges[k + 1] - edges[k]) * (part / n[k]), edges[-1])
+
+
+class _AuxiliaryFlow:
+    """The two linear auxiliary systems on [0, T] by order-6 Magnus steps:
+    the states at the step edges, and one batched partial step from the left
+    edge to any time (what a dense output is to a Runge-Kutta solve).
+
+    The first steps are uniform and advance the t = 0 effective phase by
+    _FIRST_ROTATION; steps are split, a priori, where |Omega6 - Omega4|
+    exceeds MAGNUS_TOL or an Ermakov step turns by more than _MAX_ROTATION.
+    A ValidityError names the earliest Gauss node where w + kappa or
+    w^2 - kappa^2 is not positive; a non-finite generator, propagator or
+    state is an IntegrationError at the earliest time it appears.
+    """
+
+    def __init__(self, oscillator, horizon, start, rho0, nu0):
+        self.oscillator = oscillator
+        self.start = start
+        # the first steps split [0, T] uniformly; each later round splits
+        # the steps the estimate flags
+        edges = np.array([0.0, horizon])
+        split = np.array([max(1, math.ceil(horizon * nu0 / _FIRST_ROTATION))])
+        for _ in range(_MAX_REFINEMENTS + 1):
+            if split.sum() > _MAX_STEPS:
+                raise IntegrationError(f"more than {_MAX_STEPS} Magnus steps",
+                                       t=float(edges[np.argmax(split > 1)]))
+            edges = _subdivide(edges, split)
+            h = np.diff(edges)
+            _, nodes, x_step = self._step(edges[:-1], h)
+            omega, error = _magnus(nodes, h, np.maximum(1.0, np.max(np.abs(
+                [g for _, _, g in nodes]), axis=0)))
+            _require_finite((error,), edges[:-1], "Magnus error estimate")
+            # the Ermakov row's turn; the error of the worse row
+            turn = np.sqrt(np.abs(omega[0][1] ** 2 + omega[1][1] * omega[2][1]))
+            split = np.maximum(1.0, np.ceil(np.maximum(
+                (error.max(axis=0) / MAGNUS_TOL) ** 0.2, turn / _MAX_ROTATION)))
+            if not (split > 1.0).any():
+                break
+        else:
+            raise IntegrationError("Magnus step refinement did not settle",
+                                   t=float(edges[np.argmax(split > 1.0)]))
+        maps = _expm(omega)
+        _require_finite(maps, edges[1:], "step propagator")
+        # the identity at edge 0, then the running products
+        p, q, r, s, v, w = _scan([np.insert(x, 0, e, axis=1)
+                                  for x, e in zip(maps, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))])
+        bx0, y0 = start[0], oscillator.params.m.value(0.0) * start[1]
+        u1, u2 = rho0 * p[1], q[1] / rho0
+        self.edges = edges
+        # per edge: beta_x, m beta_x', the partner solutions (u, m5 u') from
+        # (rho0, 0) and from (0, 1/rho0), Phi and X
+        self.states = np.array([p[0] * bx0 + q[0] * y0 + v[0], r[0] * bx0 + s[0] * y0 + w[0],
+                                u1, rho0 * r[1], u2, s[1] / rho0,
+                                np.unwrap(np.arctan2(u2, u1)),
+                                np.concatenate(([0.0], np.cumsum(x_step)))])
+        _require_finite(self.states, edges, "auxiliary state")
+
+    def _step(self, left, tau, head=()):
+        """From one kernel pass over ``head`` and the Gauss nodes of
+        [left, left + tau]: the kernel at head, the generators (b, c, g) of
+        rows 0 and 1 at each of the three nodes, and the X increments."""
+        nodes = (left[:, None] + tau[:, None] * _NODES).ravel()
+        kernel = _kernel_at(self.oscillator, np.concatenate((head, nodes)))
+        n_head = len(head)
+        gens = _generators(tuple(x[n_head:] for x in kernel))
+        _require_finite(gens, nodes, "effective-oscillator coefficient")
+        gens = [x.reshape(2, -1, 3) for x in gens]
+        x_step = tau * _gauss(*kernel[6][n_head:].reshape(-1, 3).T)
+        return (tuple(x[:n_head] for x in kernel),
+                [tuple(x[..., i] for x in gens) for i in range(3)], x_step)
+
+    def _lambda_step(self, left, tau, bx, y):
+        """int (a_0 + ell) over [left, left + tau] by the Gauss rule, with the
+        displacement at each node from a partial step off (bx, y = m beta_x')
+        at left. Taken _LAMBDA_CHUNK intervals at a time: one nine-node kernel
+        pass over a whole 2000-point grid raised the peak memory of a
+        process running the CLI by about 3 MB."""
+        return np.concatenate([
+            self._lambda_chunk(*(x[i:i + _LAMBDA_CHUNK] for x in (left, tau, bx, y)))
+            for i in range(0, max(left.size, 1), _LAMBDA_CHUNK)])
+
+    def _lambda_chunk(self, left, tau, bx, y):
+        nodes = (left[:, None] + tau[:, None] * _LAMBDA_FRACTIONS).ravel()
+        kernel = tuple(x.reshape(-1, 9) for x in _kernel_at(self.oscillator, nodes))
+        b, c, g = (x[0] for x in _generators(kernel))
+        _require_finite((b, c, g), nodes, "effective-oscillator coefficient")
+        sub = [tuple(np.stack([x[:, idx[i]] for idx in _NESTED]) for x in (b, c, g))
+               for i in range(3)]
+        p, q, r, s, v, w = _expm(_magnus(sub, _NODES[:, None] * tau))
+        bx, y = p * bx + q * y + v, r * bx + s * y + w
+        m, _, _, om, _, _, axp, _, ap, _, ax, a0 = (x[:, _MAIN].T for x in kernel[:12])
+        bp = _beta_p(m, axp, ap, bx, y / m)
+        ell = bp * bp / (2.0 * m) + 0.5 * m * om * om * bx * bx \
+            + ax * bx - ap * bp - 2.0 * axp * bx * bp
+        return tau * _gauss(*(a0 + ell))
+
+    @functools.cached_property
+    def _edge_lambda(self):
+        bx, y = self.states[:2, :-1]
+        lam = np.cumsum(self._lambda_step(self.edges[:-1], np.diff(self.edges), bx, y))
+        return np.concatenate(([0.0], lam))
+
+    def at(self, t, kernel=None, lam=True):
+        """[beta_x, beta_x_dot, rho, rho_dot, Phi, X] (and Lambda with ``lam``)
+        at the times t as a 1-d array, and the effective-oscillator tuple
+        there (evaluated in the partial step's kernel pass unless given)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 1)
+        left = self.edges[k]
+        tau = t - left
+        head, nodes, x_step = self._step(left, tau, () if kernel is not None else t)
+        kernel = head if kernel is None else kernel
+        p, q, r, s, v, w = _expm(_magnus(nodes, tau))
+        bx0, y0, u10, q10, u20, q20, phi0, x0 = self.states[:, k]
+        bx = p[0] * bx0 + q[0] * y0 + v[0]
+        y = r[0] * bx0 + s[0] * y0 + w[0]
+        u1, u2 = p[1] * u10 + q[1] * q10, p[1] * u20 + q[1] * q20
+        q1, q2 = r[1] * u10 + s[1] * q10, r[1] * u20 + s[1] * q20
+        m, m5 = kernel[0], kernel[14]
+        rho = np.hypot(u1, u2)
+        out = [bx, y / m, rho, (u1 * q1 + u2 * q2) / (m5 * rho),
+               phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2), x0 + x_step]
+        if lam:
+            out.append(self._edge_lambda[k] + self._lambda_step(left, tau, bx0, y0))
+        _require_finite(out, t, "auxiliary state")
+        return out, kernel
+
+
+def _scalar_or_array(t, values):
+    return tuple(v[0] for v in values) if np.ndim(t) == 0 else tuple(values)
+
+
 @dataclass(frozen=True)
 class BetaSolution:
-    """Sampled displacement pair, a view of the fused auxiliary solution.
+    """Sampled displacement pair, a view of the auxiliary solution.
 
     beta_p is recovered algebraically from (beta_x, beta_x_dot), so the
     defining constraint beta_p = m(-beta_x_dot + 2 a_xp beta_x + a_p)
@@ -74,12 +358,13 @@ class BetaSolution:
     beta_x_dot: np.ndarray
     beta_p: np.ndarray
     _params: object
-    _dense: object
+    _flow: object
 
     def at(self, t):
-        """(beta_x, beta_x_dot, beta_p) at arbitrary t, from dense output."""
-        bx, bxd = self._dense(t)[_BETA]
-        return bx, bxd, _beta_p_at(self._params, t, bx, bxd)
+        """(beta_x, beta_x_dot, beta_p) at arbitrary t, by a partial step."""
+        (bx, bxd, *_), kernel = self._flow.at(t, lam=False)
+        m, _, _, _, _, _, axp, _, ap, *_ = kernel
+        return _scalar_or_array(t, (bx, bxd, _beta_p(m, axp, ap, bx, bxd)))
 
     def constraint_residual(self):
         """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid."""
@@ -95,19 +380,23 @@ class BetaSolution:
 class ErmakovSolution:
     """Sampled Ermakov scale rho with the three running phase integrals:
     Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell). A view of the
-    fused auxiliary solution."""
+    auxiliary solution; Lambda is computed on first use."""
 
     times: np.ndarray
     rho: np.ndarray
     rho_dot: np.ndarray
     Phi: np.ndarray
     X: np.ndarray
-    Lambda: np.ndarray
-    _dense: object
+    _flow: object
 
     def at(self, t):
-        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, from dense output."""
-        return tuple(self._dense(t)[_ERMAKOV])
+        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, by a partial step."""
+        states, _ = self._flow.at(t)
+        return _scalar_or_array(t, states[2:])
+
+    @functools.cached_property
+    def Lambda(self):
+        return self.at(self.times)[4]
 
     @property
     def rho0(self):
@@ -115,24 +404,17 @@ class ErmakovSolution:
 
 
 def _solve_auxiliary(params, grid):
-    """Integrate the displacement pair and the Ermakov equation as one system.
-
-    The seven states are the second-order displacement equation
-    (beta_x, beta_x_dot), the Ermakov equation (rho, rho_dot) for the scale
-    of the effective oscillator, and the quadratures Phi = int 1/(m5 rho^2),
-    X = int a_xp and Lambda = int (a_0 + ell), where the energy bias ell
-    comes from the live displacement. Each right-hand-side call converts t
-    and the state to Python floats once and evaluates every coefficient
-    once; an overflow or a division by zero there is an IntegrationError at
-    that t.
+    """Solve the displacement pair and the Ermakov partner on [0, T] and
+    sample them on the grid, extended by 0 and T.
 
     Initial displacement comes from the translation of the frozen t = 0
     Hamiltonian; a SingularityError propagates if omega(0)^2 = 4 a_xp(0)^2.
-    A ValidityError names the time and the constraint wherever rho,
-    w + kappa or w^2 - kappa^2 stops being positive, on the grid or at any
-    point the integrator evaluates. The grid is extended by 0 and T, as the
-    integrator samples it. Returns (BetaSolution, ErmakovSolution) sharing
-    one dense output, and the effective-oscillator tuple on the grid.
+    rho starts at the adiabatic 1/sqrt(m5 w5) with rho_dot = 0. A
+    ValidityError names the time and the constraint wherever w + kappa or
+    w^2 - kappa^2 stops being positive: first on the grid, then at the Gauss
+    nodes of the steps and of the partial steps to the samples. Returns
+    (BetaSolution, ErmakovSolution) sharing one solution, and the
+    effective-oscillator tuple on the grid.
     """
     p = params
     grid = np.union1d(default_grid(p) if grid is None else grid, [0.0, p.horizon])
@@ -140,57 +422,26 @@ def _solve_auxiliary(params, grid):
     bxd0 = 2.0 * p.alpha_xp.value(0.0) * bx0 + p.alpha_p.value(0.0) - bp0 / p.m.value(0.0)
     oscillator = _EffectiveOscillator(p)
     kernel = oscillator.at(grid)
-    *_, m5_grid, _, w5sq_grid = kernel
-    rho0 = 1.0 / math.sqrt(m5_grid[0] * math.sqrt(w5sq_grid[0]))
-
-    def rhs(t, y):
-        # on Python floats: numpy float64 scalar arithmetic made each call
-        # about 40% slower, with the same results
-        t = float(t)
-        bx, bxd, rho, rho_dot, _, _, _ = y.tolist()
-        if rho <= 0.0:
-            _require_positive(rho, t, "rho > 0")
-        try:
-            (m, md, _, w, _, _, axp, axpd, ap, apd, ax, a0,
-             _, _, m5, m5_log_dot, w5sq) = oscillator.at(t)
-            mlog = md / m
-            forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
-            coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
-            bp = _beta_p(m, axp, ap, bx, bxd)
-            ell = bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
-                + ax * bx - ap * bp - 2.0 * axp * bx * bp
-            return np.array([
-                bxd, -mlog * bxd + coeff * bx + forcing,
-                rho_dot, -m5_log_dot * rho_dot - w5sq * rho + 1.0 / (m5 * m5 * rho ** 3),
-                1.0 / (m5 * rho * rho), axp, a0 + ell])
-        except (OverflowError, ZeroDivisionError) as exc:
-            # where numpy float64 would have gone inf or NaN
-            raise IntegrationError(f"right-hand side failed: {exc}", t=t) from None
-
-    system = OdeSystem(n=7, f=rhs, t_end=p.horizon)
-    sol = integrate_adaptive(system, [bx0, bxd0, rho0, 0.0, 0.0, 0.0, 0.0],
-                             PIPELINE_REL_TOL, PIPELINE_ABS_TOL, sample_times=grid)
-    ts = sol.times
-    bx, bxd, rho, rho_dot, phi, x, lam = sol.states
-    _require_positive(rho, ts, "rho > 0")
-    m, _, _, _, _, _, axp, _, ap, *_ = kernel
-    beta = BetaSolution(times=ts, beta_x=bx, beta_x_dot=bxd,
-                        beta_p=_beta_p(m, axp, ap, bx, bxd), _params=p, _dense=sol.dense)
-    ermakov = ErmakovSolution(times=ts, rho=rho, rho_dot=rho_dot, Phi=phi, X=x,
-                              Lambda=lam, _dense=sol.dense)
+    m, _, _, _, _, _, axp, _, ap, *_, m5, _, w5sq = kernel
+    w5 = math.sqrt(w5sq[0])
+    flow = _AuxiliaryFlow(oscillator, p.horizon, (bx0, bxd0), 1.0 / math.sqrt(m5[0] * w5), w5)
+    (bx, bxd, rho, rho_dot, phi, x), _ = flow.at(grid, kernel, lam=False)
+    beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
+                        beta_p=_beta_p(m, axp, ap, bx, bxd), _params=p, _flow=flow)
+    ermakov = ErmakovSolution(times=grid, rho=rho, rho_dot=rho_dot, Phi=phi, X=x, _flow=flow)
     return beta, ermakov, kernel
 
 
 def solve_beta(params, grid=None):
-    """Displacement pair on [0, T]: the BetaSolution half of the fused
-    auxiliary solve."""
+    """Displacement pair on [0, T]: the BetaSolution half of the auxiliary
+    solve."""
     return _solve_auxiliary(params, grid)[0]
 
 
 def solve_ermakov(params, grid=None):
     """Ermakov scale and phase quadratures on [0, T]: the ErmakovSolution
-    half of the fused auxiliary solve, which co-integrates the displacement
-    pair that Lambda needs."""
+    half of the auxiliary solve, which also solves the displacement pair
+    that Lambda needs."""
     return _solve_auxiliary(params, grid)[1]
 
 
@@ -243,14 +494,13 @@ def _assemble(params, eta0, rho0, start, kernel, states, ts, scalar=False):
 
 
 def coefficients(params, beta, ermakov, t):
-    """Propagator coefficients at time(s) t, read off the dense output:
-    scalars for a scalar t, else arrays."""
+    """Propagator coefficients at time(s) t, each by one partial step of the
+    auxiliary solution: scalars for a scalar t, else arrays."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    # beta and ermakov view one dense output: evaluate it once, at 0 and ts
-    states = beta._dense(np.concatenate(([0.0], ts)))
-    oscillator = _EffectiveOscillator(params)
-    return _assemble(params, oscillator.eta0, ermakov.rho0, states[_BETA, 0],
-                     oscillator.at(ts), states[:5, 1:], ts, scalar=np.ndim(t) == 0)
+    flow = beta._flow
+    states, kernel = flow.at(ts, lam=False)
+    return _assemble(params, flow.oscillator.eta0, ermakov.rho0, flow.start, kernel,
+                     states[:5], ts, scalar=np.ndim(t) == 0)
 
 
 # -- moments ----------------------------------------------------------------
@@ -320,7 +570,7 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
     beta, ermakov, kernel = _solve_auxiliary(params, grid)
     # from the solve's own samples and kernel tuple: no second pass on the grid
     coeffs = _assemble(params, _EffectiveOscillator(params).eta0, ermakov.rho0,
-                       (beta.beta_x[0], beta.beta_x_dot[0]), kernel,
+                       beta._flow.start, kernel,
                        (beta.beta_x, beta.beta_x_dot, ermakov.rho, ermakov.rho_dot,
                         ermakov.Phi), grid)
     return PipelineSolution(params=params, grid=grid, beta=beta,
@@ -336,9 +586,12 @@ def ermakov_residual(params, ermakov):
     T = float(ermakov.times[-1])
     h = T / 4096.0
     tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
-    rho_dd = (-ermakov.at(tt + 2 * h)[1] + 8.0 * ermakov.at(tt + h)[1]
-              - 8.0 * ermakov.at(tt - h)[1] + ermakov.at(tt - 2 * h)[1]) / (12.0 * h)
-    rho, rho_dot, *_ = ermakov.at(tt)
+    def rho_and_dot(x):
+        return ermakov._flow.at(x, lam=False)[0][2:4]
+
+    rho_dd = (-rho_and_dot(tt + 2 * h)[1] + 8.0 * rho_and_dot(tt + h)[1]
+              - 8.0 * rho_and_dot(tt - h)[1] + rho_and_dot(tt - 2 * h)[1]) / (12.0 * h)
+    rho, rho_dot = rho_and_dot(tt)
     *_, m5, m5_log_dot, w5sq = _EffectiveOscillator(params).at(tt)
     res = rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
     return float(np.abs(res).max())

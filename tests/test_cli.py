@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,13 +233,21 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
-def test_rhs_overflow_exits_with_validity_error(tmp_path, capsys, monkeypatch):
-    # m5 = 1e-300 m5 makes rho(0) about 1e150, so rho ** 3 overflows
-    _m5_stub(monkeypatch, 1e-300)
+def test_non_finite_kernel_exits_with_validity_error(tmp_path, capsys, monkeypatch):
+    _m5_stub(monkeypatch, math.inf, after=1.0)
     assert main(["evolve", "--scenario", "driven", "--samples", "20",
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("validity error: right-hand side failed") and "at t=0" in err
+    assert err.startswith("validity error: non-finite") and "at t=1." in err
+
+
+def test_readme_compare_example_passes(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(ln for ln in text.splitlines() if ln.startswith("tdqho compare --scenario ck"))
+    argv = line.split()[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "run")
+    assert main(argv) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_validate_ok(tmp_path, capsys):

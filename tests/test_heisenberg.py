@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tdqho.model import MomentState
+from tdqho.model import MomentState, QuadraticParams
 from tdqho.pipeline import solve
 
 from test_acceptance import _full_coverage_params, _mixed_random_params
@@ -51,12 +51,8 @@ def _criterion_5_sets(n):
     return [_mixed_random_params(rng) for _ in range(n)]
 
 
-@pytest.mark.parametrize("params", [
-    *_criterion_5_sets(5), *(_full_coverage_params(s)[0] for s in (101, 202, 303))],
-    ids=[*(f"criterion-5-set-{i}" for i in range(5)),
-         *(f"criterion-8-seed-{s}" for s in (101, 202, 303))])
-def test_moment_map_matches_heisenberg_flow(params):
-    sol = solve(params, n_samples=400)
+def _check_against_heisenberg(params, n_samples):
+    sol = solve(params, n_samples=n_samples)
     ts = sol.grid
     (a, b, d, e), (x, p) = heisenberg_flow(params, ts)
     c = sol.coeffs
@@ -65,3 +61,40 @@ def test_moment_map_matches_heisenberg_flow(params):
     mt = sol.moments_at(MomentState(0.0, *START, 1.0, 1.0, 0.0), ts)
     assert np.max(np.abs(mt.mean_x - x)) < 1e-8
     assert np.max(np.abs(mt.mean_p - p)) < 1e-8
+    return sol
+
+
+@pytest.mark.parametrize("params", [
+    *_criterion_5_sets(5), *(_full_coverage_params(s)[0] for s in (101, 202, 303))],
+    ids=[*(f"criterion-5-set-{i}" for i in range(5)),
+         *(f"criterion-8-seed-{s}" for s in (101, 202, 303))])
+def test_moment_map_matches_heisenberg_flow(params):
+    _check_against_heisenberg(params, 400)
+
+
+@pytest.mark.parametrize("n_samples", [2, 9])
+@pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], _full_coverage_params(303)[0]],
+                         ids=["criterion-5-set-0", "criterion-8-seed-303"])
+def test_coarse_sample_grids_match_heisenberg_flow(params, n_samples):
+    # samples are partial steps off steps that do not depend on the grid
+    _check_against_heisenberg(params, n_samples)
+
+
+def test_refined_steps_match_heisenberg_flow():
+    # omega grows twelvefold: steps sized by the phase at t = 0 are split
+    # where the Magnus error estimate or the Ermakov turn asks for it
+    params = QuadraticParams.from_dict({
+        "m": 1.0, "omega": {"kind": "exponential", "prefactor": 1.0, "rate": 0.25},
+        "alpha_x": {"kind": "cosine", "amplitude": 0.2, "angular_frequency": 2.0},
+        "horizon": 10.0})
+    steps = np.diff(_check_against_heisenberg(params, 400).beta._flow.edges)
+    assert steps[-1] < steps[0] / 2.0
+
+
+def test_phase_increases_strictly_on_criterion_5_sets():
+    # Phi = unwrap(atan2(u2, u1)) is right only while every step turns by
+    # less than pi; Phi' = 1/(m5 rho^2) > 0
+    for params in _criterion_5_sets(50):
+        sol = solve(params, n_samples=2000)
+        assert np.all(np.diff(sol.ermakov.Phi) > 0.0)
+        assert np.all(np.diff(sol.beta._flow.states[6]) > 0.0)

@@ -97,6 +97,7 @@ def test_constant_energy_offset_only_shifts_phase():
     p = standard_params(horizon=5.0, alpha_0=0.3)
     s = solve(p, n_samples=100)
     assert np.max(np.abs(s.global_phase() + 0.3 * s.grid)) < 1e-12
+    assert np.max(np.abs(s.ermakov.Lambda - 0.3 * s.grid)) < 1e-12
     mt = s.moments(ground_moments(1.0, 1.0, 1.0))
     assert np.max(np.abs(mt.mean_x)) < 1e-13
 
@@ -353,36 +354,38 @@ def test_shifted_frequency_failure_is_named_alike_everywhere():
     assert 0.85 < rhs_check.value.t < 3.15
 
 
-def _m5_stub(monkeypatch, scale, after=-1.0):
-    """Scale m5 in every effective-oscillator tuple taken at a scalar t > after
-    (and at every array t when after < 0)."""
+def _m5_stub(monkeypatch, bad, after):
+    """Replace m5 by ``bad`` in every effective-oscillator tuple at times
+    past ``after``."""
     real_at = _EffectiveOscillator.at
 
     def at(self, t):
         out = real_at(self, t)
-        if (np.ndim(t) == 0 and t > after) or after < 0.0:
-            out = out[:14] + (out[14] * scale,) + out[15:]
-        return out
+        return out[:14] + (np.where(np.asarray(t) > after, bad, out[14]),) + out[15:]
 
     monkeypatch.setattr(_EffectiveOscillator, "at", at)
 
 
-def test_rhs_overflow_is_integration_error_at_its_time(monkeypatch):
-    # m5 = 1e-300 m5 makes rho(0) about 1e150, so rho ** 3 overflows a
-    # Python float in the first right-hand-side call
-    _m5_stub(monkeypatch, 1e-300)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_kernel_is_integration_error_at_its_time(monkeypatch, bad):
+    # the first Gauss node past t = 1 names the failure
+    _m5_stub(monkeypatch, bad, after=1.0)
     with pytest.raises(IntegrationError) as info:
         solve(standard_params())
-    assert info.value.t == 0.0
-    assert "right-hand side" in str(info.value)
+    assert 1.0 < info.value.t < 1.1
+    assert "non-finite" in str(info.value)
 
 
-def test_rhs_division_by_zero_is_integration_error_at_its_time(monkeypatch):
-    # m5 = 0 from t = 1 on divides by zero in the Ermakov term
-    _m5_stub(monkeypatch, 0.0, after=1.0)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_displacement_is_integration_error_at_its_time():
+    # a resonant drive of amplitude 1e307 grows beta_x past the float range
+    # near t = 36, long after the first steps
+    p = standard_params(horizon=60.0, alpha_x={
+        "kind": "cosine", "amplitude": 1e307, "angular_frequency": 1.0})
     with pytest.raises(IntegrationError) as info:
-        solve(standard_params())
-    assert 1.0 < info.value.t < 4.0 * math.pi
+        solve(p, n_samples=100)
+    assert 30.0 < info.value.t < 40.0
+    assert "non-finite auxiliary state" in str(info.value)
 
 
 def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
@@ -395,9 +398,12 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
         monkeypatch.setattr(cls, "jet", counted)
     p = standard_params(horizon=10.0, alpha_x={
         "kind": "cosine", "amplitude": 0.2, "angular_frequency": 0.9})
-    solve(p, n_samples=2000)
-    # validate takes m, omega and alpha_xp on its grid; the kernel all six
-    assert sorted(sizes) == [2000] * 6 + [4096] * 3
+    sol = solve(p, n_samples=2000)
+    # validate takes m, omega and alpha_xp on its grid; the kernel all six,
+    # once on the grid, once on the Gauss nodes of the steps and once on the
+    # nodes of the partial steps to the 2000 samples
+    steps = sol.beta._flow.edges.size - 1
+    assert sorted(sizes) == sorted([2000] * 6 + [3 * steps] * 6 + [3 * 2000] * 6 + [4096] * 3)
 
 
 # -- unit determinant over random admissible profiles ---------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -219,13 +220,20 @@ README_EXAMPLES = {
 
 
 def readme_kind_table():
-    """kind -> set of documented fields, read from the README table."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    """kind -> set of documented fields, read from the rows under the README
+    table header ``| kind | fields |`` and from no other table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+
+    def cells(line):
+        return [c.strip() for c in line.strip().strip("|").split("|")]
+
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("|") and cells(line) == ["kind", "fields"])
     table = {}
-    for line in text.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if line.startswith("| `") and len(cells) == 2:
-            table[cells[0].strip("`")] = set(re.findall(r"`(\w+)`", cells[1]))
+    # skip the header and its |---| separator; the table ends at its first non-row
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start + 2:]):
+        kind, fields = cells(line)
+        table[kind.strip("`")] = set(re.findall(r"`(\w+)`", fields))
     return table
 
 
