@@ -43,6 +43,7 @@ MOMENT_COLUMNS = ("t", "mean_x", "mean_p", "sigma_x", "sigma_p", "cov_xp",
                   "uncertainty_product", "A", "B", "D", "E", "rho", "Phi",
                   "beta_x", "beta_p", "global_phase")
 COMPARE_SERIES = ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")
+DENSITY_BLOCK_ROWS = 25
 
 
 def write_csv(path, columns, rows):
@@ -58,15 +59,16 @@ def write_csv(path, columns, rows):
 
 def _write_density_csv(path, times, xs, block):
     """Write block[i, j] as time-major (t, x, value) rows, the bytes of
-    write_csv, formatting each x once per file and each t once per row."""
-    row_fmt = "".join("%%s,%.17g,%%.17g\n" % x for x in xs.tolist())
-    cells = [None] * (2 * len(xs))
+    write_csv: each t and each x is formatted once, and the values of
+    DENSITY_BLOCK_ROWS rows at a time go through one format string."""
+    # a row's format is t joined onto its x cells: t,x0,%.17g\n t,x1,%.17g\n ...
+    x_cells = [""] + [",%.17g,%%.17g\n" % x for x in xs.tolist()]
+    t_cells = ["%.17g" % t for t in times.tolist()]
     with open(path, "w") as fh:
         fh.write("t,x,value\n")
-        for t, values in zip(times.tolist(), block.tolist()):
-            cells[0::2] = ["%.17g" % t] * len(xs)
-            cells[1::2] = values
-            fh.write(row_fmt % tuple(cells))
+        for r in range(0, len(t_cells), DENSITY_BLOCK_ROWS):
+            fmt = "".join(t.join(x_cells) for t in t_cells[r:r + DENSITY_BLOCK_ROWS])
+            fh.write(fmt % tuple(block[r:r + DENSITY_BLOCK_ROWS].ravel().tolist()))
 
 
 # -- config assembly ---------------------------------------------------------
@@ -190,7 +192,8 @@ def _oracle_run(config, args):
 
 def _oracle_summary(run):
     return (f"max top-decile population {run.max_top_population:.3e}, "
-            f"max norm drift {run.max_norm_drift:.3e}, {run.matvecs} matvecs")
+            f"max norm drift {run.max_norm_drift:.3e}, {run.matvecs} matvecs "
+            f"in {run.steps} steps")
 
 
 def _oracle_rows(run):

@@ -3,10 +3,20 @@ unitary stepping of the state vector.
 
 Operators are built at a fixed reference scale (m_ref, omega_ref), so the
 basis never changes during a run; all time dependence lives in the
-Hamiltonian matrix. Propagation uses midpoint-Magnus steps, each applied
-to the state as a truncated Taylor series of matrix-vector products, split
-into substeps of bounded norm (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)). Each series stops once its terms fall below double-precision
+Hamiltonian's coefficients. H is a fixed combination of six operators: the
+real p^2, x^2, x and I with coefficients 1/2m, m w^2/2, a_x, a_0, and the
+imaginary parts of p and xp + px with a_p, a_xp, used only at steps where
+either is nonzero. Propagation uses midpoint-Magnus steps. A run first lays
+out its whole step schedule and evaluates each coefficient once over all
+midpoints, then builds H for a bounded chunk of steps at a time with one
+matrix product. Each step is applied to the state as a truncated Taylor
+series of matrix-vector products, split into substeps of bounded norm
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); the substep count
+comes from the bound sum_k |c_k| ||O_k||_1 on ||H||_1, with the operator
+norms taken once per run, and a step whose bound is not finite or asks for
+more than MAX_SUBSTEPS substeps aborts the run. A real H stays real and
+acts on the float view of the state, so one real product serves both of
+its parts. Each series stops once its terms fall below double-precision
 round-off, so the evolution is unitary only to that level: the norm is
 checked at every sample and a drift beyond NORM_DRIFT_ABORT aborts the
 run. Truncation is policed by watching the population of the top decile of
@@ -31,11 +41,19 @@ TRUNCATION_ALARM = 1e-8
 NORM_DRIFT_ABORT = 1e-6
 TAIL_MASS_WARN = 1e-12
 # Taylor stepping: substeps of 1-norm at most TAYLOR_THETA; a series ends at
-# the first term whose squared norm is below TAYLOR_TERM_TOL_SQ (an absolute
-# 1e-16 on a normalised state) and must do so within TAYLOR_MAX_TERMS terms.
+# the first term from the TAYLOR_CHECK_FROM-th on whose squared norm is below
+# TAYLOR_TERM_TOL_SQ (an absolute 1e-16 on a normalised state) and must do so
+# within TAYLOR_MAX_TERMS terms.
 TAYLOR_THETA = 2.0
 TAYLOR_TERM_TOL_SQ = 1e-32
 TAYLOR_MAX_TERMS = 40
+TAYLOR_CHECK_FROM = 4
+# A step whose norm bound asks for more substeps than this aborts the run: a
+# finite but runaway Hamiltonian would otherwise step for hours.
+MAX_SUBSTEPS = 500
+# Hamiltonians are built this many doubles' worth of steps at a time (1 MiB
+# real), so memory does not grow with the number of steps or with n.
+HAMILTONIAN_CHUNK_DOUBLES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -74,32 +92,52 @@ def build_operators(n, m_ref, omega_ref, hbar=1.0):
                          m_ref=m_ref, omega_ref=omega_ref, hbar=hbar)
 
 
+def _operator_stack(ops):
+    """Fixed operators of H, flattened: the real stack (p2, x2, x, I), the
+    imaginary parts of (p, xp_anti), and the 1-norms of all six.
+
+    The matching coefficients are _coefficients' columns, so H at one time is
+    ``real_coef @ real + 1j * imag_coef @ imag``; p and xp_anti are purely
+    imaginary, and x, x2 and p2 purely real.
+    """
+    real = np.stack([ops.p2, ops.x2, ops.x, np.eye(ops.n)])
+    imag = np.stack([ops.p.imag, ops.xp_anti.imag])
+    norms = np.abs(np.concatenate([real, imag])).sum(axis=1).max(axis=1)
+    return real.reshape(4, -1), imag.reshape(2, -1), norms
+
+
+def _coefficients(params, ts):
+    """(len(ts), 6) coefficients (1/2m, m w^2/2, a_x, a_0, a_p, a_xp) of the
+    _operator_stack operators at the times ts; non-finite values pass
+    through silently for the caller to report."""
+    with np.errstate(all="ignore"):
+        m = params.m.value(ts)
+        w = params.omega.value(ts)
+        return np.column_stack([1.0 / (2.0 * m), 0.5 * m * w * w,
+                                params.alpha_x.value(ts), params.alpha_0.value(ts),
+                                params.alpha_p.value(ts), params.alpha_xp.value(ts)])
+
+
+def _hamiltonians(coef, real, imag, n):
+    """H for each row of coef: a real (rows, n, n) stack, and a complex one
+    when some row has a momentum drive or cross term, else None."""
+    h = (coef[:, :4] @ real).reshape(-1, n, n)
+    if not coef[:, 4:].any():
+        return h, None
+    return h, h + 1j * (coef[:, 4:] @ imag).reshape(-1, n, n)
+
+
 def hamiltonian_matrix(params, ops, t):
-    """Hamiltonian at time t in the truncated basis.
+    """Hamiltonian at time t in the truncated basis, built as propagate_state
+    builds it for a step.
 
     Returns a real symmetric matrix whenever the momentum drive and the
     cross term vanish at t (x, x^2, p^2 all have real matrix elements), and
-    a complex Hermitian one otherwise; the real case is cheaper to build
-    and to take the norm of.
+    a complex Hermitian one otherwise.
     """
-    m = params.m.value(t)
-    w = params.omega.value(t)
-    h = ops.p2 / (2.0 * m) + 0.5 * m * w * w * ops.x2
-    ax = params.alpha_x.value(t)
-    if ax:
-        h = h + ax * ops.x
-    a0 = params.alpha_0.value(t)
-    if a0:
-        h = h + a0 * np.eye(ops.n)
-    ap = params.alpha_p.value(t)
-    axp = params.alpha_xp.value(t)
-    if ap or axp:
-        h = h.astype(complex)
-        if ap:
-            h += ap * ops.p
-        if axp:
-            h += axp * ops.xp_anti
-    return h
+    real, imag, _ = _operator_stack(ops)
+    h, hc = _hamiltonians(_coefficients(params, np.array([float(t)])), real, imag, ops.n)
+    return (h if hc is None else hc)[0]
 
 
 def ground_state(ops):
@@ -156,50 +194,69 @@ class OracleRun:
     max_top_population: float
     reliable: bool
     max_norm_drift: float       # worst |norm - 1| over the samples
+    steps: int                  # midpoint steps over the whole run
     matvecs: int                # matrix-vector products over the whole run
 
 
-def _taylor_step(hmat, psi, h_over_hbar, t):
+def _taylor_step(hmat, psi, h_over_hbar, substeps, t):
     """exp(-i hmat h / hbar) psi and the number of matrix-vector products.
 
-    The step is split into s = ceil(||hmat h / hbar||_1 / TAYLOR_THETA)
-    equal substeps, each summed as a Taylor series in the substep matrix.
-    Raises IntegrationError naming t if a series has not converged within
-    TAYLOR_MAX_TERMS terms, which is how a non-finite state shows.
+    The step is split into ``substeps`` equal substeps, each summed as a
+    Taylor series in the substep matrix. A real hmat acts on the (n, 2) float
+    view of psi as an (n, 1) complex column, one real product for both
+    parts. Raises IntegrationError naming t if a series has not converged
+    within TAYLOR_MAX_TERMS terms, which is how a non-finite state or
+    Hamiltonian shows.
     """
-    norm = h_over_hbar * float(np.abs(hmat).sum(axis=0).max())
-    if not math.isfinite(norm):
-        raise IntegrationError(f"non-finite Hamiltonian at t={t:.6g}", t=t)
-    substeps = max(1, math.ceil(norm / TAYLOR_THETA))
-    # one complex cast per step; the factor -i h / (hbar s k) scales vectors
-    a = np.asarray(hmat, dtype=complex)
+    real = not np.iscomplexobj(hmat)
+    if real:
+        psi = psi.reshape(-1, 1)
     c = -1j * h_over_hbar / substeps
     matvecs = 0
     for _ in range(substeps):
         term = psi
         psi = psi.copy()
         for k in range(1, TAYLOR_MAX_TERMS + 1):
-            term = a.dot(term)
+            term = hmat.dot(term.view(float)).view(complex) if real else hmat.dot(term)
             term *= c / k
             psi += term
-            if np.vdot(term, term).real < TAYLOR_TERM_TOL_SQ:
+            if k >= TAYLOR_CHECK_FROM and np.vdot(term, term).real < TAYLOR_TERM_TOL_SQ:
                 break
         else:
             raise IntegrationError(
                 f"Taylor series did not converge in {TAYLOR_MAX_TERMS} terms at t={t:.6g}",
                 t=t)
         matvecs += k
-    return psi, matvecs
+    return psi.reshape(-1), matvecs
+
+
+def _schedule(ts, dt):
+    """Start times and widths of the midpoint steps, and for each sample
+    after the first the number of steps taken by the time it is reached."""
+    starts, widths, ends = [], [], []
+    t = ts[0]
+    for target in ts[1:]:
+        while t < target - 1e-15 * target:
+            h = min(dt, target - t)
+            starts.append(t)
+            widths.append(h)
+            t += h
+        t = target
+        ends.append(len(starts))
+    return np.array(starts), np.array(widths), ends
 
 
 def propagate_state(psi0, params, grid, ops, dt=None):
     """March psi with midpoint-Magnus steps and sample moments on grid.
 
-    Steps land exactly on sample times (shortened final substep per
-    segment). The run is flagged unreliable when the top-decile population
-    ever exceeds TRUNCATION_ALARM; norm drift beyond NORM_DRIFT_ABORT at
-    any sample aborts outright. Moments of all samples are taken at once
-    from the stored states.
+    Steps land exactly on sample times (shortened final step per segment).
+    A step whose substep bound is not finite or exceeds MAX_SUBSTEPS raises
+    IntegrationError naming its start time once the march reaches it, so
+    an earlier sample's norm drift is reported first. The run is flagged
+    unreliable when the top-decile population ever exceeds
+    TRUNCATION_ALARM; norm drift beyond NORM_DRIFT_ABORT at any sample
+    aborts outright. Moments of all samples are taken at once from the
+    stored states.
     """
     if ops.n > MAX_N:
         raise DomainError(f"basis size {ops.n} exceeds the supported {MAX_N}")
@@ -231,19 +288,33 @@ def propagate_state(psi0, params, grid, ops, dt=None):
                 f"norm drift {abs(norms[j] - 1.0):.3e} exceeds {NORM_DRIFT_ABORT:.0e} "
                 f"at t={t:.6g}", t=t)
 
+    starts, widths, ends = _schedule(ts.tolist(), dt)
+    coef = _coefficients(params, starts + 0.5 * widths)
+    real, imag, op_norms = _operator_stack(ops)
+    with np.errstate(all="ignore"):
+        substeps = np.ceil(widths / hbar * (np.abs(coef) @ op_norms) / TAYLOR_THETA).tolist()
+    h_over_hbar = (widths / hbar).tolist()
+    complex_step = (coef[:, 4:] != 0.0).any(axis=1).tolist()
+    starts = starts.tolist()
+    chunk = max(1, HAMILTONIAN_CHUNK_DOUBLES // ops.n ** 2)
+
     record(0, ts[0])
-    t = ts[0]
     matvecs = 0
-    for j in range(1, len(ts)):
-        target = ts[j]
-        while t < target - 1e-15 * target:
-            h = min(dt, target - t)
-            psi, k = _taylor_step(hamiltonian_matrix(params, ops, t + 0.5 * h),
-                                  psi, h / hbar, t)
+    begin = 0
+    for j, end in enumerate(ends, start=1):
+        for i in range(begin, end):
+            if i % chunk == 0:
+                hs, hcs = _hamiltonians(coef[i:i + chunk], real, imag, ops.n)
+            s = substeps[i]
+            if not s <= MAX_SUBSTEPS:
+                what = "non-finite Hamiltonian" if not math.isfinite(s) else \
+                    f"Hamiltonian norm bound asks for {s:.3g} substeps (at most {MAX_SUBSTEPS})"
+                raise IntegrationError(f"{what} at t={starts[i]:.6g}", t=starts[i])
+            hmat = hcs[i % chunk] if complex_step[i] else hs[i % chunk]
+            psi, k = _taylor_step(hmat, psi, h_over_hbar[i], max(1, int(s)), starts[i])
             matvecs += k
-            t += h
-        t = target
-        record(j, t)
+        begin = end
+        record(j, ts[j])
 
     moments = moment_series(ts, *_expectations(states / norms, ops))
     max_top = float(tops.max())
@@ -251,4 +322,4 @@ def propagate_state(psi0, params, grid, ops, dt=None):
                      top_populations=tops, max_top_population=max_top,
                      reliable=max_top <= TRUNCATION_ALARM,
                      max_norm_drift=float(np.max(np.abs(norms - 1.0))),
-                     matvecs=matvecs)
+                     steps=len(starts), matvecs=matvecs)

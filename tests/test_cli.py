@@ -241,6 +241,16 @@ def test_non_finite_kernel_exits_with_validity_error(tmp_path, capsys, monkeypat
     assert err.startswith("validity error: non-finite") and "at t=1." in err
 
 
+def test_oracle_on_runaway_hamiltonian_exits_with_validity_error(tmp_path, capsys):
+    cfg = tmp_path / "runaway.json"
+    cfg.write_text(json.dumps({"m": {"kind": "exponential", "prefactor": 1.0, "rate": 30.0},
+                               "omega": 1.0, "horizon": 2.0}))
+    assert main(["oracle", "--config", str(cfg), "--oracle-n", "16", "--samples", "50",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validity error: Hamiltonian norm bound") and "at t=0.3" in err
+
+
 def test_readme_compare_example_passes(tmp_path, capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     line = next(ln for ln in text.splitlines() if ln.startswith("tdqho compare --scenario ck"))
@@ -385,7 +395,7 @@ def test_compare_pipeline_against_fock_basis(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "overall: PASS" in out
     assert re.search(r"^oracle: max top-decile population \S+, max norm drift \S+, "
-                     r"\d+ matvecs$", out, re.M)
+                     r"\d+ matvecs in \d+ steps$", out, re.M)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] and report["reliable"]
     names = {s["name"] for s in report["series"]}
@@ -422,8 +432,9 @@ def test_oracle_subcommand(tmp_path, capsys):
     rc = main(["oracle", "--scenario", "driven", "--horizon", str(PI),
                "--samples", "25", "--out", str(tmp_path)])
     assert rc == 0
-    drift = re.search(r"max norm drift (\S+), (\d+) matvecs$", capsys.readouterr().out, re.M)
-    assert drift and float(drift[1]) < 1e-10 and int(drift[2]) > 0
+    drift = re.search(r"max norm drift (\S+), (\d+) matvecs in (\d+) steps$",
+                      capsys.readouterr().out, re.M)
+    assert drift and float(drift[1]) < 1e-10 and int(drift[2]) >= 4 * int(drift[3]) > 0
     header, data = read_csv(tmp_path / "oracle.csv")
     assert header[-2:] == ["norm", "top_population"]
     assert np.max(np.abs(data[:, header.index("norm")] - 1.0)) < 1e-10

@@ -1,5 +1,6 @@
 import ast
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import scipy.linalg
 import tdqho.oracle
 from tdqho.errors import DomainError, IntegrationError
 from tdqho.model import QuadraticParams
-from tdqho.oracle import (MAX_N, TAYLOR_MAX_TERMS, _taylor_step, build_operators,
-                          coherent_state, ground_state, hamiltonian_matrix,
-                          moments_from_state, propagate_state)
+from tdqho.oracle import (MAX_N, TAYLOR_MAX_TERMS, TAYLOR_THETA, _taylor_step,
+                          build_operators, coherent_state, ground_state,
+                          hamiltonian_matrix, moments_from_state, propagate_state)
 from tdqho.scenarios import DrivenSpec
 
 
@@ -183,61 +184,121 @@ def test_grid_without_origin_is_prepended():
 # -- Taylor stepping -----------------------------------------------------------
 
 
-def _complex_hamiltonian(n, hbar):
-    params = QuadraticParams.from_dict({
+def _hamiltonian_params(hbar, momentum=True):
+    """All six coefficients, or no momentum drive and cross term (a real H)."""
+    return QuadraticParams.from_dict({
         "m": {"kind": "exponential", "prefactor": 1.1, "rate": 0.05},
-        "omega": 0.9, "alpha_x": 0.2, "alpha_p": -0.15, "alpha_xp": 0.07,
-        "alpha_0": 0.3, "hbar": hbar, "horizon": 2.0})
+        "omega": 0.9, "alpha_x": 0.2, "alpha_p": -0.15 if momentum else 0.0,
+        "alpha_xp": 0.07 if momentum else 0.0, "alpha_0": 0.3, "hbar": hbar,
+        "horizon": 2.0})
+
+
+def _hamiltonian(n, hbar, momentum=True):
     ops = build_operators(n, 1.1, 0.9, hbar)
-    return hamiltonian_matrix(params, ops, 0.4), ops
+    return hamiltonian_matrix(_hamiltonian_params(hbar, momentum), ops, 0.4), ops
+
+
+def _substeps(hmat, h_over_hbar):
+    return max(1, math.ceil(np.abs(hmat * h_over_hbar).sum(axis=0).max() / TAYLOR_THETA))
 
 
 @pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("h, split", [(3e-3, False), (0.5, True)])
-def test_taylor_step_matches_expm(n, h, split):
+@pytest.mark.parametrize("h, split, momentum", [
+    pytest.param(3e-3, False, True, id="0.003-False"),
+    pytest.param(0.5, True, True, id="0.5-True"),
+    pytest.param(3e-3, False, False, id="0.003-False-real"),
+    pytest.param(0.5, True, False, id="0.5-True-real")])
+def test_taylor_step_matches_expm(n, h, split, momentum):
     hbar = 0.7
-    hmat, ops = _complex_hamiltonian(n, hbar)
-    assert np.iscomplexobj(hmat)
+    hmat, ops = _hamiltonian(n, hbar, momentum)
+    assert np.iscomplexobj(hmat) is momentum
     psi = coherent_state(ops, 0.8 - 0.5j)
-    got, matvecs = _taylor_step(hmat, psi, h / hbar, 0.4)
+    substeps = _substeps(hmat, h / hbar)
+    got, matvecs = _taylor_step(hmat, psi, h / hbar, substeps, 0.4)
+    assert got.shape == psi.shape
     ref = scipy.linalg.expm(-1j * hmat * h / hbar) @ psi
     assert np.max(np.abs(got - ref)) < 1e-13
-    norm = np.abs(hmat * h / hbar).sum(axis=0).max()
     if split:
         # ||H h / hbar||_1 >> 1: substeps take more products than one series may
-        assert norm > 10.0 and matvecs > TAYLOR_MAX_TERMS
+        assert substeps > 5 and matvecs > TAYLOR_MAX_TERMS
     else:
-        assert norm < 2.0
+        assert substeps == 1
 
 
 @pytest.mark.parametrize("where", ["state", "hamiltonian"])
 def test_taylor_step_names_time_of_non_finite_input(where):
-    hmat, ops = _complex_hamiltonian(16, 1.0)
+    hmat, ops = _hamiltonian(16, 1.0)
     psi = ground_state(ops)
     if where == "state":
         psi[3] = np.nan
     else:
         hmat[2, 3] = np.inf
     with pytest.raises(IntegrationError, match="t=1.25") as exc:
-        _taylor_step(hmat, psi, 1e-3, 1.25)
+        _taylor_step(hmat, psi, 1e-3, 1, 1.25)
     assert exc.value.t == 1.25
 
 
-def test_criterion_1_run_averages_at_most_8_matvecs_per_step(monkeypatch):
+@pytest.mark.parametrize("momentum", [True, False], ids=["complex", "real"])
+def test_hamiltonian_matrix_is_the_stepped_hamiltonian(monkeypatch, momentum):
+    params = _hamiltonian_params(1.0, momentum)
+    ops = build_operators(32, 1.1, 0.9)
+    stepped = []
+
+    def capture(hmat, psi, h_over_hbar, substeps, t):
+        stepped.append((hmat.copy(), t + 0.5 * h_over_hbar))  # hbar = 1
+        return _taylor_step(hmat, psi, h_over_hbar, substeps, t)
+
+    monkeypatch.setattr(tdqho.oracle, "_taylor_step", capture)
+    propagate_state(ground_state(ops), params, np.linspace(0.0, 0.5, 3), ops, dt=0.01)
+    assert len(stepped) == 50
+    for hmat, t in stepped:
+        single = hamiltonian_matrix(params, ops, t)
+        assert np.iscomplexobj(hmat) is momentum and np.iscomplexobj(single) is momentum
+        assert np.max(np.abs(hmat - single)) <= 1e-14 * np.max(np.abs(single))
+    # the operator sum written out, at the last midpoint
+    m, w = 1.1 * math.exp(0.05 * t), 0.9
+    explicit = (ops.p2 / (2.0 * m) + 0.5 * m * w * w * ops.x2 + 0.2 * ops.x
+                + 0.3 * np.eye(ops.n))
+    if momentum:
+        explicit = explicit - 0.15 * ops.p + 0.07 * ops.xp_anti
+    assert np.max(np.abs(single - explicit)) < 1e-13
+
+
+def _runaway_params():
+    # m = exp(30 t) reaches 1e26 by t = 2: finite, but its norm asks for about
+    # 1e11 substeps at the end
+    return QuadraticParams.from_dict({
+        "m": {"kind": "exponential", "prefactor": 1.0, "rate": 30.0},
+        "omega": 1.0, "horizon": 2.0})
+
+
+def test_runaway_hamiltonian_fails_fast_naming_the_step():
+    ops = build_operators(16, 1.0, 1.0)
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrationError, match=r"substeps .* at t=0\.3") as exc:
+        propagate_state(ground_state(ops), _runaway_params(), np.linspace(0.0, 2.0, 50), ops)
+    assert time.perf_counter() - t0 < 1.0
+    assert 0.3 < exc.value.t < 0.4
+
+
+def test_norm_drift_before_a_runaway_step_is_reported_first(monkeypatch):
+    def leaky(hmat, psi, h_over_hbar, substeps, t):
+        return 1.01 * psi, 1
+
+    monkeypatch.setattr(tdqho.oracle, "_taylor_step", leaky)
+    ops = build_operators(16, 1.0, 1.0)
+    with pytest.raises(IntegrationError, match="norm drift .* at t=0.04"):
+        propagate_state(ground_state(ops), _runaway_params(), np.linspace(0.0, 2.0, 51), ops)
+
+
+def test_criterion_1_run_averages_at_most_8_matvecs_per_step():
     params = driven_params(horizon=6.0 * 2.0 * math.pi)
     ops = build_operators(64, 1.0, 1.0)
-    steps = []
-
-    def counted(*args):
-        steps.append(None)
-        return hamiltonian_matrix(*args)
-
-    monkeypatch.setattr(tdqho.oracle, "hamiltonian_matrix", counted)
     grid = np.linspace(0.0, params.horizon, 2000)
     run = propagate_state(ground_state(ops), params, grid, ops,
                           dt=5e-4 * 2.0 * math.pi)
-    assert len(steps) > 10_000
-    assert run.matvecs <= 8 * len(steps)
+    assert run.steps > 10_000
+    assert run.matvecs <= 8 * run.steps
 
 
 def test_oracle_imports_nothing_from_the_analytic_path():
