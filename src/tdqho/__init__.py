@@ -3,9 +3,9 @@
 The package splits into model description (``model``, ``timefunc``), the
 static diagonalization layer (``staticdiag``), the dynamic pipeline built on
 an auxiliary-equation reduction (``pipeline``), closed-form benchmark
-scenarios (``scenarios``), a truncated number-basis cross-check
-(``oracle``), and Runge-Kutta integrators (``integrators``) that the
-pipeline no longer uses and the tests keep as references.
+scenarios (``scenarios``), and a truncated number-basis cross-check
+(``oracle``). ``integrators`` only keeps two names that the benchmark's
+tracer patches.
 """
 
 from .errors import (ConfigError, DomainError, IntegrationError,

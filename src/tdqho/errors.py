@@ -29,9 +29,9 @@ class SingularityError(TdqhoError):
 
 
 class IntegrationError(TdqhoError):
-    """ODE solve failed: a non-finite coefficient, propagator or state, a
-    step size that underflows or a step sequence that does not settle.
-    Carries the offending time."""
+    """ODE solve failed: a non-finite coefficient, propagator or state, or a
+    step sequence that is too long or does not settle. Carries the offending
+    time."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

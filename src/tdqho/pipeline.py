@@ -17,8 +17,8 @@ parameters, not on the sample grid; a sample, on the grid or off it, is one
 batched partial step from its left step edge. The map is built as a product
 of five 2x2 conjugation matrices (scaling, basis rotation, shear-scale,
 phase rotation, inverse basis rotation), which keeps AE - BD = 1 to machine
-precision by construction. The solve uses numpy alone (``tdqho.integrators``
-is not on this path), so its digits do not depend on the scipy version.
+precision by construction. The solve uses numpy alone, so its digits do not
+depend on the scipy version.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 from .errors import DomainError, IntegrationError, ValidityError
 # not used here; perfbench/tracing.py patches this name
 from .integrators import integrate_adaptive  # noqa: F401
-from .model import (MomentTrajectory, PropagatorCoefficients, _EffectiveOscillator,
-                    propagate_moments, validate)
+from .model import (_COEFF_KEYS, MomentTrajectory, PropagatorCoefficients,
+                    _EffectiveOscillator, propagate_moments, validate)
 from .staticdiag import StaticParams, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -219,9 +219,12 @@ class _AuxiliaryFlow:
     the states at the step edges, and one batched partial step from the left
     edge to any time (what a dense output is to a Runge-Kutta solve).
 
-    The first steps are uniform and advance the t = 0 effective phase by
-    _FIRST_ROTATION; steps are split, a priori, where |Omega6 - Omega4|
-    exceeds MAGNUS_TOL or an Ermakov step turns by more than _MAX_ROTATION.
+    The first steps advance the t = 0 effective phase by _FIRST_ROTATION,
+    uniform between the kinks of the coefficients (the knots of order-1
+    tables), so that no step straddles a kink: the order-6 formula assumes
+    a smooth generator, and a kink inside a step costs it about 1e-5 on the
+    map. Steps are split, a priori, where |Omega6 - Omega4| exceeds
+    MAGNUS_TOL or an Ermakov step turns by more than _MAX_ROTATION.
     A ValidityError names the earliest Gauss node where w + kappa or
     w^2 - kappa^2 is not positive; a non-finite generator, propagator or
     state is an IntegrationError at the earliest time it appears.
@@ -230,10 +233,13 @@ class _AuxiliaryFlow:
     def __init__(self, oscillator, horizon, start, rho0, nu0):
         self.oscillator = oscillator
         self.start = start
-        # the first steps split [0, T] uniformly; each later round splits
-        # the steps the estimate flags
-        edges = np.array([0.0, horizon])
-        split = np.array([max(1, math.ceil(horizon * nu0 / _FIRST_ROTATION))])
+        # the first steps split [0, T] uniformly between kinks; each later
+        # round splits the steps the estimate flags
+        params = oscillator.params
+        edges = np.array(sorted({0.0, horizon, *(t for key in _COEFF_KEYS
+                                                 for t in getattr(params, key).kinks
+                                                 if 0.0 < t < horizon)}))
+        split = np.maximum(1.0, np.ceil(np.diff(edges) * nu0 / _FIRST_ROTATION))
         for _ in range(_MAX_REFINEMENTS + 1):
             if split.sum() > _MAX_STEPS:
                 raise IntegrationError(f"more than {_MAX_STEPS} Magnus steps",
@@ -357,7 +363,6 @@ class BetaSolution:
     beta_x: np.ndarray
     beta_x_dot: np.ndarray
     beta_p: np.ndarray
-    _params: object
     _flow: object
 
     def at(self, t):
@@ -368,7 +373,7 @@ class BetaSolution:
 
     def constraint_residual(self):
         """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid."""
-        p = self._params
+        p = self._flow.oscillator.params
         ts = self.times
         predicted = p.m.value(ts) * (-self.beta_x_dot
                                      + 2.0 * p.alpha_xp.value(ts) * self.beta_x
@@ -427,7 +432,7 @@ def _solve_auxiliary(params, grid):
     flow = _AuxiliaryFlow(oscillator, p.horizon, (bx0, bxd0), 1.0 / math.sqrt(m5[0] * w5), w5)
     (bx, bxd, rho, rho_dot, phi, x), _ = flow.at(grid, kernel, lam=False)
     beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
-                        beta_p=_beta_p(m, axp, ap, bx, bxd), _params=p, _flow=flow)
+                        beta_p=_beta_p(m, axp, ap, bx, bxd), _flow=flow)
     ermakov = ErmakovSolution(times=grid, rho=rho, rho_dot=rho_dot, Phi=phi, X=x, _flow=flow)
     return beta, ermakov, kernel
 
@@ -448,15 +453,9 @@ def solve_ermakov(params, grid=None):
 # -- propagator coefficients ------------------------------------------------
 
 
-def _mat_mul(p, q):
-    # 2x2 blocks with array entries
-    return [[p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]],
-            [p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]]]
-
-
 def _rot(theta, metric):
     c, s = np.cos(theta), np.sin(theta)
-    return [[c, s / metric], [-metric * s, c]]
+    return (c, s / metric, -metric * s, c, 0.0, 0.0)
 
 
 def _assemble(params, eta0, rho0, start, kernel, states, ts, scalar=False):
@@ -473,13 +472,14 @@ def _assemble(params, eta0, rho0, start, kernel, states, ts, scalar=False):
     g = np.sqrt(eta0 / (m * w))
     ones = np.ones_like(ts)
 
-    a_d = [[g, 0.0 * ones], [0.0 * ones, 1.0 / g]]
+    # 6-tuples with zero translation, so that _compose multiplies them
+    a_d = (g, 0.0, 0.0, 1.0 / g, 0.0, 0.0)
     a_e = _rot(math.pi / 4.0, eta0)
-    a_f = [[rho / rho0, 0.0 * ones], [m5 * rho_dot / rho0, rho0 / rho]]
+    a_f = (rho / rho0, 0.0, m5 * rho_dot / rho0, rho0 / rho, 0.0, 0.0)
     a_7 = _rot(phi, 1.0 / rho0 ** 2)
     a_e_inv = _rot(-math.pi / 4.0, eta0)
 
-    mat = _mat_mul(a_d, _mat_mul(a_e, _mat_mul(a_f, _mat_mul(a_7, a_e_inv))))
+    a, b, d, e, _, _ = _compose(a_d, _compose(a_e, _compose(a_f, _compose(a_7, a_e_inv))))
 
     def out(v):
         v = np.asarray(v, dtype=float) + 0.0 * ones
@@ -487,8 +487,7 @@ def _assemble(params, eta0, rho0, start, kernel, states, ts, scalar=False):
 
     bx0, bxd0 = start
     return PropagatorCoefficients(
-        t=out(ts), A=out(mat[0][0]), B=out(mat[0][1]),
-        D=out(mat[1][0]), E=out(mat[1][1]),
+        t=out(ts), A=out(a), B=out(b), D=out(d), E=out(e),
         beta_x_t=out(bx_t), beta_p_t=out(_beta_p(m, axp, ap, bx_t, bxd_t)),
         beta_x_0=float(bx0), beta_p_0=float(_beta_p_at(params, 0.0, bx0, bxd0)))
 
@@ -568,9 +567,9 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
     validate(params).raise_if_invalid()
     grid = default_grid(params, n_samples)
     beta, ermakov, kernel = _solve_auxiliary(params, grid)
+    flow = beta._flow
     # from the solve's own samples and kernel tuple: no second pass on the grid
-    coeffs = _assemble(params, _EffectiveOscillator(params).eta0, ermakov.rho0,
-                       beta._flow.start, kernel,
+    coeffs = _assemble(params, flow.oscillator.eta0, ermakov.rho0, flow.start, kernel,
                        (beta.beta_x, beta.beta_x_dot, ermakov.rho, ermakov.rho_dot,
                         ermakov.Phi), grid)
     return PipelineSolution(params=params, grid=grid, beta=beta,

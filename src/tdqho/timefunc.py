@@ -45,12 +45,14 @@ def parse_numbers(value, key):
 class TimeFunction:
     """Base class. Each kind implements ``jet(t)``, returning (value, first
     derivative, second derivative): with ``math`` for a float t (Python float
-    or numpy float64, as the integrator passes), else with numpy after an
-    ``np.ndim`` dispatch, giving scalars for any other scalar t and arrays for
-    an array t. ``value``, ``derivative`` and ``second_derivative`` are
-    derived from ``jet``."""
+    or numpy float64, as the pipeline's scalar calls pass), else with numpy
+    after an ``np.ndim`` dispatch, giving scalars for any other scalar t and
+    arrays for an array t. ``value``, ``derivative`` and
+    ``second_derivative`` are derived from ``jet``."""
 
     kind = "abstract"
+    # times where the first derivative jumps
+    kinks = ()
 
     def jet(self, t):
         raise NotImplementedError
@@ -218,6 +220,10 @@ class Tabulated(TimeFunction):
         object.__setattr__(self, "values", tuple(v))
         object.__setattr__(self, "_fit", CubicSpline(g, v) if self.order == 3
                            else (g, v, np.diff(v) / np.diff(g)))
+
+    @property
+    def kinks(self):
+        return self.grid if self.order == 1 else ()
 
     def check_domain(self, horizon):
         if self.grid[0] > 0.0 or self.grid[-1] < horizon:

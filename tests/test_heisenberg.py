@@ -98,3 +98,25 @@ def test_phase_increases_strictly_on_criterion_5_sets():
         sol = solve(params, n_samples=2000)
         assert np.all(np.diff(sol.ermakov.Phi) > 0.0)
         assert np.all(np.diff(sol.beta._flow.states[6]) > 0.0)
+
+
+ORDER_1_PROFILES = {
+    "m": lambda t: 1.0 + 0.2 * np.sin(0.4 * t),
+    "omega": lambda t: 1.1 + 0.15 * np.cos(0.5 * t + 0.3),
+    "alpha_x": lambda t: 0.1 * np.cos(0.7 * t),
+    "alpha_p": lambda t: 0.05 * np.cos(0.45 * t + 0.2),
+    "alpha_xp": lambda t: 0.04 * np.cos(0.3 * t),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ORDER_1_PROFILES))
+def test_order_1_tables_match_heisenberg_flow(key):
+    # a piecewise-linear profile has a kink at every knot; a Magnus step
+    # across one is off by about 1e-5 on the map, so the knots are step edges
+    knots = np.linspace(0.0, 10.0, 11)
+    params = QuadraticParams.from_dict({
+        "m": 1.0, "omega": 1.1, "horizon": 10.0,
+        key: {"kind": "tabulated", "grid": list(knots),
+              "values": list(ORDER_1_PROFILES[key](knots)), "order": 1}})
+    edges = _check_against_heisenberg(params, 400).beta._flow.edges
+    assert np.isin(knots, edges).all()

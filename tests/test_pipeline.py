@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from tdqho.errors import DomainError, IntegrationError, SingularityError, ValidityError
-from tdqho.integrators import OdeSystem, integrate_adaptive
 from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
                          _EffectiveOscillator, effective_m5_omega5,
                          ground_moments, validate)
@@ -145,10 +145,11 @@ def classical_moment_reference(params, init, grid):
             -m * w2 * vx + vp / m,
         ])
 
-    system = OdeSystem(n=5, f=rhs, t_end=params.horizon)
     y0 = (init.mean_x, init.mean_p, init.var_x, init.var_p, init.cov_xp)
-    return integrate_adaptive(system, y0, rel_tol=1e-12, abs_tol=1e-14,
-                              sample_times=grid)
+    ref = solve_ivp(rhs, (0.0, params.horizon), y0, method="DOP853",
+                    t_eval=grid, rtol=1e-12, atol=1e-14)
+    assert ref.success, ref.message
+    return ref.y
 
 
 def test_generic_case_matches_direct_integration(generic_solution):
@@ -156,11 +157,11 @@ def test_generic_case_matches_direct_integration(generic_solution):
     init = MomentState(0.0, 0.4, -0.3, 0.7, 0.5, 0.2)
     mt = generic_solution.moments(init)
     ref = classical_moment_reference(params, init, generic_solution.grid)
-    assert np.max(np.abs(mt.mean_x - ref.states[0])) < 1e-10
-    assert np.max(np.abs(mt.mean_p - ref.states[1])) < 1e-10
-    assert np.max(np.abs(mt.var_x - ref.states[2])) < 1e-10
-    assert np.max(np.abs(mt.var_p - ref.states[3])) < 1e-10
-    assert np.max(np.abs(mt.cov_xp - ref.states[4])) < 1e-10
+    assert np.max(np.abs(mt.mean_x - ref[0])) < 1e-10
+    assert np.max(np.abs(mt.mean_p - ref[1])) < 1e-10
+    assert np.max(np.abs(mt.var_x - ref[2])) < 1e-10
+    assert np.max(np.abs(mt.var_p - ref[3])) < 1e-10
+    assert np.max(np.abs(mt.cov_xp - ref[4])) < 1e-10
 
 
 def test_uncertainty_product_preserved_for_pure_state(generic_solution):
@@ -191,11 +192,10 @@ def test_invariant_constant_along_effective_trajectories(generic_solution):
 
     ts = np.linspace(0.0, params.horizon, 160)
     for x0, p0 in ((1.0, 0.0), (0.3, -0.8), (-0.5, 0.4)):
-        traj = integrate_adaptive(OdeSystem(n=2, f=rhs, t_end=params.horizon),
-                                  (x0, p0), rel_tol=1e-12, abs_tol=1e-14,
-                                  sample_times=ts)
-        inv = lewis_invariant(params, generic_solution, traj.times,
-                              traj.states[0], traj.states[1])
+        traj = solve_ivp(rhs, (0.0, params.horizon), (x0, p0), method="DOP853",
+                         t_eval=ts, rtol=1e-12, atol=1e-14)
+        assert traj.success, traj.message
+        inv = lewis_invariant(params, generic_solution, traj.t, traj.y[0], traj.y[1])
         assert np.max(np.abs(inv - inv[0])) < 1e-8 * max(inv[0], 1.0)
 
 

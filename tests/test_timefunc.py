@@ -143,8 +143,8 @@ def _same_bits(a, b):
             and a_arr.shape == b_arr.shape and a_arr.tobytes() == b_arr.tobytes())
 
 
-# the integrator passes float or numpy float64; any other time goes through
-# the np.ndim dispatch
+# scalar calls pass float or numpy float64; any other time goes through the
+# np.ndim dispatch
 TIME_STRATEGIES = {
     "float": _floats(-10.0, 10.0),
     "float64": _floats(-10.0, 10.0).map(np.float64),
