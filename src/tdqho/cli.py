@@ -252,20 +252,21 @@ class ComparisonReport:
 
 
 def compare_series(times, ref, other, threshold, reliable=True):
-    """Pointwise comparison with a floor tied to the quantum scales.
+    """Pointwise comparison of two moment trajectories on ``times`` with a
+    floor tied to the quantum scales.
 
     Each series s gets denom_t = |ref_t| + 0.01*max(amplitude_s, floor_s)
     where floor_s is built from the reference standard deviations, so
     identically-zero series (means of an undriven symmetric state) do not
     divide noise by noise.
     """
-    sx = math.sqrt(max(float(np.max(ref["var_x"])), 0.0))
-    sp = math.sqrt(max(float(np.max(ref["var_p"])), 0.0))
+    sx = math.sqrt(max(float(np.max(ref.var_x)), 0.0))
+    sp = math.sqrt(max(float(np.max(ref.var_p)), 0.0))
     floors = {"mean_x": sx, "mean_p": sp, "var_x": sx * sx, "var_p": sp * sp,
               "cov_xp": sx * sp}
     reports = []
     for name in COMPARE_SERIES:
-        a, b = np.asarray(ref[name]), np.asarray(other[name])
+        a, b = np.asarray(getattr(ref, name)), np.asarray(getattr(other, name))
         amp = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
         scale = max(amp, floors[name])
         denom = np.abs(a) + 0.01 * scale if scale > 0.0 else np.ones_like(a)
@@ -277,11 +278,6 @@ def compare_series(times, ref, other, threshold, reliable=True):
             passed=bool(rel[i] <= threshold)))
     return ComparisonReport(series=tuple(reports), threshold=threshold,
                             reliable=reliable)
-
-
-def _trajectory_dict(mt):
-    return {"mean_x": mt.mean_x, "mean_p": mt.mean_p, "var_x": mt.var_x,
-            "var_p": mt.var_p, "cov_xp": mt.cov_xp}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -377,13 +373,12 @@ def cmd_compare(args):
         reliable = run.reliable
         label = "oracle"
         print(f"oracle: {_oracle_summary(run)}")
-    report = compare_series(times, _trajectory_dict(ref), _trajectory_dict(other),
-                            args.threshold, reliable)
+    report = compare_series(times, ref, other, args.threshold, reliable)
     columns = ["t"]
     data = [times]
     for name in COMPARE_SERIES:
         columns += [f"{name}_ref", f"{name}_{label}"]
-        data += [_trajectory_dict(ref)[name], _trajectory_dict(other)[name]]
+        data += [getattr(ref, name), getattr(other, name)]
     out = config.out_dir / "compare.csv"
     write_csv(out, columns, np.column_stack(data))
     # write_csv has made the directory

@@ -42,14 +42,6 @@ PIPELINE_SAMPLES = 2000
 MAGNUS_TOL = 1e-10
 
 
-def _static_at(params, t):
-    return StaticParams(
-        m=params.m.value(t), omega=params.omega.value(t),
-        alpha_x=params.alpha_x.value(t), alpha_p=params.alpha_p.value(t),
-        alpha_xp=params.alpha_xp.value(t), alpha_0=params.alpha_0.value(t),
-        hbar=params.hbar)
-
-
 def default_grid(params, n_samples=PIPELINE_SAMPLES):
     return np.linspace(0.0, params.horizon, n_samples)
 
@@ -78,10 +70,6 @@ _MAX_STEPS = 1 << 20
 
 def _beta_p(m, axp, ap, bx, bxd):
     return m * (-bxd + 2.0 * axp * bx + ap)
-
-
-def _beta_p_at(p, t, bx, bxd):
-    return _beta_p(p.m.value(t), p.alpha_xp.value(t), p.alpha_p.value(t), bx, bxd)
 
 
 def _gauss(f1, f2, f3):
@@ -216,8 +204,13 @@ def _subdivide(edges, split):
 
 class _AuxiliaryFlow:
     """The two linear auxiliary systems on [0, T] by order-6 Magnus steps:
-    the states at the step edges, and one batched partial step from the left
-    edge to any time (what a dense output is to a Runge-Kutta solve).
+    the states at the step edges, and the state at any time by one batched
+    partial step from the left edge of its step.
+
+    The start is read off the effective-oscillator tuple at t = 0
+    (``kernel0``): the displacement pair from the translation of the frozen
+    t = 0 Hamiltonian, a SingularityError if omega(0)^2 = 4 a_xp(0)^2, and
+    rho at the adiabatic 1/sqrt(m5 w5) with rho_dot = 0.
 
     The first steps advance the t = 0 effective phase by _FIRST_ROTATION,
     uniform between the kinks of the coefficients (the knots of order-1
@@ -230,12 +223,18 @@ class _AuxiliaryFlow:
     state is an IntegrationError at the earliest time it appears.
     """
 
-    def __init__(self, oscillator, horizon, start, rho0, nu0):
+    def __init__(self, oscillator, horizon, kernel0):
         self.oscillator = oscillator
-        self.start = start
+        params = oscillator.params
+        m, _, _, w, _, _, axp, _, ap, _, ax, a0, *_, m5, _, w5sq = kernel0
+        bx0, bp0 = static_translation(StaticParams(m, w, ax, ap, axp, a0, params.hbar))
+        bxd0 = 2.0 * axp * bx0 + ap - bp0 / m
+        # (beta_x, beta_p) at 0, with beta_p from the same formula as at any t
+        self.beta_0 = bx0, _beta_p(m, axp, ap, bx0, bxd0)
+        nu0 = math.sqrt(w5sq)
+        self.rho0 = rho0 = 1.0 / math.sqrt(m5 * nu0)
         # the first steps split [0, T] uniformly between kinks; each later
         # round splits the steps the estimate flags
-        params = oscillator.params
         edges = np.array(sorted({0.0, horizon, *(t for key in _COEFF_KEYS
                                                  for t in getattr(params, key).kinks
                                                  if 0.0 < t < horizon)}))
@@ -264,7 +263,7 @@ class _AuxiliaryFlow:
         # the identity at edge 0, then the running products
         p, q, r, s, v, w = _scan([np.insert(x, 0, e, axis=1)
                                   for x, e in zip(maps, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))])
-        bx0, y0 = start[0], oscillator.params.m.value(0.0) * start[1]
+        y0 = m * bxd0
         u1, u2 = rho0 * p[1], q[1] / rho0
         self.edges = edges
         # per edge: beta_x, m beta_x', the partner solutions (u, m5 u') from
@@ -412,24 +411,19 @@ def _solve_auxiliary(params, grid):
     """Solve the displacement pair and the Ermakov partner on [0, T] and
     sample them on the grid, extended by 0 and T.
 
-    Initial displacement comes from the translation of the frozen t = 0
-    Hamiltonian; a SingularityError propagates if omega(0)^2 = 4 a_xp(0)^2.
-    rho starts at the adiabatic 1/sqrt(m5 w5) with rho_dot = 0. A
+    The start comes from the kernel at t = 0 (see _AuxiliaryFlow). A
     ValidityError names the time and the constraint wherever w + kappa or
     w^2 - kappa^2 stops being positive: first on the grid, then at the Gauss
     nodes of the steps and of the partial steps to the samples. Returns
     (BetaSolution, ErmakovSolution) sharing one solution, and the
     effective-oscillator tuple on the grid.
     """
-    p = params
-    grid = np.union1d(default_grid(p) if grid is None else grid, [0.0, p.horizon])
-    bx0, bp0 = static_translation(_static_at(p, 0.0))
-    bxd0 = 2.0 * p.alpha_xp.value(0.0) * bx0 + p.alpha_p.value(0.0) - bp0 / p.m.value(0.0)
-    oscillator = _EffectiveOscillator(p)
+    grid = np.union1d(default_grid(params) if grid is None else grid, [0.0, params.horizon])
+    oscillator = _EffectiveOscillator(params)
     kernel = oscillator.at(grid)
-    m, _, _, _, _, _, axp, _, ap, *_, m5, _, w5sq = kernel
-    w5 = math.sqrt(w5sq[0])
-    flow = _AuxiliaryFlow(oscillator, p.horizon, (bx0, bxd0), 1.0 / math.sqrt(m5[0] * w5), w5)
+    m, _, _, _, _, _, axp, _, ap, *_ = kernel
+    start = np.searchsorted(grid, 0.0)
+    flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[start] for x in kernel))
     (bx, bxd, rho, rho_dot, phi, x), _ = flow.at(grid, kernel, lam=False)
     beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
                         beta_p=_beta_p(m, axp, ap, bx, bxd), _flow=flow)
@@ -458,19 +452,19 @@ def _rot(theta, metric):
     return (c, s / metric, -metric * s, c, 0.0, 0.0)
 
 
-def _assemble(params, eta0, rho0, start, kernel, states, ts, scalar=False):
-    """Propagator coefficients at the 1-d times ts (as scalars if ``scalar``),
-    from the effective-oscillator tuple and the states (beta_x, beta_x_dot,
-    rho, rho_dot, Phi) there, and the displacement pair ``start`` at 0.
+def _assemble(flow, kernel, states, t):
+    """Propagator coefficients at time(s) t, scalars for a scalar t, from the
+    effective-oscillator tuple and the states (beta_x, beta_x_dot, rho,
+    rho_dot, Phi) at the 1-d times of t, and the flow's values at 0.
 
     Product of scaling by gamma, a pi/4 rotation in the metric
     eta = m(0) w(0), the Ermakov shear-scale, the rotation by the
     accumulated phase Phi, and the inverse pi/4 rotation.
     """
+    eta0, rho0 = flow.oscillator.eta0, flow.rho0
     bx_t, bxd_t, rho, rho_dot, phi = states
     m, _, _, w, _, _, axp, _, ap, *_, m5, _, _ = kernel
     g = np.sqrt(eta0 / (m * w))
-    ones = np.ones_like(ts)
 
     # 6-tuples with zero translation, so that _compose multiplies them
     a_d = (g, 0.0, 0.0, 1.0 / g, 0.0, 0.0)
@@ -480,26 +474,17 @@ def _assemble(params, eta0, rho0, start, kernel, states, ts, scalar=False):
     a_e_inv = _rot(-math.pi / 4.0, eta0)
 
     a, b, d, e, _, _ = _compose(a_d, _compose(a_e, _compose(a_f, _compose(a_7, a_e_inv))))
-
-    def out(v):
-        v = np.asarray(v, dtype=float) + 0.0 * ones
-        return float(v[0]) if scalar else v
-
-    bx0, bxd0 = start
+    ts = np.array(t, dtype=float, ndmin=1)
     return PropagatorCoefficients(
-        t=out(ts), A=out(a), B=out(b), D=out(d), E=out(e),
-        beta_x_t=out(bx_t), beta_p_t=out(_beta_p(m, axp, ap, bx_t, bxd_t)),
-        beta_x_0=float(bx0), beta_p_0=float(_beta_p_at(params, 0.0, bx0, bxd0)))
+        *_scalar_or_array(t, (ts, a, b, d, e, bx_t, _beta_p(m, axp, ap, bx_t, bxd_t))),
+        *flow.beta_0)
 
 
 def coefficients(params, beta, ermakov, t):
     """Propagator coefficients at time(s) t, each by one partial step of the
     auxiliary solution: scalars for a scalar t, else arrays."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    flow = beta._flow
-    states, kernel = flow.at(ts, lam=False)
-    return _assemble(params, flow.oscillator.eta0, ermakov.rho0, flow.start, kernel,
-                     states[:5], ts, scalar=np.ndim(t) == 0)
+    states, kernel = beta._flow.at(t, lam=False)
+    return _assemble(beta._flow, kernel, states[:5], t)
 
 
 # -- moments ----------------------------------------------------------------
@@ -567,11 +552,9 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
     validate(params).raise_if_invalid()
     grid = default_grid(params, n_samples)
     beta, ermakov, kernel = _solve_auxiliary(params, grid)
-    flow = beta._flow
     # from the solve's own samples and kernel tuple: no second pass on the grid
-    coeffs = _assemble(params, flow.oscillator.eta0, ermakov.rho0, flow.start, kernel,
-                       (beta.beta_x, beta.beta_x_dot, ermakov.rho, ermakov.rho_dot,
-                        ermakov.Phi), grid)
+    coeffs = _assemble(beta._flow, kernel, (beta.beta_x, beta.beta_x_dot, ermakov.rho,
+                                            ermakov.rho_dot, ermakov.Phi), grid)
     return PipelineSolution(params=params, grid=grid, beta=beta,
                             ermakov=ermakov, coeffs=coeffs)
 
@@ -579,40 +562,43 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
 # -- independent residual checks --------------------------------------------
 
 
+def _five_point_residual(params, T, channel, residual):
+    """Max |residual(tt, y'', *channel(tt))| over stencil times tt in
+    [2h, T - 2h], h = T/4096, where y'' is the five-point central difference
+    of the last of ``channel(x)``'s outputs. Times whose span
+    [tt - 2h, tt + 2h] holds a kink of the coefficients (a knot of an order-1
+    table, where second derivatives jump) are left out; NaN if none is left."""
+    h = T / 4096.0
+    tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
+    kinks = np.sort([k for key in _COEFF_KEYS for k in getattr(params, key).kinks])
+    tt = tt[np.searchsorted(kinks, tt - 2 * h) == np.searchsorted(kinks, tt + 2 * h, "right")]
+    if not tt.size:
+        return math.nan
+    dd = (-channel(tt + 2 * h)[-1] + 8.0 * channel(tt + h)[-1]
+          - 8.0 * channel(tt - h)[-1] + channel(tt - 2 * h)[-1]) / (12.0 * h)
+    return float(np.abs(residual(tt, dd, *channel(tt))).max())
+
+
 def ermakov_residual(params, ermakov):
     """Max Ermakov-equation residual, with the second derivative taken by a
     five-point central difference of the integrated rho_dot channel."""
-    T = float(ermakov.times[-1])
-    h = T / 4096.0
-    tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
-    def rho_and_dot(x):
-        return ermakov._flow.at(x, lam=False)[0][2:4]
+    def residual(tt, rho_dd, rho, rho_dot):
+        *_, m5, m5_log_dot, w5sq = _EffectiveOscillator(params).at(tt)
+        return rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
 
-    rho_dd = (-rho_and_dot(tt + 2 * h)[1] + 8.0 * rho_and_dot(tt + h)[1]
-              - 8.0 * rho_and_dot(tt - h)[1] + rho_and_dot(tt - 2 * h)[1]) / (12.0 * h)
-    rho, rho_dot = rho_and_dot(tt)
-    *_, m5, m5_log_dot, w5sq = _EffectiveOscillator(params).at(tt)
-    res = rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
-    return float(np.abs(res).max())
+    return _five_point_residual(params, float(ermakov.times[-1]),
+                                lambda x: ermakov._flow.at(x, lam=False)[0][2:4], residual)
 
 
 def beta_ode_residual(params, beta):
     """Max second-order displacement-equation residual via a five-point
     central difference of the integrated beta_x_dot channel."""
-    T = float(beta.times[-1])
-    h = T / 4096.0
-    tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
-    bxdd = (-beta.at(tt + 2 * h)[1] + 8.0 * beta.at(tt + h)[1]
-            - 8.0 * beta.at(tt - h)[1] + beta.at(tt - 2 * h)[1]) / (12.0 * h)
-    bx, bxd, _ = beta.at(tt)
-    m = params.m.value(tt)
-    w = params.omega.value(tt)
-    axp = params.alpha_xp.value(tt)
-    ap = params.alpha_p.value(tt)
-    mlog = params.m.derivative(tt) / m
-    coeff = 2.0 * params.alpha_xp.derivative(tt) - w * w + 4.0 * axp * axp \
-        + 2.0 * axp * mlog
-    forcing = params.alpha_p.derivative(tt) - params.alpha_x.value(tt) / m \
-        + 2.0 * ap * axp + ap * mlog
-    res = bxdd + mlog * bxd - coeff * bx - forcing
-    return float(np.abs(res).max())
+    def residual(tt, bxdd, bx, bxd):
+        m, md, _, w, _, _, axp, axpd, ap, apd, ax, *_ = _EffectiveOscillator(params).at(tt)
+        mlog = md / m
+        coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
+        forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
+        return bxdd + mlog * bxd - coeff * bx - forcing
+
+    return _five_point_residual(params, float(beta.times[-1]), lambda x: beta.at(x)[:2],
+                                residual)

@@ -72,7 +72,7 @@ def driven_beta(spec, t):
     """Displacement pair (beta_x, beta_p) of the driven oscillator, with the
     automatic switch to the resonant limit forms."""
     m, w, od, wd = spec.m, spec.omega, spec.drive_strength, spec.drive_frequency
-    t = np.asarray(t, dtype=float) if np.ndim(t) else t
+    t = np.asarray(t, dtype=float)
     if spec.is_resonant:
         bx = -od * (2.0 * np.cos(w * t) + w * t * np.sin(w * t)) / (2.0 * m * w * w)
         bp = -od * (np.sin(w * t) - w * t * np.cos(w * t)) / (2.0 * w)
@@ -86,7 +86,7 @@ def driven_beta(spec, t):
 def driven_coefficients(spec, t):
     """(A, B, D, E) of the undriven rotation; drives only shift the means."""
     m, w = spec.m, spec.omega
-    t = np.asarray(t, dtype=float) if np.ndim(t) else t
+    t = np.asarray(t, dtype=float)
     c, s = np.cos(w * t), np.sin(w * t)
     return c, s / (m * w), -m * w * s, c
 
@@ -187,7 +187,7 @@ def ck_coefficients(spec, t):
     aux = ck_aux(spec)
     m, w, g = spec.m, spec.omega, spec.gamma
     w5, gp, gm = aux.omega5, aux.gamma_plus, aux.gamma_minus
-    t = np.asarray(t, dtype=float) if np.ndim(t) else t
+    t = np.asarray(t, dtype=float)
     c, s = np.cos(w5 * t), np.sin(w5 * t)
     down = np.exp(-g * t / 2.0)
     up = 1.0 / down
@@ -215,7 +215,7 @@ def ck_ground_variances(spec, t):
     aux = ck_aux(spec)
     w5, gp, gm = aux.omega5, aux.gamma_plus, aux.gamma_minus
     m, w, g, hbar = spec.m, spec.omega, spec.gamma, spec.hbar
-    t = np.asarray(t, dtype=float) if np.ndim(t) else t
+    t = np.asarray(t, dtype=float)
     body_x = 4.0 * np.cos(2.0 * w5 * t) + 2.0 * gm * np.sin(2.0 * w5 * t) \
         + 2.0 * gp ** 2 * np.sin(w5 * t) ** 2
     body_p = 4.0 * np.cos(2.0 * w5 * t) - 2.0 * gm * np.sin(2.0 * w5 * t) \

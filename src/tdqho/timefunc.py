@@ -44,11 +44,10 @@ def parse_numbers(value, key):
 
 class TimeFunction:
     """Base class. Each kind implements ``jet(t)``, returning (value, first
-    derivative, second derivative): with ``math`` for a float t (Python float
-    or numpy float64, as the pipeline's scalar calls pass), else with numpy
-    after an ``np.ndim`` dispatch, giving scalars for any other scalar t and
-    arrays for an array t. ``value``, ``derivative`` and
-    ``second_derivative`` are derived from ``jet``."""
+    derivative, second derivative) from one numpy expression: numpy float64
+    scalars for a scalar t and arrays of t's shape for an array t, so a
+    scalar t gives element 0 of the result for [t] bit for bit. ``value``,
+    ``derivative`` and ``second_derivative`` are derived from ``jet``."""
 
     kind = "abstract"
     # times where the first derivative jumps
@@ -96,10 +95,8 @@ class Constant(TimeFunction):
     kind = "constant"
 
     def jet(self, t):
-        if isinstance(t, float) or not np.ndim(t):
-            return self.const, 0.0, 0.0
-        t = np.asarray(t, dtype=float)
-        return self.const + np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        d1, d2 = np.zeros((2, *np.shape(t)))
+        return self.const + d1, d1, d2
 
     def to_dict(self):
         return {"kind": "constant", "value": self.const}
@@ -121,13 +118,9 @@ class Cosine(TimeFunction):
 
     def jet(self, t):
         a, w = self.amplitude, self.angular_frequency
-        if isinstance(t, float) or not np.ndim(t):
-            cos, sin = math.cos, math.sin
-        else:
-            cos, sin, t = np.cos, np.sin, np.asarray(t, dtype=float)
-        arg = w * t + self.phase
-        c = cos(arg)
-        return a * c, -a * w * sin(arg), -a * w ** 2 * c
+        arg = w * np.asarray(t, dtype=float) + self.phase
+        c = np.cos(arg)
+        return a * c, -a * w * np.sin(arg), -a * w ** 2 * c
 
     def to_dict(self):
         return {"kind": "cosine", "amplitude": self.amplitude,
@@ -151,8 +144,7 @@ class Exponential(TimeFunction):
 
     def jet(self, t):
         r = self.rate
-        v = self.prefactor * math.exp(r * t) if isinstance(t, float) or not np.ndim(t) \
-            else self.prefactor * np.exp(r * np.asarray(t, dtype=float))
+        v = self.prefactor * np.exp(r * np.asarray(t, dtype=float))
         return v, r * v, r ** 2 * v
 
     def to_dict(self):
@@ -231,14 +223,13 @@ class Tabulated(TimeFunction):
                 f"tabulated grid [{self.grid[0]}, {self.grid[-1]}] does not cover [0, {horizon}]")
 
     def jet(self, t):
+        t = np.asarray(t, dtype=float)
         if self.order == 3:
-            spline = self._fit
-            out = spline(t), spline(t, 1), spline(t, 2)
-        else:
-            g, v, slopes = self._fit
-            idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(slopes) - 1)
-            out = np.interp(t, g, v), slopes[idx], np.zeros_like(np.asarray(t, dtype=float))
-        return out if np.ndim(t) else tuple(float(x) for x in out)
+            # the spline returns 0-d arrays for a 0-d t; [()] makes them scalars
+            return tuple(self._fit(t, nu)[()] for nu in range(3))
+        g, v, slopes = self._fit
+        idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(slopes) - 1)
+        return np.interp(t, g, v), slopes[idx], np.zeros(t.shape)[()]
 
     def to_dict(self):
         return {"kind": "tabulated", "grid": list(self.grid),

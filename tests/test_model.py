@@ -160,11 +160,11 @@ def _reference_evaluators(fn, t):
     if isinstance(fn, Cosine):
         a1 = -fn.amplitude * fn.angular_frequency
         a2 = -fn.amplitude * fn.angular_frequency ** 2
-        return (fn.amplitude * math.cos(fn.angular_frequency * t + fn.phase),
-                a1 * math.sin(fn.angular_frequency * t + fn.phase),
-                a2 * math.cos(fn.angular_frequency * t + fn.phase))
+        return (fn.amplitude * np.cos(fn.angular_frequency * t + fn.phase),
+                a1 * np.sin(fn.angular_frequency * t + fn.phase),
+                a2 * np.cos(fn.angular_frequency * t + fn.phase))
     if isinstance(fn, Exponential):
-        value = fn.prefactor * math.exp(fn.rate * t)
+        value = fn.prefactor * np.exp(fn.rate * t)
         return value, fn.rate * value, fn.rate ** 2 * value
     raise TypeError(fn)
 
@@ -197,6 +197,15 @@ def test_scalar_at_matches_per_evaluator_reference_bit_for_bit():
                 assert len(got) == len(ref) == 17
                 assert [np.float64(v).tobytes() for v in got] \
                     == [np.float64(v).tobytes() for v in ref]
+
+
+def test_scalar_at_is_element_0_of_the_array_at_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(25):
+        oscillator = _EffectiveOscillator(_mixed_random_params(rng))
+        for t in rng.uniform(0.0, oscillator.params.horizon, 20):
+            assert [np.float64(v).tobytes() for v in oscillator.at(float(t))] \
+                == [v[0].tobytes() for v in oscillator.at(np.array([t]))]
 
 
 def test_scalar_at_takes_one_jet_per_coefficient(monkeypatch):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +126,30 @@ def test_residuals_on_standard_oscillator(standard_solution):
     p = standard_params()
     assert np.max(ermakov_residual(p, standard_solution.ermakov)) < 1e-8
     assert np.max(beta_ode_residual(p, standard_solution.beta)) < 1e-9
+
+
+@pytest.mark.parametrize("key, base", [("omega", 1.1), ("m", 1.0), ("alpha_x", 0.0)])
+def test_residuals_skip_stencils_across_order_1_knots(key, base):
+    # second derivatives jump at the 11 knots; a five-point stencil across
+    # one would read the jump as a residual
+    knots = np.arange(11.0)
+    table = {"kind": "tabulated", "grid": list(knots), "order": 1,
+             "values": list(base + 0.08 * np.cos(1.3 * knots + 0.4))}
+    p = standard_params(horizon=10.0, **{key: table})
+    sol = solve(p, n_samples=400)
+    assert ermakov_residual(p, sol.ermakov) < 1e-8
+    assert beta_ode_residual(p, sol.beta) < 1e-9
+
+
+def test_residuals_are_nan_when_every_stencil_crosses_a_knot():
+    # knots closer than the four-step stencil span leave no point to check
+    knots = np.linspace(0.0, 10.0, 1201)
+    p = standard_params(horizon=10.0, alpha_x={
+        "kind": "tabulated", "grid": list(knots), "order": 1,
+        "values": list(0.08 * np.cos(1.3 * knots))})
+    sol = solve(p, n_samples=100)
+    assert math.isnan(ermakov_residual(p, sol.ermakov))
+    assert math.isnan(beta_ode_residual(p, sol.beta))
 
 
 # -- generic case against direct moment integration ---------------------------
@@ -389,11 +416,13 @@ def test_overflowing_displacement_is_integration_error_at_its_time():
 
 
 def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
-    sizes = []
+    sizes, scalars = [], []
     for cls in (Constant, Cosine, Exponential, Polynomial, Tabulated):
         def counted(self, t, jet=cls.jet):
             if np.ndim(t):
                 sizes.append(np.size(t))
+            else:
+                scalars.append(t)
             return jet(self, t)
         monkeypatch.setattr(cls, "jet", counted)
     p = standard_params(horizon=10.0, alpha_x={
@@ -404,6 +433,13 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     # nodes of the partial steps to the 2000 samples
     steps = sol.beta._flow.edges.size - 1
     assert sorted(sizes) == sorted([2000] * 6 + [3 * steps] * 6 + [3 * 2000] * 6 + [4096] * 3)
+    # the only scalar jets are m(0) and omega(0) for eta0; the other t = 0
+    # values come from the kernel on the grid
+    assert scalars == [0.0, 0.0]
+    scalars.clear()
+    sol.coefficients_at(3.7)
+    sol.coefficients_at(np.array([1.0, 2.5]))
+    assert scalars == []
 
 
 # -- unit determinant over random admissible profiles ---------------------------
@@ -437,3 +473,21 @@ def test_coefficients_keep_unit_determinant_over_random_profiles(config, times):
     sol = solve(params, n_samples=200)
     for c in (sol.coeffs, sol.coefficients_at(np.array(times))):
         assert np.max(np.abs(c.A * c.E - c.B * c.D - 1.0)) < 1e-9
+
+
+# -- the README example ---------------------------------------------------------
+
+
+def test_readme_python_example_runs_and_gives_scalars_at_a_scalar_time(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    names = {}
+    exec(block, names)
+    state, coeffs = names["st"], names["c"]
+    for obj in (state, coeffs):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            assert isinstance(value, float) and np.ndim(value) == 0, f.name
+    assert coeffs.t == state.t == 13.7
+    # the example prints the determinant, which is 1
+    assert float(capsys.readouterr().out.split()[-1]) == pytest.approx(1.0, abs=1e-12)

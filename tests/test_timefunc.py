@@ -143,8 +143,8 @@ def _same_bits(a, b):
             and a_arr.shape == b_arr.shape and a_arr.tobytes() == b_arr.tobytes())
 
 
-# scalar calls pass float or numpy float64; any other time goes through the
-# np.ndim dispatch
+# every kind takes one numpy path for any time: scalars for a scalar t
+# (Python float or int, numpy float64), arrays of t's shape for an array t
 TIME_STRATEGIES = {
     "float": _floats(-10.0, 10.0),
     "float64": _floats(-10.0, 10.0).map(np.float64),
@@ -165,6 +165,16 @@ def test_jet_is_value_and_derivatives(kind, time_type, data):
     for v, evaluator in zip(jet, (fn.value, fn.derivative, fn.second_derivative)):
         assert _same_bits(v, evaluator(t))
         assert np.ndim(v) == np.ndim(t)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_STRATEGIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scalar_jet_is_element_0_of_the_array_jet(kind, data):
+    fn = data.draw(KIND_STRATEGIES[kind])
+    t = data.draw(_floats(-10.0, 10.0))
+    for v, row in zip(fn.jet(t), fn.jet(np.array([t]))):
+        assert _same_bits(v, row[0])
 
 
 @pytest.mark.parametrize("cls", [Constant, Cosine, Exponential, Polynomial, Tabulated])
