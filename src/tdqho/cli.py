@@ -83,8 +83,7 @@ def _check_samples(args):
 class RunConfig:
     params: QuadraticParams
     initial: MomentState
-    initial_kind: str          # "ground" | "coherent" | "moments"
-    coherent_amplitude: complex
+    coherent_amplitude: complex | None   # 0j for ground, None for moments
     samples: int
     out_dir: Path
     scenario: object           # DrivenSpec | CKSpec | None
@@ -98,7 +97,7 @@ def _parse_initial(text, params):
             f"m(0) = {m0:.6g} and omega(0) = {w0:.6g} must both be positive",
             t=0.0, constraint="m > 0, omega > 0")
     if text == "ground":
-        return ground_moments(m0, w0, params.hbar), "ground", 0j
+        return ground_moments(m0, w0, params.hbar), 0j
     if text.startswith("coherent:"):
         try:
             amp = complex(text[len("coherent:"):])
@@ -106,7 +105,7 @@ def _parse_initial(text, params):
             raise ConfigError(f"bad coherent amplitude in {text!r}") from None
         if not cmath.isfinite(amp):
             raise ConfigError(f"--initial: coherent amplitude must be finite, got {text!r}")
-        return coherent_moments(amp, m0, w0, params.hbar), "coherent", amp
+        return coherent_moments(amp, m0, w0, params.hbar), amp
     if text.startswith("moments:"):
         parts = text[len("moments:"):].split(",")
         if len(parts) != 5:
@@ -119,7 +118,7 @@ def _parse_initial(text, params):
             state = MomentState(0.0, x, p, vx, vp, cv).check(params.hbar)
         except ValidityError as exc:
             raise ConfigError(f"initial moments are unphysical: {exc}") from None
-        return state, "moments", 0j
+        return state, None
     raise ConfigError(f"unknown initial state {text!r}; "
                       "use ground, coherent:<amplitude>, or moments:<5 numbers>")
 
@@ -158,10 +157,9 @@ def _model(args):
 
 def build_run_config(args):
     params, scenario = _model(args)
-    initial, kind, amp = _parse_initial(args.initial, params)
-    return RunConfig(params=params, initial=initial, initial_kind=kind,
-                     coherent_amplitude=amp, samples=args.samples,
-                     out_dir=Path(args.out), scenario=scenario)
+    initial, amp = _parse_initial(args.initial, params)
+    return RunConfig(params=params, initial=initial, coherent_amplitude=amp,
+                     samples=args.samples, out_dir=Path(args.out), scenario=scenario)
 
 
 # -- run helpers -------------------------------------------------------------
@@ -172,20 +170,14 @@ def _pipeline_moments(config):
     return sol, sol.moments(config.initial)
 
 
-def _oracle_initial(config, ops):
-    if config.initial_kind == "ground":
-        return oracle_mod.ground_state(ops)
-    if config.initial_kind == "coherent":
-        return oracle_mod.coherent_state(ops, config.coherent_amplitude)
-    raise ConfigError("the oracle can only prepare ground or coherent initial "
-                      "states; explicit moments have no unique state vector")
-
-
 def _oracle_run(config, args):
     params = config.params
     ops = oracle_mod.build_operators(args.oracle_n, params.m.value(0.0),
                                      params.omega.value(0.0), params.hbar)
-    psi0 = _oracle_initial(config, ops)
+    if config.coherent_amplitude is None:
+        raise ConfigError("the oracle can only prepare ground or coherent initial "
+                          "states; explicit moments have no unique state vector")
+    psi0 = oracle_mod.coherent_state(ops, config.coherent_amplitude)
     grid = np.linspace(0.0, params.horizon, config.samples)
     return oracle_mod.propagate_state(psi0, params, grid, ops, dt=args.oracle_dt)
 
@@ -358,7 +350,7 @@ def cmd_compare(args):
     if args.rwa:
         if not isinstance(config.scenario, DrivenSpec):
             raise ConfigError("--rwa comparison needs --scenario driven")
-        if config.initial_kind == "moments":
+        if config.coherent_amplitude is None:
             raise ConfigError("--rwa comparison needs a ground or coherent start")
         times = np.linspace(0.0, config.params.horizon, config.samples)
         ref = driven_moments_exact(config.scenario, config.initial, times)

@@ -224,10 +224,10 @@ def _violation(constraint, t, value):
 
 
 def _require_positive(value, t, constraint):
-    """Raise ValidityError at the first t where ``value`` <= 0."""
+    """Raise ValidityError at the least t, in any order, where ``value`` <= 0."""
     bad = np.flatnonzero(value <= 0.0)
     if bad.size:
-        i = bad[0]
+        i = bad[np.argmin(np.ravel(t)[bad])]
         raise _violation(constraint, float(np.ravel(t)[i]), float(np.ravel(value)[i]))
 
 
@@ -239,8 +239,8 @@ class _EffectiveOscillator:
     """The effective oscillator, with eta0 = m(0) w(0). ``at(t)``, scalar or
     array t, takes one jet of each coefficient and returns the plain tuple
     (m, m', m'', w, w', w'', a_xp, a_xp', a_p, a_p', a_x, a_0, kappa, kappa',
-    m5, d ln m5/dt, w5^2), or raises ValidityError where w + kappa or
-    w5^2 = w^2 - kappa^2 is not positive."""
+    m5, d ln m5/dt, w5^2), or raises ValidityError at the least t where
+    w + kappa or w5^2 = w^2 - kappa^2 is not positive."""
 
     def __init__(self, params):
         self.params = params

@@ -85,14 +85,13 @@ def _require_finite(values, t, what):
         raise IntegrationError(f"non-finite {what}", t=float(np.min(np.ravel(t)[~ok])))
 
 
-def _kernel_at(oscillator, t):
-    """The effective-oscillator tuple at times t in any order; a validity
-    failure names the earliest failing time."""
-    try:
-        return oscillator.at(t)
-    except ValidityError:
-        oscillator.at(np.sort(t))
-        raise
+def _displacement_terms(kernel):
+    """(m'/m, coeff, forcing) of the displacement equation
+    beta_x'' + (m'/m) beta_x' = coeff beta_x + forcing."""
+    m, md, _, w, _, _, axp, axpd, ap, apd, ax, *_ = kernel
+    mlog = md / m
+    return (mlog, 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog,
+            apd - ax / m + 2.0 * ap * axp + ap * mlog)
 
 
 def _generators(kernel):
@@ -100,10 +99,8 @@ def _generators(kernel):
     (beta_x, m beta_x') with d/dt = [[0, 1/m], [m coeff, 0]] and forcing
     (0, m forcing), and of row 1, the Ermakov partner (u, m5 u') with
     d/dt = [[0, 1/m5], [-m5 w5^2, 0]], as (b, c, g): upper, lower and forcing."""
-    m, md, _, w, _, _, axp, axpd, ap, apd, ax, _, _, _, m5, _, w5sq = kernel
-    mlog = md / m
-    coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
-    forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
+    m, m5, w5sq = kernel[0], kernel[14], kernel[16]
+    _, coeff, forcing = _displacement_terms(kernel)
     return (np.stack((1.0 / m, 1.0 / m5)), np.stack((m * coeff, -m5 * w5sq)),
             np.stack((m * forcing, 0.0 * m)))
 
@@ -279,7 +276,7 @@ class _AuxiliaryFlow:
         [left, left + tau]: the kernel at head, the generators (b, c, g) of
         rows 0 and 1 at each of the three nodes, and the X increments."""
         nodes = (left[:, None] + tau[:, None] * _NODES).ravel()
-        kernel = _kernel_at(self.oscillator, np.concatenate((head, nodes)))
+        kernel = self.oscillator.at(np.concatenate((head, nodes)))
         n_head = len(head)
         gens = _generators(tuple(x[n_head:] for x in kernel))
         _require_finite(gens, nodes, "effective-oscillator coefficient")
@@ -300,7 +297,7 @@ class _AuxiliaryFlow:
 
     def _lambda_chunk(self, left, tau, bx, y):
         nodes = (left[:, None] + tau[:, None] * _LAMBDA_FRACTIONS).ravel()
-        kernel = tuple(x.reshape(-1, 9) for x in _kernel_at(self.oscillator, nodes))
+        kernel = tuple(x.reshape(-1, 9) for x in self.oscillator.at(nodes))
         b, c, g = (x[0] for x in _generators(kernel))
         _require_finite((b, c, g), nodes, "effective-oscillator coefficient")
         sub = [tuple(np.stack([x[:, idx[i]] for idx in _NESTED]) for x in (b, c, g))
@@ -319,14 +316,17 @@ class _AuxiliaryFlow:
         lam = np.cumsum(self._lambda_step(self.edges[:-1], np.diff(self.edges), bx, y))
         return np.concatenate(([0.0], lam))
 
-    def at(self, t, kernel=None, lam=True):
-        """[beta_x, beta_x_dot, rho, rho_dot, Phi, X] (and Lambda with ``lam``)
-        at the times t as a 1-d array, and the effective-oscillator tuple
-        there (evaluated in the partial step's kernel pass unless given)."""
+    def _locate(self, t):
+        """(t as a 1-d array, the step of each time, its left edge, tau)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 1)
-        left = self.edges[k]
-        tau = t - left
+        return t, k, self.edges[k], t - self.edges[k]
+
+    def at(self, t, kernel=None):
+        """[beta_x, beta_x_dot, rho, rho_dot, Phi, X] at the times t as a
+        1-d array, and the effective-oscillator tuple there (evaluated in
+        the partial step's kernel pass unless given); Lambda is lambda_at's."""
+        t, k, left, tau = self._locate(t)
         head, nodes, x_step = self._step(left, tau, () if kernel is not None else t)
         kernel = head if kernel is None else kernel
         p, q, r, s, v, w = _expm(_magnus(nodes, tau))
@@ -339,10 +339,16 @@ class _AuxiliaryFlow:
         rho = np.hypot(u1, u2)
         out = [bx, y / m, rho, (u1 * q1 + u2 * q2) / (m5 * rho),
                phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2), x0 + x_step]
-        if lam:
-            out.append(self._edge_lambda[k] + self._lambda_step(left, tau, bx0, y0))
         _require_finite(out, t, "auxiliary state")
         return out, kernel
+
+    def lambda_at(self, t):
+        """Lambda at the times t as a 1-d array: from the edge values, with
+        the displacement at its Gauss nodes by partial steps of row 0 alone."""
+        t, k, left, tau = self._locate(t)
+        lam = self._edge_lambda[k] + self._lambda_step(left, tau, *self.states[:2, k])
+        _require_finite((lam,), t, "auxiliary state")
+        return lam
 
 
 def _scalar_or_array(t, values):
@@ -366,7 +372,7 @@ class BetaSolution:
 
     def at(self, t):
         """(beta_x, beta_x_dot, beta_p) at arbitrary t, by a partial step."""
-        (bx, bxd, *_), kernel = self._flow.at(t, lam=False)
+        (bx, bxd, *_), kernel = self._flow.at(t)
         m, _, _, _, _, _, axp, _, ap, *_ = kernel
         return _scalar_or_array(t, (bx, bxd, _beta_p(m, axp, ap, bx, bxd)))
 
@@ -384,7 +390,7 @@ class BetaSolution:
 class ErmakovSolution:
     """Sampled Ermakov scale rho with the three running phase integrals:
     Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell). A view of the
-    auxiliary solution; Lambda is computed on first use."""
+    auxiliary solution; Lambda, from the displacement alone, is computed on first use."""
 
     times: np.ndarray
     rho: np.ndarray
@@ -396,11 +402,11 @@ class ErmakovSolution:
     def at(self, t):
         """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, by a partial step."""
         states, _ = self._flow.at(t)
-        return _scalar_or_array(t, states[2:])
+        return _scalar_or_array(t, (*states[2:], self._flow.lambda_at(t)))
 
     @functools.cached_property
     def Lambda(self):
-        return self.at(self.times)[4]
+        return self._flow.lambda_at(self.times)
 
     @property
     def rho0(self):
@@ -424,7 +430,7 @@ def _solve_auxiliary(params, grid):
     m, _, _, _, _, _, axp, _, ap, *_ = kernel
     start = np.searchsorted(grid, 0.0)
     flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[start] for x in kernel))
-    (bx, bxd, rho, rho_dot, phi, x), _ = flow.at(grid, kernel, lam=False)
+    (bx, bxd, rho, rho_dot, phi, x), _ = flow.at(grid, kernel)
     beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
                         beta_p=_beta_p(m, axp, ap, bx, bxd), _flow=flow)
     ermakov = ErmakovSolution(times=grid, rho=rho, rho_dot=rho_dot, Phi=phi, X=x, _flow=flow)
@@ -483,17 +489,17 @@ def _assemble(flow, kernel, states, t):
 def coefficients(params, beta, ermakov, t):
     """Propagator coefficients at time(s) t, each by one partial step of the
     auxiliary solution: scalars for a scalar t, else arrays."""
-    states, kernel = beta._flow.at(t, lam=False)
+    states, kernel = beta._flow.at(t)
     return _assemble(beta._flow, kernel, states[:5], t)
 
 
 # -- moments ----------------------------------------------------------------
 
 
-def global_phase(ermakov, t, hbar=1.0):
-    """Accumulated scalar phase -Lambda(t)/hbar."""
-    lam = ermakov.at(t)[4]
-    return -lam / hbar
+def global_phase(ermakov, t):
+    """Accumulated scalar phase -Lambda(t)/hbar, with hbar from the solution."""
+    flow = ermakov._flow
+    return _scalar_or_array(t, (-flow.lambda_at(t) / flow.oscillator.params.hbar,))[0]
 
 
 def gaussian_density(state, x_grid):
@@ -541,8 +547,7 @@ class PipelineSolution:
         return propagate_moments(initial, self.coefficients_at(t))
 
     def global_phase(self, t=None):
-        ts = self.grid if t is None else t
-        return global_phase(self.ermakov, ts, self.params.hbar)
+        return global_phase(self.ermakov, self.grid if t is None else t)
 
 
 def solve(params, n_samples=PIPELINE_SAMPLES):
@@ -562,43 +567,42 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
 # -- independent residual checks --------------------------------------------
 
 
-def _five_point_residual(params, T, channel, residual):
-    """Max |residual(tt, y'', *channel(tt))| over stencil times tt in
-    [2h, T - 2h], h = T/4096, where y'' is the five-point central difference
-    of the last of ``channel(x)``'s outputs. Times whose span
-    [tt - 2h, tt + 2h] holds a kink of the coefficients (a knot of an order-1
-    table, where second derivatives jump) are left out; NaN if none is left."""
+def _five_point_residual(params, flow, T, rows, residual):
+    """Max |residual(kernel, y'', *states[rows])| over stencil times tt in
+    [2h, T - 2h], h = T/4096, with the flow's states and effective-oscillator
+    tuple at tt, where y'' is the five-point central difference of the last
+    of the rows. Times whose span [tt - 2h, tt + 2h] holds a kink of the
+    coefficients (a knot of an order-1 table, where second derivatives jump)
+    are left out; NaN if none is left."""
     h = T / 4096.0
     tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
     kinks = np.sort([k for key in _COEFF_KEYS for k in getattr(params, key).kinks])
     tt = tt[np.searchsorted(kinks, tt - 2 * h) == np.searchsorted(kinks, tt + 2 * h, "right")]
     if not tt.size:
         return math.nan
-    dd = (-channel(tt + 2 * h)[-1] + 8.0 * channel(tt + h)[-1]
-          - 8.0 * channel(tt - h)[-1] + channel(tt - 2 * h)[-1]) / (12.0 * h)
-    return float(np.abs(residual(tt, dd, *channel(tt))).max())
+    last = rows.stop - 1
+    dd = (-flow.at(tt + 2 * h)[0][last] + 8.0 * flow.at(tt + h)[0][last]
+          - 8.0 * flow.at(tt - h)[0][last] + flow.at(tt - 2 * h)[0][last]) / (12.0 * h)
+    states, kernel = flow.at(tt)
+    return float(np.abs(residual(kernel, dd, *states[rows])).max())
 
 
 def ermakov_residual(params, ermakov):
     """Max Ermakov-equation residual, with the second derivative taken by a
     five-point central difference of the integrated rho_dot channel."""
-    def residual(tt, rho_dd, rho, rho_dot):
-        *_, m5, m5_log_dot, w5sq = _EffectiveOscillator(params).at(tt)
+    def residual(kernel, rho_dd, rho, rho_dot):
+        *_, m5, m5_log_dot, w5sq = kernel
         return rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
 
-    return _five_point_residual(params, float(ermakov.times[-1]),
-                                lambda x: ermakov._flow.at(x, lam=False)[0][2:4], residual)
+    return _five_point_residual(params, ermakov._flow, float(ermakov.times[-1]),
+                                slice(2, 4), residual)
 
 
 def beta_ode_residual(params, beta):
     """Max second-order displacement-equation residual via a five-point
     central difference of the integrated beta_x_dot channel."""
-    def residual(tt, bxdd, bx, bxd):
-        m, md, _, w, _, _, axp, axpd, ap, apd, ax, *_ = _EffectiveOscillator(params).at(tt)
-        mlog = md / m
-        coeff = 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog
-        forcing = apd - ax / m + 2.0 * ap * axp + ap * mlog
+    def residual(kernel, bxdd, bx, bxd):
+        mlog, coeff, forcing = _displacement_terms(kernel)
         return bxdd + mlog * bxd - coeff * bx - forcing
 
-    return _five_point_residual(params, float(beta.times[-1]), lambda x: beta.at(x)[:2],
-                                residual)
+    return _five_point_residual(params, beta._flow, float(beta.times[-1]), slice(0, 2), residual)

@@ -46,6 +46,17 @@ def test_evolve_reruns_are_byte_identical(tmp_path):
     assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
 
 
+@pytest.mark.parametrize("initial", ["ground", "coherent:0.3-0.2j"])
+def test_compare_reruns_are_byte_identical(tmp_path, initial):
+    args = ["compare", "--scenario", "driven", "--horizon", "4", "--samples", "64",
+            "--initial", initial]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    for name in ("compare.csv", "report.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_evolve_from_config_file(tmp_path):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({

@@ -227,6 +227,17 @@ def test_scalar_at_takes_one_jet_per_coefficient(monkeypatch):
     assert len(calls) == 3
 
 
+def test_validity_failure_names_the_least_time_in_any_order():
+    # omega + kappa = 1 - 1.6 sin(pi t/4) < 0 at t = 1, 2 and 3
+    p = standard(horizon=4.0, alpha_xp={
+        "kind": "cosine", "amplitude": 0.8, "angular_frequency": math.pi / 4.0,
+        "phase": math.pi / 2.0})
+    with pytest.raises(ValidityError) as info:
+        _EffectiveOscillator(p).at(np.array([3.0, 2.0, 1.0]))
+    assert (info.value.constraint, info.value.t) == ("omega + kappa > 0", 1.0)
+    assert f"{1.0 - 1.6 * math.sin(math.pi / 4.0):.6e}" in str(info.value)
+
+
 def test_gamma_squeeze_initial_value_is_one():
     p = standard(m={"kind": "exponential", "prefactor": 1.7, "rate": 0.1})
     assert gamma_squeeze(p, 0.0) == pytest.approx(1.0, rel=1e-15)

@@ -14,8 +14,8 @@ from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
                          _EffectiveOscillator, effective_m5_omega5,
                          ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
-from tdqho.pipeline import (beta_ode_residual, ermakov_residual,
-                            gaussian_density, solve, solve_ermakov)
+from tdqho.pipeline import (_LAMBDA_CHUNK, beta_ode_residual, ermakov_residual,
+                            gaussian_density, global_phase, solve, solve_ermakov)
 
 
 def standard_params(horizon=4.0 * math.pi, **kw):
@@ -97,12 +97,15 @@ def test_ground_state_is_stationary(standard_solution):
 
 
 def test_constant_energy_offset_only_shifts_phase():
-    p = standard_params(horizon=5.0, alpha_0=0.3)
-    s = solve(p, n_samples=100)
-    assert np.max(np.abs(s.global_phase() + 0.3 * s.grid)) < 1e-12
-    assert np.max(np.abs(s.ermakov.Lambda - 0.3 * s.grid)) < 1e-12
-    mt = s.moments(ground_moments(1.0, 1.0, 1.0))
-    assert np.max(np.abs(mt.mean_x)) < 1e-13
+    for hbar in (1.0, 0.7):
+        p = standard_params(horizon=5.0, alpha_0=0.3, hbar=hbar)
+        s = solve(p, n_samples=100)
+        # the module-level function reads hbar off the solution, as the method does
+        for phase in (global_phase(s.ermakov, s.grid), s.global_phase()):
+            assert np.max(np.abs(phase + 0.3 * s.grid / hbar)) < 1e-12
+        assert np.max(np.abs(s.ermakov.Lambda - 0.3 * s.grid)) < 1e-12
+        mt = s.moments(ground_moments(1.0, 1.0, hbar))
+        assert np.max(np.abs(mt.mean_x)) < 1e-13
 
 
 # -- residual diagnostics -----------------------------------------------------
@@ -440,6 +443,14 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol.coefficients_at(3.7)
     sol.coefficients_at(np.array([1.0, 2.5]))
     assert scalars == []
+    # the global phase takes only the Lambda passes, nine nodes per interval
+    # and _LAMBDA_CHUNK intervals at a time, over the steps and over the
+    # partial steps to the samples: no kernel pass of the other channels
+    sizes.clear()
+    sol.global_phase()
+    chunks = [min(_LAMBDA_CHUNK, n - i) for n in (steps, 2000)
+              for i in range(0, n, _LAMBDA_CHUNK)]
+    assert sorted(sizes) == sorted(9 * c for c in chunks for _ in range(6))
 
 
 # -- unit determinant over random admissible profiles ---------------------------
