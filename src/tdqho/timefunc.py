@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 
@@ -187,14 +186,17 @@ class Polynomial(TimeFunction):
 
 @dataclass(frozen=True)
 class Tabulated(TimeFunction):
-    """Interpolates (grid, values) samples. order=3 uses a cubic spline whose
-    analytic derivatives serve as the function's derivatives; order=1 is
-    piecewise linear with piecewise-constant first derivative."""
+    """Interpolates (grid, values) samples. order=3 uses scipy's CubicSpline,
+    whose analytic derivatives serve as the function's derivatives; it is
+    the only use of scipy in the package, imported when such a table is
+    built. order=1 is piecewise linear with piecewise-constant first
+    derivative and needs numpy alone."""
 
     grid: tuple
     values: tuple
     order: int = 3
-    # order 3: the CubicSpline; order 1: the (grid, values, slopes) arrays
+    # order 3: scipy's CubicSpline, imported when such a table is built;
+    # order 1: the (grid, values, slopes) arrays, numpy alone
     _fit: object = field(default=None, compare=False, repr=False)
 
     kind = "tabulated"
@@ -210,8 +212,14 @@ class Tabulated(TimeFunction):
             raise ConfigError(f"tabulated interpolation order must be 1 or 3, got {self.order}")
         object.__setattr__(self, "grid", tuple(g))
         object.__setattr__(self, "values", tuple(v))
-        object.__setattr__(self, "_fit", CubicSpline(g, v) if self.order == 3
-                           else (g, v, np.diff(v) / np.diff(g)))
+        if self.order == 3:
+            # imported here, not at module level: loading scipy takes about
+            # as long as a whole closed-form CLI run, and nothing else uses it
+            from scipy.interpolate import CubicSpline
+            fit = CubicSpline(g, v)
+        else:
+            fit = (g, v, np.diff(v) / np.diff(g))
+        object.__setattr__(self, "_fit", fit)
 
     @property
     def kinks(self):

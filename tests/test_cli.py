@@ -1,12 +1,16 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdqho
 from tdqho import cli
 from tdqho.cli import build_parser, build_run_config, main, write_csv
 from tdqho.errors import ValidityError
@@ -69,6 +73,54 @@ def test_evolve_from_config_file(tmp_path):
     cfg.write_text(json.dumps({"m": 1.0, "omega": 1.0, "horizon": 2.0}))
     assert main(["evolve", "--config", str(cfg), "--samples", "20",
                  "--out", str(tmp_path)]) == 0
+    # an order-3 (default-order) table: the one path that builds a CubicSpline
+    knots = list(range(11))
+    cfg.write_text(json.dumps({
+        "m": 1.0,
+        "omega": {"kind": "tabulated", "grid": knots,
+                  "values": [1.0 + 0.05 * math.cos(0.7 * k) for k in knots]},
+        "horizon": 10.0}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["evolve", "--config", str(cfg), "--samples", "20",
+                     "--out", str(out)]) == 0
+    assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
+
+
+# Run in a fresh interpreter: the test process has scipy loaded already.
+_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+from tdqho.cli import main
+from tdqho.timefunc import Tabulated
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+rc = main(["validate", "--scenario", "driven"])
+before = scipy_modules()
+g = np.array([0.0, 0.7, 1.5, 2.1, 3.0])
+v = np.array([1.0, 1.2, 0.9, 1.1, 1.05])
+f = Tabulated(tuple(g), tuple(v))
+loaded = "scipy.interpolate" in sys.modules
+from scipy.interpolate import CubicSpline
+t = np.linspace(-0.2, 3.2, 41)
+same = [a.tobytes() == CubicSpline(g, v)(t, nu).tobytes() for nu, a in enumerate(f.jet(t))]
+print(json.dumps({"rc": rc, "before": before, "loaded": loaded, "same": same}))
+"""
+
+
+def test_closed_form_runs_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(tdqho.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["rc"] == 0
+    assert probe["before"] == []
+    # an order-3 table loads scipy, and its jets are CubicSpline's bit for bit
+    assert probe["loaded"]
+    assert probe["same"] == [True, True, True]
 
 
 def test_density_output(tmp_path):
