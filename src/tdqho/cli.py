@@ -449,12 +449,12 @@ def build_parser():
     model.add_argument("--hbar", type=float, default=1.0)
     model.add_argument("--horizon", type=float, default=None)
     run = argparse.ArgumentParser(add_help=False, parents=[model])
-    run.add_argument("--samples", type=int, default=2000)
+    run.add_argument("--samples", type=int, default=pipeline.PIPELINE_SAMPLES)
     run.add_argument("--initial", default="ground",
                      help="ground | coherent:<amp> | moments:x,p,vx,vp,cv")
     run.add_argument("--out", default=".")
     fock = argparse.ArgumentParser(add_help=False)
-    fock.add_argument("--oracle-n", type=int, default=64)
+    fock.add_argument("--oracle-n", type=int, default=oracle_mod.DEFAULT_N)
     fock.add_argument("--oracle-dt", type=float, default=None,
                       help="the oracle's midpoint step (absolute time units)")
 

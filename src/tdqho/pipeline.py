@@ -52,11 +52,6 @@ def default_grid(params, n_samples=PIPELINE_SAMPLES):
 # the Magnus nodes, and the rule for X and Lambda.
 _GAUSS = math.sqrt(15.0) / 10.0
 _NODES = np.array([0.5 - _GAUSS, 0.5, 0.5 + _GAUSS])
-# Lambda needs the displacement at each node c_j of an interval, from a
-# partial step whose own nodes are c_i c_j: nine distinct sorted fractions.
-_LAMBDA_FRACTIONS = np.unique(np.concatenate((_NODES, np.outer(_NODES, _NODES).ravel())))
-_MAIN = np.searchsorted(_LAMBDA_FRACTIONS, _NODES)
-_NESTED = [np.searchsorted(_LAMBDA_FRACTIONS, _NODES * c) for c in _NODES]
 # First steps advance the effective phase at t = 0 by this much; refinement
 # splits them where MAGNUS_TOL asks, or where an Ermakov step turns by more
 # than _MAX_ROTATION, which keeps every phase step far below the pi that
@@ -83,6 +78,13 @@ def _require_finite(values, t, what):
     ok = np.isfinite(np.array(values)).reshape(-1, np.size(t)).all(axis=0)
     if not ok.all():
         raise IntegrationError(f"non-finite {what}", t=float(np.min(np.ravel(t)[~ok])))
+
+
+def _require_in_horizon(t, horizon):
+    """DomainError at the first of the times t outside [0, horizon], or NaN."""
+    outside = ~((t >= 0.0) & (t <= horizon))
+    if outside.any():
+        raise DomainError(f"t={t[outside][0]} is outside [0, {horizon}]")
 
 
 def _displacement_terms(kernel):
@@ -285,41 +287,32 @@ class _AuxiliaryFlow:
         return (tuple(x[:n_head] for x in kernel),
                 [tuple(x[..., i] for x in gens) for i in range(3)], x_step)
 
-    def _lambda_step(self, left, tau, bx, y):
+    def _lambda_step(self, left, tau):
         """int (a_0 + ell) over [left, left + tau] by the Gauss rule, with the
-        displacement at each node from a partial step off (bx, y = m beta_x')
-        at left. Taken _LAMBDA_CHUNK intervals at a time: one nine-node kernel
-        pass over a whole 2000-point grid raised the peak memory of a
-        process running the CLI by about 3 MB."""
+        displacement at the nodes from ``at``, _LAMBDA_CHUNK intervals at a
+        time: one pass over a 2000-point grid took 3 MB more peak memory."""
         return np.concatenate([
-            self._lambda_chunk(*(x[i:i + _LAMBDA_CHUNK] for x in (left, tau, bx, y)))
+            self._lambda_chunk(left[i:i + _LAMBDA_CHUNK], tau[i:i + _LAMBDA_CHUNK])
             for i in range(0, max(left.size, 1), _LAMBDA_CHUNK)])
 
-    def _lambda_chunk(self, left, tau, bx, y):
-        nodes = (left[:, None] + tau[:, None] * _LAMBDA_FRACTIONS).ravel()
-        kernel = tuple(x.reshape(-1, 9) for x in self.oscillator.at(nodes))
-        b, c, g = (x[0] for x in _generators(kernel))
-        _require_finite((b, c, g), nodes, "effective-oscillator coefficient")
-        sub = [tuple(np.stack([x[:, idx[i]] for idx in _NESTED]) for x in (b, c, g))
-               for i in range(3)]
-        p, q, r, s, v, w = _expm(_magnus(sub, _NODES[:, None] * tau))
-        bx, y = p * bx + q * y + v, r * bx + s * y + w
-        m, _, _, om, _, _, axp, _, ap, _, ax, a0 = (x[:, _MAIN].T for x in kernel[:12])
-        bp = _beta_p(m, axp, ap, bx, y / m)
-        ell = bp * bp / (2.0 * m) + 0.5 * m * om * om * bx * bx \
+    def _lambda_chunk(self, left, tau):
+        (bx, bxd, *_), kernel = self.at((left[:, None] + tau[:, None] * _NODES).ravel())
+        m, _, _, w, _, _, axp, _, ap, _, ax, a0 = kernel[:12]
+        bp = _beta_p(m, axp, ap, bx, bxd)
+        ell = bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
             + ax * bx - ap * bp - 2.0 * axp * bx * bp
-        return tau * _gauss(*(a0 + ell))
+        return tau * _gauss(*(a0 + ell).reshape(-1, 3).T)
 
     @functools.cached_property
     def _edge_lambda(self):
-        bx, y = self.states[:2, :-1]
-        lam = np.cumsum(self._lambda_step(self.edges[:-1], np.diff(self.edges), bx, y))
+        lam = np.cumsum(self._lambda_step(self.edges[:-1], np.diff(self.edges)))
         return np.concatenate(([0.0], lam))
 
     def _locate(self, t):
         """(t as a 1-d array, the step of each time, its left edge, tau)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 1)
+        _require_in_horizon(t, self.edges[-1])
+        k = np.minimum(np.searchsorted(self.edges, t, side="right") - 1, self.edges.size - 1)
         return t, k, self.edges[k], t - self.edges[k]
 
     def at(self, t, kernel=None):
@@ -343,10 +336,11 @@ class _AuxiliaryFlow:
         return out, kernel
 
     def lambda_at(self, t):
-        """Lambda at the times t as a 1-d array: from the edge values, with
-        the displacement at its Gauss nodes by partial steps of row 0 alone."""
+        """Lambda at the times t as a 1-d array: the edge value plus the Gauss
+        rule over the rest of the step, with the displacement at its nodes by
+        the same partial step as any sample."""
         t, k, left, tau = self._locate(t)
-        lam = self._edge_lambda[k] + self._lambda_step(left, tau, *self.states[:2, k])
+        lam = self._edge_lambda[k] + self._lambda_step(left, tau)
         _require_finite((lam,), t, "auxiliary state")
         return lam
 
@@ -415,7 +409,7 @@ class ErmakovSolution:
 
 def _solve_auxiliary(params, grid):
     """Solve the displacement pair and the Ermakov partner on [0, T] and
-    sample them on the grid, extended by 0 and T.
+    sample them on the grid, extended by 0 and T (a DomainError past them).
 
     The start comes from the kernel at t = 0 (see _AuxiliaryFlow). A
     ValidityError names the time and the constraint wherever w + kappa or
@@ -424,7 +418,12 @@ def _solve_auxiliary(params, grid):
     (BetaSolution, ErmakovSolution) sharing one solution, and the
     effective-oscillator tuple on the grid.
     """
-    grid = np.union1d(default_grid(params) if grid is None else grid, [0.0, params.horizon])
+    grid = np.sort(np.concatenate((default_grid(params) if grid is None else grid,
+                                   [0.0, params.horizon])))
+    # the range before the kernel, which past T could fail or overflow first;
+    # then drop repeats as np.union1d would, without the numpy.ma it imports
+    _require_in_horizon(grid, params.horizon)
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     oscillator = _EffectiveOscillator(params)
     kernel = oscillator.at(grid)
     m, _, _, _, _, _, axp, _, ap, *_ = kernel

@@ -87,17 +87,23 @@ def test_evolve_from_config_file(tmp_path):
     assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
 
 
-# Run in a fresh interpreter: the test process has scipy loaded already.
+# Run in a fresh interpreter: the test process has scipy and numpy.ma loaded
+# already.
 _SCIPY_PROBE = """
-import json, sys
+import json, sys, tempfile
 import numpy as np
 from tdqho.cli import main
 from tdqho.timefunc import Tabulated
+ma = ["numpy.ma" in sys.modules]
 
 def scipy_modules():
     return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 
-rc = main(["validate", "--scenario", "driven"])
+rc = [main(["validate", "--scenario", "driven"])]
+with tempfile.TemporaryDirectory() as out:
+    rc.append(main(["evolve", "--scenario", "driven", "--samples", "300",
+                    "--density", "5", "--out", out]))
+ma.append("numpy.ma" in sys.modules)
 before = scipy_modules()
 g = np.array([0.0, 0.7, 1.5, 2.1, 3.0])
 v = np.array([1.0, 1.2, 0.9, 1.1, 1.05])
@@ -106,7 +112,7 @@ loaded = "scipy.interpolate" in sys.modules
 from scipy.interpolate import CubicSpline
 t = np.linspace(-0.2, 3.2, 41)
 same = [a.tobytes() == CubicSpline(g, v)(t, nu).tobytes() for nu, a in enumerate(f.jet(t))]
-print(json.dumps({"rc": rc, "before": before, "loaded": loaded, "same": same}))
+print(json.dumps({"rc": rc, "ma": ma, "before": before, "loaded": loaded, "same": same}))
 """
 
 
@@ -116,7 +122,9 @@ def test_closed_form_runs_load_no_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe["rc"] == 0
+    assert probe["rc"] == [0, 0]
+    # neither the import nor an evolve run (global phase included) loads numpy.ma
+    assert probe["ma"] == [False, False]
     assert probe["before"] == []
     # an order-3 table loads scipy, and its jets are CubicSpline's bit for bit
     assert probe["loaded"]

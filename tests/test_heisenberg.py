@@ -6,11 +6,13 @@ exactly:
     d/dt (x, p) = [[2 a_xp, 1/m], [-m w^2, -2 a_xp]] (x, p) + (a_p, -a_x).
 
 Their fundamental matrix is the map (A, B; D, E), and their solution from
-(x0, p0) is the mean trajectory. The reference integrates the 6-state
-system with scipy's DOP853 and reads nothing but ``TimeFunction.value``, so
-it shares no code with the pipeline's Ermakov chain. The unit-determinant
-check of criterion 5 cannot catch a wrong map (every factor has unit
-determinant for any rho and Phi); this test can.
+(x0, p0) is the mean trajectory. The solution from (beta_x(0), -beta_p(0))
+is the displacement (beta_x, -beta_p), and the Hamiltonian along it is the
+integrand a_0 + ell of Lambda. The reference integrates the 9-state system
+with scipy's DOP853 and reads nothing but ``TimeFunction.value`` and the
+start beta(0), so it shares no code with the pipeline's Ermakov chain. The
+unit-determinant check of criterion 5 cannot catch a wrong map (every
+factor has unit determinant for any rho and Phi); this test can.
 """
 
 import numpy as np
@@ -25,25 +27,30 @@ from test_acceptance import _full_coverage_params, _mixed_random_params
 START = (0.3, -0.2)
 
 
-def heisenberg_flow(params, times):
-    """(fundamental matrix entries A, B, D, E; means x, p) at ``times``,
-    starting from the identity and from START."""
+def heisenberg_flow(params, times, beta_0):
+    """(fundamental matrix entries A, B, D, E; means x, p; Lambda) at
+    ``times``, starting from the identity, from START and, for Lambda, from
+    the displacement beta_0 = (beta_x(0), beta_p(0))."""
 
     def rhs(t, y):
         m, w = params.m.value(t), params.omega.value(t)
-        axp = params.alpha_xp.value(t)
+        axp, ap, ax = (params.alpha_xp.value(t), params.alpha_p.value(t),
+                       params.alpha_x.value(t))
         gen = np.array([[2.0 * axp, 1.0 / m], [-m * w * w, -2.0 * axp]])
-        # columns: the two fundamental solutions and the means
-        dy = gen @ y.reshape(2, 3)
-        dy[:, 2] += (params.alpha_p.value(t), -params.alpha_x.value(t))
-        return dy.ravel()
+        # columns: the two fundamental solutions, the means and (beta_x, -beta_p)
+        dy = gen @ y[:8].reshape(2, 4)
+        dy[:, 2:] += np.array([[ap], [-ax]])
+        x, p = y[3], y[7]
+        energy = (p * p / (2.0 * m) + 0.5 * m * w * w * x * x + ax * x + ap * p
+                  + 2.0 * axp * x * p + params.alpha_0.value(t))
+        return np.append(dy.ravel(), energy)
 
-    y0 = np.array([[1.0, 0.0, START[0]], [0.0, 1.0, START[1]]]).ravel()
+    y0 = np.array([1.0, 0.0, START[0], beta_0[0], 0.0, 1.0, START[1], -beta_0[1], 0.0])
     ref = solve_ivp(rhs, (0.0, params.horizon), y0, method="DOP853",
                     t_eval=times, rtol=1e-13, atol=1e-13)
     assert ref.success, ref.message
-    a, b, x, d, e, p = ref.y
-    return (a, b, d, e), (x, p)
+    a, b, x, _, d, e, p, _, lam = ref.y
+    return (a, b, d, e), (x, p), lam
 
 
 def _criterion_5_sets(n):
@@ -54,13 +61,15 @@ def _criterion_5_sets(n):
 def _check_against_heisenberg(params, n_samples):
     sol = solve(params, n_samples=n_samples)
     ts = sol.grid
-    (a, b, d, e), (x, p) = heisenberg_flow(params, ts)
+    (a, b, d, e), (x, p), lam = heisenberg_flow(
+        params, ts, (sol.beta.beta_x[0], sol.beta.beta_p[0]))
     c = sol.coeffs
     for name, got, ref in zip("ABDE", (c.A, c.B, c.D, c.E), (a, b, d, e)):
         assert np.max(np.abs(got - ref)) < 1e-8, name
     mt = sol.moments_at(MomentState(0.0, *START, 1.0, 1.0, 0.0), ts)
     assert np.max(np.abs(mt.mean_x - x)) < 1e-8
     assert np.max(np.abs(mt.mean_p - p)) < 1e-8
+    assert np.max(np.abs(sol.ermakov.Lambda - lam)) < 1e-8
     return sol
 
 

@@ -225,6 +225,7 @@ def test_taylor_step_matches_expm(n, h, split, momentum):
         assert substeps == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("where", ["state", "hamiltonian"])
 def test_taylor_step_names_time_of_non_finite_input(where):
     hmat, ops = _hamiltonian(16, 1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from tdqho.errors import DomainError, IntegrationError, SingularityError, ValidityError
 from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
@@ -15,7 +15,9 @@ from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
                          ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 from tdqho.pipeline import (_LAMBDA_CHUNK, beta_ode_residual, ermakov_residual,
-                            gaussian_density, global_phase, solve, solve_ermakov)
+                            gaussian_density, global_phase, solve, solve_beta,
+                            solve_ermakov)
+from tdqho.scenarios import DrivenSpec, driven_beta
 
 
 def standard_params(horizon=4.0 * math.pi, **kw):
@@ -106,6 +108,27 @@ def test_constant_energy_offset_only_shifts_phase():
         assert np.max(np.abs(s.ermakov.Lambda - 0.3 * s.grid)) < 1e-12
         mt = s.moments(ground_moments(1.0, 1.0, hbar))
         assert np.max(np.abs(mt.mean_x)) < 1e-13
+
+
+@pytest.mark.parametrize("spec", [
+    DrivenSpec(m=1.3, omega=0.9, drive_strength=0.2, drive_frequency=0.9),
+    DrivenSpec(m=0.8, omega=1.1, drive_strength=1.0, drive_frequency=0.6)],
+    ids=["resonant", "off-resonant"])
+def test_lambda_matches_driven_closed_form(spec):
+    # Lambda = int (a_0 + ell), with ell the Hamiltonian at (beta_x, -beta_p)
+    # of the closed-form displacement pair; a_0 = 0 here
+    def ell(t):
+        bx, bp = driven_beta(spec, t)
+        ax = spec.drive_strength * math.cos(spec.drive_frequency * t)
+        return bp * bp / (2.0 * spec.m) + 0.5 * spec.m * spec.omega ** 2 * bx * bx + ax * bx
+
+    sol = solve(spec.to_params(), n_samples=200)
+    pieces = [quad(ell, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+              for a, b in zip(sol.grid[:-1], sol.grid[1:])]
+    expected = np.concatenate(([0.0], np.cumsum(pieces)))
+    assert np.max(np.abs(expected)) > 1.0
+    assert np.max(np.abs(sol.ermakov.Lambda - expected)) < 1e-8
+    assert np.max(np.abs(sol.global_phase() + expected / spec.hbar)) < 1e-8
 
 
 # -- residual diagnostics -----------------------------------------------------
@@ -264,6 +287,38 @@ def test_moments_at_matches_trajectory(generic_solution):
     assert st.mean_x == pytest.approx(mt.mean_x[i], rel=1e-12, abs=1e-12)
     assert st.var_p == pytest.approx(mt.var_p[i], rel=1e-12, abs=1e-12)
     assert st.t == t
+
+
+@pytest.mark.parametrize("t, named", [
+    (-0.5, "-0.5"), (10.000001, "10.000001"), (14.0, "14.0"), (30.0, "30.0"),
+    (math.nan, "nan"), (np.array([2.0, 14.0, 20.0]), "14.0")])
+def test_queries_outside_the_horizon_are_domain_errors(t, named):
+    # a clamped step index would take one unchecked Magnus step of any
+    # length: A(30) read 7.9e22 where the Heisenberg flow gives -0.436
+    p = QuadraticParams.from_dict({
+        "m": {"kind": "exponential", "prefactor": 1.0, "rate": 0.04},
+        "omega": {"kind": "polynomial", "coefficients": [1.2, 0.01]},
+        "alpha_xp": 0.03, "horizon": 10.0})
+    sol = solve(p, n_samples=50)
+    init = ground_moments(1.0, 1.2, 1.0)
+    for query in (sol.coefficients_at, lambda t: sol.moments_at(init, t),
+                  sol.beta.at, sol.ermakov.at, sol.global_phase):
+        with pytest.raises(DomainError, match=re.escape(f"t={named} is outside [0, 10.0]")):
+            query(t)
+    with pytest.raises(DomainError, match=re.escape(f"t={named} is outside [0, 10.0]")):
+        solve_beta(p, np.append(np.linspace(0.0, 10.0, 5), t))
+    # the ends of the horizon stay in range
+    assert sol.coefficients_at(np.array([0.0, 10.0])).t.tolist() == [0.0, 10.0]
+
+
+def test_grid_past_the_horizon_is_checked_before_the_kernel():
+    # omega = 1.2 - 0.1 t turns negative at t = 12, past the horizon: the
+    # range error comes first, not the validity failure at a time outside it
+    p = QuadraticParams.from_dict({
+        "m": 1.0, "omega": {"kind": "polynomial", "coefficients": [1.2, -0.1]},
+        "horizon": 10.0})
+    with pytest.raises(DomainError, match=re.escape("t=12.0 is outside [0, 10.0]")):
+        solve_beta(p, np.linspace(0.0, 14.0, 8))
 
 
 def test_trajectory_state_accessor(standard_solution):
@@ -443,14 +498,15 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol.coefficients_at(3.7)
     sol.coefficients_at(np.array([1.0, 2.5]))
     assert scalars == []
-    # the global phase takes only the Lambda passes, nine nodes per interval
-    # and _LAMBDA_CHUNK intervals at a time, over the steps and over the
-    # partial steps to the samples: no kernel pass of the other channels
+    # the global phase takes only the Lambda passes, _LAMBDA_CHUNK intervals
+    # at a time over the steps and over the partial steps to the samples:
+    # one pass of the partial steps to the three Gauss nodes of each
+    # interval, 3 node and 9 partial-step-node times per interval
     sizes.clear()
     sol.global_phase()
     chunks = [min(_LAMBDA_CHUNK, n - i) for n in (steps, 2000)
               for i in range(0, n, _LAMBDA_CHUNK)]
-    assert sorted(sizes) == sorted(9 * c for c in chunks for _ in range(6))
+    assert sorted(sizes) == sorted(12 * c for c in chunks for _ in range(6))
 
 
 # -- unit determinant over random admissible profiles ---------------------------
