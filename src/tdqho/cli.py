@@ -201,49 +201,7 @@ def _oracle_rows(run):
 # -- comparison --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    name: str
-    max_abs_err: float
-    max_rel_err: float
-    t_at_max: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    series: tuple
-    threshold: float
-    reliable: bool
-
-    @property
-    def passed(self):
-        return all(s.passed for s in self.series)
-
-    def lines(self):
-        out = []
-        for s in self.series:
-            verdict = "PASS" if s.passed else "FAIL"
-            out.append(f"{s.name}: max_abs={s.max_abs_err:.3e} "
-                       f"max_rel={s.max_rel_err:.3e} at t={s.t_at_max:.6g} {verdict}")
-        overall = "PASS" if self.passed else "FAIL"
-        if not self.reliable:
-            overall += " (UNRELIABLE: truncation alarm)"
-        out.append(f"overall: {overall} (threshold {self.threshold:g})")
-        return out
-
-    def to_json(self):
-        return json.dumps({
-            "threshold": self.threshold,
-            "reliable": self.reliable,
-            "passed": self.passed,
-            "series": [{"name": s.name, "max_abs_err": s.max_abs_err,
-                        "max_rel_err": s.max_rel_err, "t_at_max": s.t_at_max,
-                        "passed": s.passed} for s in self.series],
-        }, indent=2)
-
-
-def compare_series(times, ref, other, threshold, reliable=True):
+def compare_series(times, ref, other, threshold):
     """Pointwise comparison of two moment trajectories on ``times`` with a
     floor tied to the quantum scales.
 
@@ -256,7 +214,7 @@ def compare_series(times, ref, other, threshold, reliable=True):
     sp = math.sqrt(max(float(np.max(ref.var_p)), 0.0))
     floors = {"mean_x": sx, "mean_p": sp, "var_x": sx * sx, "var_p": sp * sp,
               "cov_xp": sx * sp}
-    reports = []
+    series = []
     for name in COMPARE_SERIES:
         a, b = np.asarray(getattr(ref, name)), np.asarray(getattr(other, name))
         amp = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
@@ -264,12 +222,10 @@ def compare_series(times, ref, other, threshold, reliable=True):
         denom = np.abs(a) + 0.01 * scale if scale > 0.0 else np.ones_like(a)
         rel = np.abs(a - b) / denom
         i = int(np.argmax(rel))
-        reports.append(SeriesReport(
-            name=name, max_abs_err=float(np.abs(a - b).max()),
-            max_rel_err=float(rel[i]), t_at_max=float(times[i]),
-            passed=bool(rel[i] <= threshold)))
-    return ComparisonReport(series=tuple(reports), threshold=threshold,
-                            reliable=reliable)
+        series.append({"name": name, "max_abs_err": float(np.abs(a - b).max()),
+                       "max_rel_err": float(rel[i]), "t_at_max": float(times[i]),
+                       "passed": bool(rel[i] <= threshold)})
+    return series
 
 
 # -- subcommands -------------------------------------------------------------
@@ -365,7 +321,9 @@ def cmd_compare(args):
         reliable = run.reliable
         label = "oracle"
         print(f"oracle: {_oracle_summary(run)}")
-    report = compare_series(times, ref, other, args.threshold, reliable)
+    series = compare_series(times, ref, other, args.threshold)
+    report = {"threshold": args.threshold, "reliable": reliable,
+              "passed": all(s["passed"] for s in series), "series": series}
     columns = ["t"]
     data = [times]
     for name in COMPARE_SERIES:
@@ -374,13 +332,18 @@ def cmd_compare(args):
     out = config.out_dir / "compare.csv"
     write_csv(out, columns, np.column_stack(data))
     # write_csv has made the directory
-    (config.out_dir / "report.json").write_text(report.to_json() + "\n")
-    for line in report.lines():
-        print(line)
+    (config.out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    for s in series:
+        print(f"{s['name']}: max_abs={s['max_abs_err']:.3e} max_rel={s['max_rel_err']:.3e} "
+              f"at t={s['t_at_max']:.6g} {'PASS' if s['passed'] else 'FAIL'}")
+    overall = "PASS" if report["passed"] else "FAIL"
+    if not reliable:
+        overall += " (UNRELIABLE: truncation alarm)"
+    print(f"overall: {overall} (threshold {args.threshold:g})")
     print(f"wrote {out}")
-    if not report.reliable:
+    if not reliable:
         return EXIT_UNRELIABLE
-    return EXIT_OK if report.passed else EXIT_COMPARISON
+    return EXIT_OK if report["passed"] else EXIT_COMPARISON
 
 
 def _sweep_point(args, name, value):

@@ -249,7 +249,10 @@ def _schedule(ts, dt):
 def propagate_state(psi0, params, grid, ops, dt=None):
     """March psi with midpoint-Magnus steps and sample moments on grid.
 
-    Steps land exactly on sample times (shortened final step per segment).
+    The grid must not decrease and must lie in [0, horizon] (repeats are
+    allowed); a time outside that range, NaN included, or a decrease is a
+    DomainError naming the time. Steps land exactly on sample times
+    (shortened final step per segment).
     A step whose substep bound is not finite or exceeds MAX_SUBSTEPS raises
     IntegrationError naming its start time once the march reaches it, so
     an earlier sample's norm drift is reported first. The run is flagged
@@ -265,6 +268,14 @@ def propagate_state(psi0, params, grid, ops, dt=None):
     if not (0.0 < dt < math.inf):
         raise DomainError(f"dt must be positive and finite, got {dt}")
     ts = np.asarray(grid, dtype=float)
+    # the pipeline's rule for query times, so no state is labelled with a
+    # time it was not stepped to
+    outside = ~((ts >= 0.0) & (ts <= params.horizon))
+    if outside.any():
+        raise DomainError(f"t={ts[outside][0]} is outside [0, {params.horizon}]")
+    back = np.flatnonzero(np.diff(ts) < 0.0)
+    if back.size:
+        raise DomainError(f"grid decreases from t={ts[back[0]]} to t={ts[back[0] + 1]}")
     if ts[0] != 0.0:
         ts = np.concatenate(([0.0], ts))
     psi = np.array(psi0, dtype=complex)

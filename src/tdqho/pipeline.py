@@ -74,10 +74,11 @@ def _gauss(f1, f2, f3):
 
 def _require_finite(values, t, what):
     """IntegrationError at the earliest t where one of ``values`` (arrays whose
-    trailing elements line up with t) is not finite."""
-    ok = np.isfinite(np.array(values)).reshape(-1, np.size(t)).all(axis=0)
+    last axis lines up with the 1-d t) is not finite."""
+    finite = np.isfinite(np.array(values))
+    ok = finite.all(axis=tuple(range(finite.ndim - 1)))
     if not ok.all():
-        raise IntegrationError(f"non-finite {what}", t=float(np.min(np.ravel(t)[~ok])))
+        raise IntegrationError(f"non-finite {what}", t=float(np.min(t[~ok])))
 
 
 def _require_in_horizon(t, horizon):
@@ -85,6 +86,12 @@ def _require_in_horizon(t, horizon):
     outside = ~((t >= 0.0) & (t <= horizon))
     if outside.any():
         raise DomainError(f"t={t[outside][0]} is outside [0, {horizon}]")
+
+
+def _kinks(params):
+    """The sorted kinks of all coefficients (the knots of order-1 tables):
+    no Magnus step and no five-point stencil spans one."""
+    return np.sort([t for key in _COEFF_KEYS for t in getattr(params, key).kinks])
 
 
 def _displacement_terms(kernel):
@@ -234,8 +241,7 @@ class _AuxiliaryFlow:
         self.rho0 = rho0 = 1.0 / math.sqrt(m5 * nu0)
         # the first steps split [0, T] uniformly between kinks; each later
         # round splits the steps the estimate flags
-        edges = np.array(sorted({0.0, horizon, *(t for key in _COEFF_KEYS
-                                                 for t in getattr(params, key).kinks
+        edges = np.array(sorted({0.0, horizon, *(t for t in _kinks(params).tolist()
                                                  if 0.0 < t < horizon)}))
         split = np.maximum(1.0, np.ceil(np.diff(edges) * nu0 / _FIRST_ROTATION))
         for _ in range(_MAX_REFINEMENTS + 1):
@@ -309,8 +315,11 @@ class _AuxiliaryFlow:
         return np.concatenate(([0.0], lam))
 
     def _locate(self, t):
-        """(t as a 1-d array, the step of each time, its left edge, tau)."""
+        """(t as a 1-d array, the step of each time, its left edge, tau); a t
+        with more than one axis is a DomainError."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.ndim > 1:
+            raise DomainError(f"t must be a scalar or a 1-d array, got shape {t.shape}")
         _require_in_horizon(t, self.edges[-1])
         k = np.minimum(np.searchsorted(self.edges, t, side="right") - 1, self.edges.size - 1)
         return t, k, self.edges[k], t - self.edges[k]
@@ -575,7 +584,7 @@ def _five_point_residual(params, flow, T, rows, residual):
     are left out; NaN if none is left."""
     h = T / 4096.0
     tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
-    kinks = np.sort([k for key in _COEFF_KEYS for k in getattr(params, key).kinks])
+    kinks = _kinks(params)
     tt = tt[np.searchsorted(kinks, tt - 2 * h) == np.searchsorted(kinks, tt + 2 * h, "right")]
     if not tt.size:
         return math.nan

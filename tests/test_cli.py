@@ -324,6 +324,11 @@ def test_oracle_on_runaway_hamiltonian_exits_with_validity_error(tmp_path, capsy
 
 def test_readme_compare_example_passes(tmp_path, capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # every documented command line parses, so a renamed flag fails here
+    commands = [ln.split()[1:] for ln in text.splitlines() if ln.startswith("tdqho ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        build_parser().parse_args(argv)
     line = next(ln for ln in text.splitlines() if ln.startswith("tdqho compare --scenario ck"))
     argv = line.split()[1:]
     argv[argv.index("--out") + 1] = str(tmp_path / "run")
@@ -458,19 +463,34 @@ def test_negative_density_or_threshold_is_config_error(tmp_path, capsys, argv, f
     assert not out.exists()
 
 
+def _compare_report(out_dir, stdout, overall):
+    """report.json with its keys in order, after checking that stdout prints
+    one line per series from the report's own numbers, then ``overall``."""
+    report = json.loads((out_dir / "report.json").read_text())
+    assert list(report) == ["threshold", "reliable", "passed", "series"]
+    assert [s["name"] for s in report["series"]] == list(cli.COMPARE_SERIES)
+    expected = []
+    for s in report["series"]:
+        assert list(s) == ["name", "max_abs_err", "max_rel_err", "t_at_max", "passed"]
+        expected.append("%s: max_abs=%.3e max_rel=%.3e at t=%.6g %s" % (
+            s["name"], s["max_abs_err"], s["max_rel_err"], s["t_at_max"],
+            "PASS" if s["passed"] else "FAIL"))
+    lines = stdout.splitlines()
+    start = lines.index(expected[0])
+    assert lines[start:start + 6] == expected + [overall]
+    return report
+
+
 def test_compare_pipeline_against_fock_basis(tmp_path, capsys):
     rc = main(["compare", "--scenario", "driven",
                "--horizon", str(2.0 * PI), "--samples", "80",
                "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "overall: PASS" in out
     assert re.search(r"^oracle: max top-decile population \S+, max norm drift \S+, "
                      r"\d+ matvecs in \d+ steps$", out, re.M)
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _compare_report(tmp_path, out, "overall: PASS (threshold 0.0001)")
     assert report["passed"] and report["reliable"]
-    names = {s["name"] for s in report["series"]}
-    assert names == {"mean_x", "mean_p", "var_x", "var_p", "cov_xp"}
     header, data = read_csv(tmp_path / "compare.csv")
     assert header[0] == "t" and "mean_x_ref" in header
     assert data.shape[0] == 80
@@ -483,7 +503,9 @@ def test_compare_rwa_flags_counter_rotating_error(tmp_path, capsys):
                "--rwa", "--samples", "120", "--threshold", "1e-4",
                "--out", str(tmp_path)])
     assert rc == 4
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _compare_report(tmp_path, capsys.readouterr().out,
+                             "overall: FAIL (threshold 0.0001)")
+    assert not report["passed"] and report["reliable"]
     by_name = {s["name"]: s for s in report["series"]}
     assert by_name["mean_x"]["passed"]
     assert not by_name["mean_p"]["passed"]
@@ -491,12 +513,15 @@ def test_compare_rwa_flags_counter_rotating_error(tmp_path, capsys):
     assert by_name["mean_p"]["max_abs_err"] == pytest.approx(0.005, rel=2e-2)
 
 
-def test_compare_unreliable_oracle(tmp_path):
+def test_compare_unreliable_oracle(tmp_path, capsys):
     with pytest.warns(UserWarning, match="tail mass"):
         rc = main(["compare", "--scenario", "driven", "--oracle-n", "8",
                    "--initial", "coherent:2.0", "--horizon", "3.0",
                    "--samples", "20", "--out", str(tmp_path)])
     assert rc == 5
+    report = _compare_report(tmp_path, capsys.readouterr().out,
+                             "overall: FAIL (UNRELIABLE: truncation alarm) (threshold 0.0001)")
+    assert not report["passed"] and not report["reliable"]
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -175,10 +175,27 @@ def test_truncation_alarm_on_small_basis():
 def test_grid_without_origin_is_prepended():
     params = driven_params(horizon=2.0)
     ops = build_operators(24, 1.0, 1.0)
-    grid = np.linspace(0.5, 2.0, 4)
+    # a repeated time is allowed and samples the same state twice
+    grid = np.array([0.5, 1.0, 1.0, 2.0])
     run = propagate_state(ground_state(ops), params, grid, ops)
     assert run.times[0] == 0.0
     assert len(run.times) == 5
+    assert np.array_equal(run.states[:, 2], run.states[:, 3])
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([0.0, 2.0, 1.0], r"grid decreases from t=2\.0 to t=1\.0"),
+    ([0.0, -1.0], r"t=-1\.0 is outside \[0, 2\.0\]"),
+    ([0.0, 5.0], r"t=5\.0 is outside \[0, 2\.0\]"),
+    ([0.0, math.nan, 1.0], r"t=nan is outside"),
+], ids=["decreasing", "negative", "past-horizon", "nan"])
+def test_grid_outside_the_horizon_or_decreasing_is_domain_error(grid, match):
+    # each would label a state with a time it was not stepped to
+    params = QuadraticParams.from_dict({"m": 1.0, "omega": 1.0, "alpha_x": 0.2,
+                                        "horizon": 2.0})
+    ops = build_operators(32, 1.0, 1.0)
+    with pytest.raises(DomainError, match=match):
+        propagate_state(ground_state(ops), params, grid, ops)
 
 
 # -- Taylor stepping -----------------------------------------------------------

@@ -311,6 +311,20 @@ def test_queries_outside_the_horizon_are_domain_errors(t, named):
     assert sol.coefficients_at(np.array([0.0, 10.0])).t.tolist() == [0.0, 10.0]
 
 
+def test_empty_query_gives_empty_results_and_2d_query_is_domain_error(generic_solution):
+    sol = generic_solution
+    init = MomentState(0.0, 0.4, -0.3, 0.7, 0.5, 0.2)
+    empty = np.array([])
+    c = sol.coefficients_at(empty)
+    assert c.t.shape == c.A.shape == c.E.shape == c.beta_p_t.shape == (0,)
+    mt = sol.moments_at(init, empty)
+    assert mt.times.shape == mt.mean_x.shape == mt.cov_xp.shape == (0,)
+    assert sol.global_phase(empty).shape == (0,)
+    for query in (sol.coefficients_at, lambda t: sol.moments_at(init, t), sol.global_phase):
+        with pytest.raises(DomainError, match=re.escape("got shape (2, 3)")):
+            query(sol.grid[:6].reshape(2, 3))
+
+
 def test_grid_past_the_horizon_is_checked_before_the_kernel():
     # omega = 1.2 - 0.1 t turns negative at t = 12, past the horizon: the
     # range error comes first, not the validity failure at a time outside it
