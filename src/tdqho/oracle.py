@@ -249,7 +249,8 @@ def _schedule(ts, dt):
 def propagate_state(psi0, params, grid, ops, dt=None):
     """March psi with midpoint-Magnus steps and sample moments on grid.
 
-    The grid must not decrease and must lie in [0, horizon] (repeats are
+    The grid must be a non-empty 1-d array (else a DomainError naming its
+    shape) that does not decrease and lies in [0, horizon] (repeats are
     allowed); a time outside that range, NaN included, or a decrease is a
     DomainError naming the time. Steps land exactly on sample times
     (shortened final step per segment).
@@ -268,6 +269,8 @@ def propagate_state(psi0, params, grid, ops, dt=None):
     if not (0.0 < dt < math.inf):
         raise DomainError(f"dt must be positive and finite, got {dt}")
     ts = np.asarray(grid, dtype=float)
+    if ts.ndim != 1 or not ts.size:
+        raise DomainError(f"grid must be a non-empty 1-d array, got shape {ts.shape}")
     # the pipeline's rule for query times, so no state is labelled with a
     # time it was not stepped to
     outside = ~((ts >= 0.0) & (ts <= params.horizon))

@@ -4,21 +4,25 @@ The chain: solve the auxiliary problems as two linear systems, the affine
 displacement pair (beta_x, m beta_x') tracking the drives and the Ermakov
 partner (u, m5 u') of the effective oscillator; read the Ermakov scale
 (rho, rho_dot) and the phase Phi off two solutions of the partner by Pinney
-superposition, and take the quadratures X = int a_xp and
-Lambda = int (a_0 + ell) by Gauss rules, with the energy bias ell(t) from
-the displacement; assemble the linear map (A, B, D, E) relating centered
-means at time t to those at 0; then push first and second moments through
-that map with ``model.propagate_moments``.
+superposition, and take the quadrature X = int a_xp by a Gauss rule and
+Lambda = int (a_0 + ell), with the energy bias ell(t) from the
+displacement, as one series per step, the integral of the degree-4
+interpolant through five Gauss nodes of the step (the continuous extension
+of the 5-node Gauss rule; Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, sec. II.6); assemble the linear map
+(A, B, D, E) relating centered means at time t to those at 0; then push
+first and second moments through that map with ``model.propagate_moments``.
 
 Both systems are stepped together by the order-6, three-Gauss-node Magnus
 formula, every step of the solve in one batch, and the running product of
 the step propagators is a Hillis-Steele scan. The steps depend only on the
 parameters, not on the sample grid; a sample, on the grid or off it, is one
-batched partial step from its left step edge. The map is built as a product
-of five 2x2 conjugation matrices (scaling, basis rotation, shear-scale,
-phase rotation, inverse basis rotation), which keeps AE - BD = 1 to machine
-precision by construction. The solve uses numpy alone, so its digits do not
-depend on the scipy version.
+batched partial step from its left step edge, and Lambda there is its
+step's series, built for all steps the first time Lambda is read. The map
+is built as a product of five 2x2 conjugation matrices (scaling, basis
+rotation, shear-scale, phase rotation, inverse basis rotation), which keeps
+AE - BD = 1 to machine precision by construction. The solve uses numpy
+alone, so its digits do not depend on the scipy version.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, IntegrationError, ValidityError
 # not used here; perfbench/tracing.py patches this name
@@ -49,7 +54,7 @@ def default_grid(params, n_samples=PIPELINE_SAMPLES):
 # -- linear auxiliary solve ------------------------------------------------------
 
 # Nodes of the three-node Gauss-Legendre rule on [0, 1] (weights in _gauss):
-# the Magnus nodes, and the rule for X and Lambda.
+# the Magnus nodes, and the rule for X.
 _GAUSS = math.sqrt(15.0) / 10.0
 _NODES = np.array([0.5 - _GAUSS, 0.5, 0.5 + _GAUSS])
 # First steps advance the effective phase at t = 0 by this much; refinement
@@ -59,8 +64,14 @@ _NODES = np.array([0.5 - _GAUSS, 0.5, 0.5 + _GAUSS])
 _FIRST_ROTATION = 1.0 / 32.0
 _MAX_ROTATION = 0.5
 _MAX_REFINEMENTS = 6
-_LAMBDA_CHUNK = 256
 _MAX_STEPS = 1 << 20
+# values at five Gauss nodes of [0, 1] -> s, ..., s^5 coefficients of the integrated quartic
+_LAMBDA_NODES = 0.5 + np.array([-1.0, -1.0, 0.0, 1.0, 1.0]) * np.sqrt(
+    5.0 + np.array([2.0, -2.0, 0.0, -2.0, 2.0]) * math.sqrt(10.0 / 7.0)) / 6.0
+_LAMBDA_SERIES = np.array([P.polyint(P.polyfromroots(np.delete(_LAMBDA_NODES, i)))[1:]
+                           / np.prod(x - np.delete(_LAMBDA_NODES, i))
+                           for i, x in enumerate(_LAMBDA_NODES)]).T
+_LAMBDA_CHUNK = 256  # steps per pass of at(); one pass of 1207 steps peaked 5 MB higher
 
 
 def _beta_p(m, axp, ap, bx, bxd):
@@ -293,26 +304,21 @@ class _AuxiliaryFlow:
         return (tuple(x[:n_head] for x in kernel),
                 [tuple(x[..., i] for x in gens) for i in range(3)], x_step)
 
-    def _lambda_step(self, left, tau):
-        """int (a_0 + ell) over [left, left + tau] by the Gauss rule, with the
-        displacement at the nodes from ``at``, _LAMBDA_CHUNK intervals at a
-        time: one pass over a 2000-point grid took 3 MB more peak memory."""
-        return np.concatenate([
-            self._lambda_chunk(left[i:i + _LAMBDA_CHUNK], tau[i:i + _LAMBDA_CHUNK])
-            for i in range(0, max(left.size, 1), _LAMBDA_CHUNK)])
-
-    def _lambda_chunk(self, left, tau):
-        (bx, bxd, *_), kernel = self.at((left[:, None] + tau[:, None] * _NODES).ravel())
-        m, _, _, w, _, _, axp, _, ap, _, ax, a0 = kernel[:12]
-        bp = _beta_p(m, axp, ap, bx, bxd)
-        ell = bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
-            + ax * bx - ap * bp - 2.0 * axp * bx * bp
-        return tau * _gauss(*(a0 + ell).reshape(-1, 3).T)
-
     @functools.cached_property
-    def _edge_lambda(self):
-        lam = np.cumsum(self._lambda_step(self.edges[:-1], np.diff(self.edges)))
-        return np.concatenate(([0.0], lam))
+    def _lambda_series(self):
+        """(Lambda at the edges, h times each step's series); einsum, as @ would start BLAS."""
+        nodes = (self.edges[:-1, None] + np.diff(self.edges)[:, None] * _LAMBDA_NODES).ravel()
+        f = np.empty_like(nodes)
+        for i in range(0, nodes.size, 5 * _LAMBDA_CHUNK):
+            (bx, bxd, *_), kernel = self.at(nodes[i:i + 5 * _LAMBDA_CHUNK])
+            m, _, _, w, _, _, axp, _, ap, _, ax, a0 = kernel[:12]
+            bp = _beta_p(m, axp, ap, bx, bxd)
+            f[i:i + 5 * _LAMBDA_CHUNK] = a0 + bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
+                + ax * bx - ap * bp - 2.0 * axp * bx * bp
+        series = np.diff(self.edges) * np.einsum("ij,kj->ik", _LAMBDA_SERIES, f.reshape(-1, 5))
+        edge = np.concatenate(([0.0], np.cumsum(series.sum(axis=0))))
+        _require_finite((f, np.repeat(edge[1:], 5)), nodes, "auxiliary state")
+        return edge, series
 
     def _locate(self, t):
         """(t as a 1-d array, the step of each time, its left edge, tau); a t
@@ -345,13 +351,12 @@ class _AuxiliaryFlow:
         return out, kernel
 
     def lambda_at(self, t):
-        """Lambda at the times t as a 1-d array: the edge value plus the Gauss
-        rule over the rest of the step, with the displacement at its nodes by
-        the same partial step as any sample."""
-        t, k, left, tau = self._locate(t)
-        lam = self._edge_lambda[k] + self._lambda_step(left, tau)
-        _require_finite((lam,), t, "auxiliary state")
-        return lam
+        """Lambda at the times t as a 1-d array: edge plus series at s = tau/h (T: s = 1)."""
+        t, k, _, _ = self._locate(t)
+        k = np.minimum(k, self.edges.size - 2)
+        edge, series = self._lambda_series
+        s = (t - self.edges[k]) / (self.edges[k + 1] - self.edges[k])
+        return edge[k] + s * P.polyval(s, series[:, k], tensor=False)
 
 
 def _scalar_or_array(t, values):
@@ -393,7 +398,8 @@ class BetaSolution:
 class ErmakovSolution:
     """Sampled Ermakov scale rho with the three running phase integrals:
     Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell). A view of the
-    auxiliary solution; Lambda, from the displacement alone, is computed on first use."""
+    auxiliary solution; Lambda, from the displacement alone, is a per-step
+    series built on first use over all steps and read at any time after."""
 
     times: np.ndarray
     rho: np.ndarray
@@ -403,7 +409,8 @@ class ErmakovSolution:
     _flow: object
 
     def at(self, t):
-        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, by a partial step."""
+        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t: the first four by a
+        partial step, Lambda from the series of its step."""
         states, _ = self._flow.at(t)
         return _scalar_or_array(t, (*states[2:], self._flow.lambda_at(t)))
 
@@ -418,7 +425,8 @@ class ErmakovSolution:
 
 def _solve_auxiliary(params, grid):
     """Solve the displacement pair and the Ermakov partner on [0, T] and
-    sample them on the grid, extended by 0 and T (a DomainError past them).
+    sample them on the 1-d grid, extended by 0 and T (a DomainError past
+    them or for another shape).
 
     The start comes from the kernel at t = 0 (see _AuxiliaryFlow). A
     ValidityError names the time and the constraint wherever w + kappa or
@@ -427,6 +435,8 @@ def _solve_auxiliary(params, grid):
     (BetaSolution, ErmakovSolution) sharing one solution, and the
     effective-oscillator tuple on the grid.
     """
+    if grid is not None and np.ndim(grid) != 1:
+        raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
     grid = np.sort(np.concatenate((default_grid(params) if grid is None else grid,
                                    [0.0, params.horizon])))
     # the range before the kernel, which past T could fail or overflow first;

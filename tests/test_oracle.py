@@ -188,7 +188,9 @@ def test_grid_without_origin_is_prepended():
     ([0.0, -1.0], r"t=-1\.0 is outside \[0, 2\.0\]"),
     ([0.0, 5.0], r"t=5\.0 is outside \[0, 2\.0\]"),
     ([0.0, math.nan, 1.0], r"t=nan is outside"),
-], ids=["decreasing", "negative", "past-horizon", "nan"])
+    ([], r"got shape \(0,\)"),
+    ([[0.0, 1.0], [1.5, 2.0]], r"got shape \(2, 2\)"),
+], ids=["decreasing", "negative", "past-horizon", "nan", "empty", "2d"])
 def test_grid_outside_the_horizon_or_decreasing_is_domain_error(grid, match):
     # each would label a state with a time it was not stepped to
     params = QuadraticParams.from_dict({"m": 1.0, "omega": 1.0, "alpha_x": 0.2,

@@ -129,6 +129,26 @@ def test_lambda_matches_driven_closed_form(spec):
     assert np.max(np.abs(expected)) > 1.0
     assert np.max(np.abs(sol.ermakov.Lambda - expected)) < 1e-8
     assert np.max(np.abs(sol.global_phase() + expected / spec.hbar)) < 1e-8
+    # off the grid: the grid value plus the rest of the sample interval
+    q = np.random.default_rng(5).uniform(0.0, sol.grid[-1], 64)
+    i = np.searchsorted(sol.grid, q) - 1
+    expected = expected[i] + [quad(ell, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+                              for a, b in zip(sol.grid[i], q)]
+    assert np.max(np.abs(sol.global_phase(q) + expected / spec.hbar)) < 1e-8
+
+
+def test_lambda_of_a_quartic_energy_offset_is_its_antiderivative():
+    # no drives leave ell = 0, and the degree-5 series of each step holds a
+    # quartic a_0's antiderivative exactly
+    coefficients = [0.3, -0.2, 0.05, 0.01, -0.0007]
+    p = standard_params(horizon=10.0, alpha_0={"kind": "polynomial",
+                                               "coefficients": coefficients})
+    sol = solve(p, n_samples=2000)
+    q = np.random.default_rng(11).uniform(0.0, 10.0, 256)
+    antiderivative = np.polynomial.polynomial.polyint(coefficients)
+    for t, lam in ((sol.grid, sol.ermakov.Lambda), (q, sol.ermakov.at(q)[-1])):
+        exact = np.polynomial.polynomial.polyval(t, antiderivative)
+        assert np.max(np.abs(lam - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
 
 
 # -- residual diagnostics -----------------------------------------------------
@@ -335,6 +355,12 @@ def test_grid_past_the_horizon_is_checked_before_the_kernel():
         solve_beta(p, np.linspace(0.0, 14.0, 8))
 
 
+def test_grid_that_is_not_1d_is_a_domain_error():
+    # before np.concatenate, whose ValueError would not name the grid
+    with pytest.raises(DomainError, match=re.escape("got shape (2, 2)")):
+        solve_beta(standard_params(), np.ones((2, 2)))
+
+
 def test_trajectory_state_accessor(standard_solution):
     mt = standard_solution.moments(ground_moments(1.0, 1.0, 1.0))
     st = mt.state(10)
@@ -487,6 +513,17 @@ def test_overflowing_displacement_is_integration_error_at_its_time():
     assert "non-finite auxiliary state" in str(info.value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_lambda_is_integration_error_when_built():
+    # Lambda = 1e306 t passes the float range at t = 179.8; the solve does
+    # not read it, and the first global phase names the step where it does
+    sol = solve(standard_params(horizon=200.0, alpha_0=1e306), n_samples=100)
+    with pytest.raises(IntegrationError) as info:
+        sol.global_phase(1.0)
+    assert 179.7 < info.value.t < 179.8
+    assert "non-finite auxiliary state" in str(info.value)
+
+
 def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sizes, scalars = [], []
     for cls in (Constant, Cosine, Exponential, Polynomial, Tabulated):
@@ -512,15 +549,19 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol.coefficients_at(3.7)
     sol.coefficients_at(np.array([1.0, 2.5]))
     assert scalars == []
-    # the global phase takes only the Lambda passes, _LAMBDA_CHUNK intervals
-    # at a time over the steps and over the partial steps to the samples:
-    # one pass of the partial steps to the three Gauss nodes of each
-    # interval, 3 node and 9 partial-step-node times per interval
+    # the global phase takes only the Lambda build, _LAMBDA_CHUNK steps at a
+    # time: one pass of the partial steps to the five Gauss nodes of each
+    # step, 5 node and 15 partial-step-node times per step
     sizes.clear()
     sol.global_phase()
-    chunks = [min(_LAMBDA_CHUNK, n - i) for n in (steps, 2000)
-              for i in range(0, n, _LAMBDA_CHUNK)]
-    assert sorted(sizes) == sorted(12 * c for c in chunks for _ in range(6))
+    chunks = [min(_LAMBDA_CHUNK, steps - i) for i in range(0, steps, _LAMBDA_CHUNK)]
+    assert len(chunks) > 1
+    assert sorted(sizes) == sorted(5 * c + 15 * c for c in chunks for _ in range(6))
+    # later queries, at new times too, read the built series: no jets at all
+    sizes.clear()
+    sol.global_phase(np.linspace(0.05, 9.95, 37))
+    sol.global_phase(2.5)
+    assert sizes == [] and scalars == []
 
 
 # -- unit determinant over random admissible profiles ---------------------------
