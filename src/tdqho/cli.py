@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -448,9 +449,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser() once per process: it takes about 2 ms, and parse_args
+    leaves the parser as it found it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, DomainError) as exc:

@@ -240,19 +240,24 @@ class _EffectiveOscillator:
     array t, takes one jet of each coefficient and returns the plain tuple
     (m, m', m'', w, w', w'', a_xp, a_xp', a_p, a_p', a_x, a_0, kappa, kappa',
     m5, d ln m5/dt, w5^2), or raises ValidityError at the least t where
-    w + kappa or w5^2 = w^2 - kappa^2 is not positive."""
+    w + kappa or w5^2 = w^2 - kappa^2 is not positive. ``at_with_rates(t)``
+    also returns (a_x', a_p'', a_xp'') from the same jets."""
 
     def __init__(self, params):
         self.params = params
         self.eta0 = params.m.value(0.0) * params.omega.value(0.0)
 
     def at(self, t):
+        return self.at_with_rates(t)[0]
+
+    def at_with_rates(self, t):
         p = self.params
         m, md, mdd = p.m.jet(t)
         w, wd, wdd = p.omega.jet(t)
-        axp, axpd, _ = p.alpha_xp.jet(t)
-        ap, apd, _ = p.alpha_p.jet(t)
-        ax, a0 = p.alpha_x.jet(t)[0], p.alpha_0.jet(t)[0]
+        axp, axpd, axpdd = p.alpha_xp.jet(t)
+        ap, apd, apdd = p.alpha_p.jet(t)
+        ax, axd, _ = p.alpha_x.jet(t)
+        a0 = p.alpha_0.jet(t)[0]
         mlog, wlog = md / m, wd / w
         kap = _kappa(mlog, wlog, axp)
         denom = w + kap
@@ -260,8 +265,9 @@ class _EffectiveOscillator:
         _require_positive(denom, t, _SHIFTED_FREQUENCY)
         _require_positive(w5sq, t, _EFFECTIVE_FREQUENCY)
         kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
-        return (m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
-                kap, kap_dot, self.eta0 / denom, -(wd + kap_dot) / denom, w5sq)
+        return ((m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
+                 kap, kap_dot, self.eta0 / denom, -(wd + kap_dot) / denom, w5sq),
+                (axd, apdd, axpdd))
 
 
 def kappa(params, t):

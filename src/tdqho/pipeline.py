@@ -16,13 +16,15 @@ first and second moments through that map with ``model.propagate_moments``.
 Both systems are stepped together by the order-6, three-Gauss-node Magnus
 formula, every step of the solve in one batch, and the running product of
 the step propagators is a Hillis-Steele scan. The steps depend only on the
-parameters, not on the sample grid; a sample, on the grid or off it, is one
-batched partial step from its left step edge, and Lambda there is its
-step's series, built for all steps the first time Lambda is read. The map
-is built as a product of five 2x2 conjugation matrices (scaling, basis
-rotation, shear-scale, phase rotation, inverse basis rotation), which keeps
-AE - BD = 1 to machine precision by construction. The solve uses numpy
-alone, so its digits do not depend on the scipy version.
+parameters, not on the sample grid; a sample, on the grid or off it, is read
+off the dense output of its step, one quintic Hermite series per step in the
+seven linear states, built once per solve from their values, slopes and
+curvatures at the step edges and split where its defect asks; Lambda there
+is its step's own series, built for all steps the first time Lambda is read.
+The map is built as a product of five 2x2 conjugation matrices (scaling,
+basis rotation, shear-scale, phase rotation, inverse basis rotation), which
+keeps AE - BD = 1 to machine precision by construction. The solve uses
+numpy alone, so its digits do not depend on the scipy version.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .errors import DomainError, IntegrationError, ValidityError
 from .integrators import integrate_adaptive  # noqa: F401
 from .model import (_COEFF_KEYS, MomentTrajectory, PropagatorCoefficients,
                     _EffectiveOscillator, propagate_moments, validate)
-from .staticdiag import StaticParams, static_translation
+from .staticdiag import StaticParams, _energy_offset, static_translation
 
 PIPELINE_SAMPLES = 2000
 # Largest |Omega6 - Omega4| a Magnus step may keep (an estimate of the local
-# error of the order-4 exponent; the order-6 one is far smaller).
+# error of the order-4 exponent; the order-6 one is far smaller), and the
+# largest error estimate of the dense output between its edges.
 MAGNUS_TOL = 1e-10
 
 
@@ -71,7 +74,7 @@ _LAMBDA_NODES = 0.5 + np.array([-1.0, -1.0, 0.0, 1.0, 1.0]) * np.sqrt(
 _LAMBDA_SERIES = np.array([P.polyint(P.polyfromroots(np.delete(_LAMBDA_NODES, i)))[1:]
                            / np.prod(x - np.delete(_LAMBDA_NODES, i))
                            for i, x in enumerate(_LAMBDA_NODES)]).T
-_LAMBDA_CHUNK = 256  # steps per pass of at(); one pass of 1207 steps peaked 5 MB higher
+_LAMBDA_CHUNK = 256  # steps per pass of at(); one pass of 1207 steps peaked 4.2 MB, not 1.3
 
 
 def _beta_p(m, axp, ap, bx, bxd):
@@ -130,12 +133,12 @@ def _generators(kernel):
 # (v, w), are 6-tuples. All algebra is per component: no batched matmul.
 
 
-def _magnus(nodes, h, forcing_scale=None):
+def _magnus(nodes, h, forcing_scale):
     """Order-6 Magnus exponent over steps of length h from the generators
     (b, c, g) at the three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009), eq. 253). Given ``forcing_scale``, also the largest
-    entry of |Omega6 - Omega4| per step, its forcing part relative to that
-    scale: the displacement, and its error, grow with the forcing.
+    470, 151 (2009), eq. 253), and the largest entry of |Omega6 - Omega4|
+    per step, its forcing part relative to ``forcing_scale``: the
+    displacement, and its error, grow with the forcing.
 
     With a1, a2, a3 the Legendre moments of the generator, k1 = [a1, a2]
     and k2 = [a1, 2 a3 + k1]:
@@ -163,8 +166,6 @@ def _magnus(nodes, h, forcing_scale=None):
     tf = (ka * rf + lb * rg - ra * kf - rb * lg) / 240.0
     tg = (lc * rf - ka * rg - rc * kf + ra * lg) / 240.0
     omega = (ta, ab + cb / 12.0 + tb, ac + cc / 12.0 + tc, tf, ag + cg / 12.0 + tg)
-    if forcing_scale is None:
-        return omega
     return omega, np.maximum(np.max(np.abs([ta + ka / 12.0, tb, tc]), axis=0),
                              np.maximum(abs(tf + kf / 12.0), abs(tg)) / forcing_scale)
 
@@ -219,10 +220,58 @@ def _subdivide(edges, split):
     return np.append(edges[k] + (edges[k + 1] - edges[k]) * (part / n[k]), edges[-1])
 
 
+# -- dense output ------------------------------------------------------------
+
+# The seven linear states, in the order of the series: the positions
+# (beta_x, u1, u2), their momenta (m beta_x', m5 u1', m5 u2') and X; rows of
+# _AuxiliaryFlow.states.
+_LINEAR = [0, 2, 4, 1, 3, 5, 7]
+# s^j and d(s^j)/ds at the outer Gauss nodes, the defect's nodes
+_DEFECT_POWERS = np.array([[[s ** j for j in range(6)] for s in _NODES[::2]],
+                           [[j * s ** (j - 1) for j in range(6)] for s in _NODES[::2]]])
+
+
+def _field(b, c, g, rate, y):
+    """G y + F for the linear states y (leading axis) from the generators b
+    and c of rows 0 and 1, row 0's forcing g and X's rate."""
+    return np.concatenate((b[0] * y[3:4], b[1] * y[4:6], c[0] * y[:1] + g,
+                           c[1] * y[1:3], rate + 0.0 * y[6:]))
+
+
+def _slopes(kernel, rates, y):
+    """(y', y'') of the linear states y from the effective-oscillator tuple
+    and (a_x', a_p'', a_xp'') at their times: y' = G y + F and
+    y'' = G' y + F' + G y', with G' and F' from _generators differentiated
+    in closed form."""
+    m, md, mdd, w, wd, _, axp, axpd, ap, apd, _, _, kap, kapd, m5, m5log, w5sq = kernel
+    axd, apdd, axpdd = rates
+    b, c, g = _generators(kernel)
+    dy = _field(b, c, g[0], axp, y)
+    return dy, _field(
+        (-md / (m * m), -m5log / m5),
+        (2.0 * m * axpdd + 4.0 * md * axpd - md * w * w - 2.0 * m * w * wd
+         + 4.0 * md * axp * axp + 8.0 * m * axp * axpd + 2.0 * axp * mdd,
+         -m5 * (m5log * w5sq + 2.0 * (w * wd - kap * kapd))),
+        m * apdd + 2.0 * md * apd - axd + 2.0 * md * ap * axp + 2.0 * m * apd * axp
+        + 2.0 * m * ap * axpd + ap * mdd, axpd, y) + _field(b, c, 0.0, 0.0, dy)
+
+
+def _hermite(y0, v0, a0, y1, v1, a1):
+    """s^0, ..., s^5 coefficients of the quintic on [0, 1] with the values
+    y, first derivatives v and second derivatives a (in s) at both ends."""
+    d = y1 - y0
+    return (y0, v0, 0.5 * a0,
+            10.0 * d - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1,
+            -15.0 * d + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1,
+            6.0 * d - 3.0 * (v0 + v1) - 0.5 * (a0 - a1))
+
+
 class _AuxiliaryFlow:
     """The two linear auxiliary systems on [0, T] by order-6 Magnus steps:
-    the states at the step edges, and the state at any time by one batched
-    partial step from the left edge of its step.
+    the states at the step edges, and at any time the dense output of its
+    step, one quintic Hermite series per step in the seven linear states
+    (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
+    sec. II.6).
 
     The start is read off the effective-oscillator tuple at t = 0
     (``kernel0``): the displacement pair from the translation of the frozen
@@ -234,7 +283,11 @@ class _AuxiliaryFlow:
     tables), so that no step straddles a kink: the order-6 formula assumes
     a smooth generator, and a kink inside a step costs it about 1e-5 on the
     map. Steps are split, a priori, where |Omega6 - Omega4| exceeds
-    MAGNUS_TOL or an Ermakov step turns by more than _MAX_ROTATION.
+    MAGNUS_TOL or an Ermakov step turns by more than _MAX_ROTATION, and
+    then where the defect of the series at the outer Gauss nodes puts its
+    error above MAGNUS_TOL. The series matches value, slope and curvature at
+    both edges of its step, the right edge's read from inside the step, so
+    that a kink there is seen from the step's own side.
     A ValidityError names the earliest Gauss node where w + kappa or
     w^2 - kappa^2 is not positive; a non-finite generator, propagator or
     state is an IntegrationError at the earliest time it appears.
@@ -249,10 +302,12 @@ class _AuxiliaryFlow:
         # (beta_x, beta_p) at 0, with beta_p from the same formula as at any t
         self.beta_0 = bx0, _beta_p(m, axp, ap, bx0, bxd0)
         nu0 = math.sqrt(w5sq)
-        self.rho0 = rho0 = 1.0 / math.sqrt(m5 * nu0)
+        self.rho0 = 1.0 / math.sqrt(m5 * nu0)
+        start = bx0, m * bxd0
         # the first steps split [0, T] uniformly between kinks; each later
-        # round splits the steps the estimate flags
-        edges = np.array(sorted({0.0, horizon, *(t for t in _kinks(params).tolist()
+        # round splits the steps the estimates flag
+        kinks = _kinks(params)
+        edges = np.array(sorted({0.0, horizon, *(t for t in kinks.tolist()
                                                  if 0.0 < t < horizon)}))
         split = np.maximum(1.0, np.ceil(np.diff(edges) * nu0 / _FIRST_ROTATION))
         for _ in range(_MAX_REFINEMENTS + 1):
@@ -261,7 +316,7 @@ class _AuxiliaryFlow:
                                        t=float(edges[np.argmax(split > 1)]))
             edges = _subdivide(edges, split)
             h = np.diff(edges)
-            _, nodes, x_step = self._step(edges[:-1], h)
+            nodes, axp = self._step(edges[:-1], h)
             omega, error = _magnus(nodes, h, np.maximum(1.0, np.max(np.abs(
                 [g for _, _, g in nodes]), axis=0)))
             _require_finite((error,), edges[:-1], "Magnus error estimate")
@@ -270,16 +325,36 @@ class _AuxiliaryFlow:
             split = np.maximum(1.0, np.ceil(np.maximum(
                 (error.max(axis=0) / MAGNUS_TOL) ** 0.2, turn / _MAX_ROTATION)))
             if not (split > 1.0).any():
-                break
+                self._propagate(edges, omega, h * _gauss(*axp.T), start)
+                self._fit(kinks)
+                split = np.maximum(1.0, np.ceil(
+                    (self._defect(nodes, axp) / MAGNUS_TOL) ** (1.0 / 6.0)))
+                if not (split > 1.0).any():
+                    break
         else:
             raise IntegrationError("Magnus step refinement did not settle",
                                    t=float(edges[np.argmax(split > 1.0)]))
+
+    def _step(self, left, h):
+        """From one kernel pass over the Gauss nodes of [left, left + h]: the
+        generators (b, c, g) of rows 0 and 1 at each of the three nodes, and
+        a_xp there, one row per step."""
+        nodes = (left[:, None] + h[:, None] * _NODES).ravel()
+        kernel = self.oscillator.at(nodes)
+        gens = _generators(kernel)
+        _require_finite(gens, nodes, "effective-oscillator coefficient")
+        gens = [x.reshape(2, -1, 3) for x in gens]
+        return [tuple(x[..., i] for x in gens) for i in range(3)], kernel[6].reshape(-1, 3)
+
+    def _propagate(self, edges, omega, x_step, start):
+        """The states at the edges from the step exponents, the X increments
+        and the displacement pair at 0."""
         maps = _expm(omega)
         _require_finite(maps, edges[1:], "step propagator")
         # the identity at edge 0, then the running products
         p, q, r, s, v, w = _scan([np.insert(x, 0, e, axis=1)
                                   for x, e in zip(maps, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))])
-        y0 = m * bxd0
+        (bx0, y0), rho0 = start, self.rho0
         u1, u2 = rho0 * p[1], q[1] / rho0
         self.edges = edges
         # per edge: beta_x, m beta_x', the partner solutions (u, m5 u') from
@@ -290,72 +365,88 @@ class _AuxiliaryFlow:
                                 np.concatenate(([0.0], np.cumsum(x_step)))])
         _require_finite(self.states, edges, "auxiliary state")
 
-    def _step(self, left, tau, head=()):
-        """From one kernel pass over ``head`` and the Gauss nodes of
-        [left, left + tau]: the kernel at head, the generators (b, c, g) of
-        rows 0 and 1 at each of the three nodes, and the X increments."""
-        nodes = (left[:, None] + tau[:, None] * _NODES).ravel()
-        kernel = self.oscillator.at(np.concatenate((head, nodes)))
-        n_head = len(head)
-        gens = _generators(tuple(x[n_head:] for x in kernel))
-        _require_finite(gens, nodes, "effective-oscillator coefficient")
-        gens = [x.reshape(2, -1, 3) for x in gens]
-        x_step = tau * _gauss(*kernel[6][n_head:].reshape(-1, 3).T)
-        return (tuple(x[:n_head] for x in kernel),
-                [tuple(x[..., i] for x in gens) for i in range(3)], x_step)
+    def _fit(self, kinks):
+        """The series of every step from one kernel pass over the edges and
+        just inside the right edges that are kinks, and a constant one at T
+        (step length 1), so that every edge reads its own state at s = 0."""
+        edges, y = self.edges, self.states[_LINEAR]
+        n = edges.size - 1
+        kinked = np.flatnonzero(np.isin(edges[1:], kinks)) + 1
+        t = np.concatenate((edges, np.nextafter(edges[kinked], -np.inf)))
+        cols = np.concatenate((np.arange(n + 1), kinked))
+        dy, ddy = _slopes(*self.oscillator.at_with_rates(t), y[:, cols])
+        _require_finite((dy, ddy), t, "auxiliary state derivative")
+        right = np.arange(1, n + 1)
+        right[kinked - 1] = np.arange(n + 1, n + 1 + kinked.size)
+        h = np.diff(edges)
+        self._h = np.append(h, 1.0)
+        self.series = np.zeros((6, 7, n + 1))
+        self.series[0, :, n] = y[:, n]
+        self.series[..., :n] = _hermite(y[:, :-1], h * dy[:, :n], h * h * ddy[:, :n],
+                                        y[:, 1:], h * dy[:, right], h * h * ddy[:, right])
+
+    def _defect(self, nodes, axp):
+        """Per step, the error estimate h |y_H' - G y_H - F| / 1.5 of the
+        series y_H at the two outer Gauss nodes, each relative to
+        max(1, |y_H|): the slope of the quintic's error s^3 (1 - s)^3 there
+        is about 1.5/h times its peak."""
+        h = self._h[:-1]
+        y, dy = np.einsum("vnj,jik->vink", _DEFECT_POWERS, self.series[..., :-1])
+        b, c, g = (np.stack((x, z), axis=1) for x, z in zip(nodes[0], nodes[2]))
+        defect = dy / h - _field(b, c, g[0], axp[:, ::2].T, y)
+        return np.max(np.abs(defect) / np.maximum(1.0, np.abs(y)), axis=(0, 1)) * h / 1.5
 
     @functools.cached_property
     def _lambda_series(self):
-        """(Lambda at the edges, h times each step's series); einsum, as @ would start BLAS."""
-        nodes = (self.edges[:-1, None] + np.diff(self.edges)[:, None] * _LAMBDA_NODES).ravel()
+        """(Lambda at the edges, h times each step's series, a zero one at T);
+        einsum, as @ would start BLAS."""
+        h = self._h[:-1]
+        nodes = (self.edges[:-1, None] + h[:, None] * _LAMBDA_NODES).ravel()
         f = np.empty_like(nodes)
         for i in range(0, nodes.size, 5 * _LAMBDA_CHUNK):
             (bx, bxd, *_), kernel = self.at(nodes[i:i + 5 * _LAMBDA_CHUNK])
             m, _, _, w, _, _, axp, _, ap, _, ax, a0 = kernel[:12]
-            bp = _beta_p(m, axp, ap, bx, bxd)
-            f[i:i + 5 * _LAMBDA_CHUNK] = a0 + bp * bp / (2.0 * m) + 0.5 * m * w * w * bx * bx \
-                + ax * bx - ap * bp - 2.0 * axp * bx * bp
-        series = np.diff(self.edges) * np.einsum("ij,kj->ik", _LAMBDA_SERIES, f.reshape(-1, 5))
+            f[i:i + 5 * _LAMBDA_CHUNK] = a0 + _energy_offset(
+                m, w, ax, ap, axp, bx, _beta_p(m, axp, ap, bx, bxd))
+        series = h * np.einsum("ij,kj->ik", _LAMBDA_SERIES, f.reshape(-1, 5))
         edge = np.concatenate(([0.0], np.cumsum(series.sum(axis=0))))
         _require_finite((f, np.repeat(edge[1:], 5)), nodes, "auxiliary state")
-        return edge, series
+        return edge, np.pad(series, ((0, 0), (0, 1)))
 
     def _locate(self, t):
-        """(t as a 1-d array, the step of each time, its left edge, tau); a t
-        with more than one axis is a DomainError."""
+        """(t as a 1-d array, the step of each time, s = tau/h in it; T is
+        s = 0 of the last edge); a t with more than one axis is a DomainError."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.ndim > 1:
             raise DomainError(f"t must be a scalar or a 1-d array, got shape {t.shape}")
         _require_in_horizon(t, self.edges[-1])
         k = np.minimum(np.searchsorted(self.edges, t, side="right") - 1, self.edges.size - 1)
-        return t, k, self.edges[k], t - self.edges[k]
+        return t, k, (t - self.edges[k]) / self._h[k]
 
     def at(self, t, kernel=None):
         """[beta_x, beta_x_dot, rho, rho_dot, Phi, X] at the times t as a
-        1-d array, and the effective-oscillator tuple there (evaluated in
-        the partial step's kernel pass unless given); Lambda is lambda_at's."""
-        t, k, left, tau = self._locate(t)
-        head, nodes, x_step = self._step(left, tau, () if kernel is not None else t)
-        kernel = head if kernel is None else kernel
-        p, q, r, s, v, w = _expm(_magnus(nodes, tau))
-        bx0, y0, u10, q10, u20, q20, phi0, x0 = self.states[:, k]
-        bx = p[0] * bx0 + q[0] * y0 + v[0]
-        y = r[0] * bx0 + s[0] * y0 + w[0]
-        u1, u2 = p[1] * u10 + q[1] * q10, p[1] * u20 + q[1] * q20
-        q1, q2 = r[1] * u10 + s[1] * q10, r[1] * u20 + s[1] * q20
+        1-d array, from the series of their steps, and the
+        effective-oscillator tuple there (evaluated unless given); Lambda is
+        lambda_at's."""
+        t, k, s = self._locate(t)
+        kernel = self.oscillator.at(t) if kernel is None else kernel
+        series = self.series[..., k]
+        linear = series[5]
+        for c in series[4::-1]:
+            linear = linear * s + c
+        bx, u1, u2, y, q1, q2, x = linear
+        u10, u20, phi0 = (self.states[i, k] for i in (2, 4, 6))
         m, m5 = kernel[0], kernel[14]
         rho = np.hypot(u1, u2)
         out = [bx, y / m, rho, (u1 * q1 + u2 * q2) / (m5 * rho),
-               phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2), x0 + x_step]
+               phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2), x]
         _require_finite(out, t, "auxiliary state")
         return out, kernel
 
     def lambda_at(self, t):
-        """Lambda at the times t as a 1-d array: edge plus series at s = tau/h (T: s = 1)."""
-        t, k, _, _ = self._locate(t)
-        k = np.minimum(k, self.edges.size - 2)
+        """Lambda at the times t as a 1-d array: edge plus series at s = tau/h."""
+        t, k, s = self._locate(t)
         edge, series = self._lambda_series
-        s = (t - self.edges[k]) / (self.edges[k + 1] - self.edges[k])
         return edge[k] + s * P.polyval(s, series[:, k], tensor=False)
 
 
@@ -379,7 +470,7 @@ class BetaSolution:
     _flow: object
 
     def at(self, t):
-        """(beta_x, beta_x_dot, beta_p) at arbitrary t, by a partial step."""
+        """(beta_x, beta_x_dot, beta_p) at arbitrary t, off the series of its step."""
         (bx, bxd, *_), kernel = self._flow.at(t)
         m, _, _, _, _, _, axp, _, ap, *_ = kernel
         return _scalar_or_array(t, (bx, bxd, _beta_p(m, axp, ap, bx, bxd)))
@@ -409,8 +500,8 @@ class ErmakovSolution:
     _flow: object
 
     def at(self, t):
-        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t: the first four by a
-        partial step, Lambda from the series of its step."""
+        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, off the series of
+        its step: the auxiliary states' for the first four, Lambda's own."""
         states, _ = self._flow.at(t)
         return _scalar_or_array(t, (*states[2:], self._flow.lambda_at(t)))
 
@@ -431,7 +522,7 @@ def _solve_auxiliary(params, grid):
     The start comes from the kernel at t = 0 (see _AuxiliaryFlow). A
     ValidityError names the time and the constraint wherever w + kappa or
     w^2 - kappa^2 stops being positive: first on the grid, then at the Gauss
-    nodes of the steps and of the partial steps to the samples. Returns
+    nodes and the edges of the steps. Returns
     (BetaSolution, ErmakovSolution) sharing one solution, and the
     effective-oscillator tuple on the grid.
     """
@@ -505,8 +596,8 @@ def _assemble(flow, kernel, states, t):
 
 
 def coefficients(params, beta, ermakov, t):
-    """Propagator coefficients at time(s) t, each by one partial step of the
-    auxiliary solution: scalars for a scalar t, else arrays."""
+    """Propagator coefficients at time(s) t, off the series of their steps
+    of the auxiliary solution: scalars for a scalar t, else arrays."""
     states, kernel = beta._flow.at(t)
     return _assemble(beta._flow, kernel, states[:5], t)
 

@@ -104,12 +104,17 @@ def translation_residuals(params, beta_x, beta_p):
     return r_x, r_p
 
 
+def _energy_offset(m, omega, alpha_x, alpha_p, alpha_xp, beta_x, beta_p):
+    """Energy offset ell left by the translation (beta_x, beta_p), for
+    scalars or arrays alike."""
+    return beta_p ** 2 / (2.0 * m) + 0.5 * m * omega ** 2 * beta_x ** 2 \
+        + alpha_x * beta_x - alpha_p * beta_p - 2.0 * alpha_xp * beta_x * beta_p
+
+
 def accumulation_constant(params, beta_x, beta_p):
     """Constant energy offset l produced by the translation."""
-    return beta_p ** 2 / (2.0 * params.m) \
-        + 0.5 * params.m * params.omega ** 2 * beta_x ** 2 \
-        + params.alpha_x * beta_x - params.alpha_p * beta_p \
-        - 2.0 * params.alpha_xp * beta_x * beta_p
+    return _energy_offset(params.m, params.omega, params.alpha_x, params.alpha_p,
+                          params.alpha_xp, beta_x, beta_p)
 
 
 def _require_admissible(params):

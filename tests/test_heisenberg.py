@@ -129,3 +129,44 @@ def test_order_1_tables_match_heisenberg_flow(key):
               "values": list(ORDER_1_PROFILES[key](knots)), "order": 1}})
     edges = _check_against_heisenberg(params, 400).beta._flow.edges
     assert np.isin(knots, edges).all()
+
+
+def _cosine_drives(angular_frequency):
+    return QuadraticParams.from_dict({
+        "m": 1.0, "omega": 1.0, "horizon": 10.0,
+        "alpha_x": {"kind": "cosine", "amplitude": 0.5, "angular_frequency": angular_frequency},
+        "alpha_p": {"kind": "cosine", "amplitude": 0.5,
+                    "angular_frequency": 0.8 * angular_frequency}})
+
+
+OMEGA_RAMP = QuadraticParams.from_dict({
+    "m": 1.0, "alpha_x": 0.1, "horizon": 12.0,
+    "omega": {"kind": "tabulated", "grid": [0.0, 6.0, 12.0], "values": [1.0, 8.0, 8.0],
+              "order": 1}})
+
+
+@pytest.mark.parametrize("params", [OMEGA_RAMP, _cosine_drives(15.0), _cosine_drives(25.0)],
+                         ids=["omega-ramp-1-to-8", "drives-at-15", "drives-at-25"])
+def test_dense_output_error_control_matches_heisenberg_flow(params):
+    # samples are read off one quintic per step, and steps are split where
+    # its defect asks: on the ramp, steps sized for the Magnus error alone
+    # leave about 7e-8 on the map
+    _check_against_heisenberg(params, 400)
+
+
+@pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
+                         ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
+def test_series_read_the_edge_states_and_join_at_the_edges(params):
+    flow = solve(params, n_samples=9).beta._flow
+    (bx, bxd, rho, rho_dot, phi, x), kernel = flow.at(flow.edges)
+    bx_e, y_e, u1, q1, u2, q2, phi_e, x_e = flow.states
+    m, m5 = kernel[0], kernel[14]
+    # every edge is s = 0 of its own series, T of a constant one
+    for got, ref in ((bx, bx_e), (bxd, y_e / m), (rho, np.hypot(u1, u2)),
+                     (rho_dot, (u1 * q1 + u2 * q2) / (m5 * np.hypot(u1, u2))),
+                     (phi, phi_e), (x, x_e)):
+        assert np.array_equal(got, ref)
+    # s = 1 of each step's series is the next edge's state, to round-off
+    linear = flow.states[[0, 2, 4, 1, 3, 5, 7], 1:]
+    ends = flow.series[..., :-1].sum(axis=0)
+    assert np.max(np.abs(ends - linear) / np.maximum(1.0, np.abs(linear))) < 1e-14

@@ -539,9 +539,9 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol = solve(p, n_samples=2000)
     # validate takes m, omega and alpha_xp on its grid; the kernel all six,
     # once on the grid, once on the Gauss nodes of the steps and once on the
-    # nodes of the partial steps to the 2000 samples
+    # step edges for the series that the 2000 samples are read off
     steps = sol.beta._flow.edges.size - 1
-    assert sorted(sizes) == sorted([2000] * 6 + [3 * steps] * 6 + [3 * 2000] * 6 + [4096] * 3)
+    assert sorted(sizes) == sorted([2000] * 6 + [3 * steps] * 6 + [steps + 1] * 6 + [4096] * 3)
     # the only scalar jets are m(0) and omega(0) for eta0; the other t = 0
     # values come from the kernel on the grid
     assert scalars == [0.0, 0.0]
@@ -550,13 +550,12 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol.coefficients_at(np.array([1.0, 2.5]))
     assert scalars == []
     # the global phase takes only the Lambda build, _LAMBDA_CHUNK steps at a
-    # time: one pass of the partial steps to the five Gauss nodes of each
-    # step, 5 node and 15 partial-step-node times per step
+    # time: one pass over the five Gauss nodes of each step, read off the series
     sizes.clear()
     sol.global_phase()
     chunks = [min(_LAMBDA_CHUNK, steps - i) for i in range(0, steps, _LAMBDA_CHUNK)]
     assert len(chunks) > 1
-    assert sorted(sizes) == sorted(5 * c + 15 * c for c in chunks for _ in range(6))
+    assert sorted(sizes) == sorted(5 * c for c in chunks for _ in range(6))
     # later queries, at new times too, read the built series: no jets at all
     sizes.clear()
     sol.global_phase(np.linspace(0.05, 9.95, 37))
