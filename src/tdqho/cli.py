@@ -383,6 +383,9 @@ def cmd_sweep(args):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError("sweep bounds must be numbers and count an integer") from None
+    for label, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"sweep bound {label} must be finite, got {bound}")
     if count < 1:
         raise ConfigError("sweep count must be at least 1")
     _check_samples(args)

@@ -129,8 +129,8 @@ def _generators(kernel):
 
 
 # Traceless 2x2 generators with forcing, [[a, b], [c, -a]] and (f, g), are
-# 5-tuples of arrays; unit-determinant affine maps, [[p, q], [r, s]] and
-# (v, w), are 6-tuples. All algebra is per component: no batched matmul.
+# 5-tuples of arrays; affine maps stack the rows [[p, q, v], [r, s, w]] of their
+# 3x3 form on the leading axes, times last: one einsum per product (matmul starts BLAS).
 
 
 def _magnus(nodes, h, forcing_scale):
@@ -170,11 +170,11 @@ def _magnus(nodes, h, forcing_scale):
                              np.maximum(abs(tf + kf / 12.0), abs(tg)) / forcing_scale)
 
 
-def _expm(omega):
-    """exp of the affine generator: e^M = cosh(s) I + sinh(s)/s M with
-    s^2 = a^2 + bc, and the forcing through phi1(M) = sinh(s)/s I
-    + (sinh(s/2)/(s/2))^2/2 M, all from the half angle (cos and sin when
-    s^2 < 0)."""
+def _expm(omega, out):
+    """exp of the affine generator into the stacked maps ``out``:
+    e^M = cosh(s) I + sinh(s)/s M with s^2 = a^2 + bc, and the forcing
+    through phi1(M) = sinh(s)/s I + (sinh(s/2)/(s/2))^2/2 M, all from the
+    half angle (cos and sin when s^2 < 0)."""
     a, b, c, f, g = omega
     d = a * a + b * c
     r = 0.5 * np.sqrt(np.abs(d))
@@ -187,27 +187,24 @@ def _expm(omega):
     half = 0.5 * sinc * sinc
     s1 = sinc * ch
     c1 = 1.0 + d * half
-    return (c1 + s1 * a, s1 * b, s1 * c, c1 - s1 * a,
-            s1 * f + half * (a * f + b * g), s1 * g + half * (c * f - a * g))
+    out[0, 0], out[0, 1], out[0, 2] = c1 + s1 * a, s1 * b, s1 * f + half * (a * f + b * g)
+    out[1, 0], out[1, 1], out[1, 2] = s1 * c, c1 - s1 * a, s1 * g + half * (c * f - a * g)
 
 
-def _compose(later, earlier):
-    p2, q2, r2, s2, v2, w2 = later
-    p1, q1, r1, s1, v1, w1 = earlier
-    return (p2 * p1 + q2 * r1, p2 * q1 + q2 * s1, r2 * p1 + s2 * r1, r2 * q1 + s2 * s1,
-            p2 * v1 + q2 * w1 + v2, r2 * v1 + s2 * w1 + w2)
+def _mul(later, earlier):
+    """later times earlier, matrices on the two leading axes of each."""
+    return np.einsum("ij...,jk...->ik...", later, earlier)
 
 
 def _scan(maps):
-    """Running products along the last axis: entry k becomes map k after
-    map k-1 ... after map 0 (Hillis & Steele, Comm. ACM 29, 1170 (1986))."""
-    maps = [x.copy() for x in maps]
-    d, n = 1, maps[0].shape[-1]
+    """Running products along the last axis, in place: entry k becomes map k
+    after ... after map 0 (Hillis & Steele, Comm. ACM 29, 1170 (1986))."""
+    d, n = 1, maps.shape[-1]
     while d < n:
-        later = [x[..., d:] for x in maps]
-        done = _compose(later, [x[..., :-d] for x in maps])
-        for x, y in zip(later, done):
-            x[...] = y
+        later = maps[..., d:]
+        done = _mul(later[:, :2], maps[..., :-d])
+        done[:, 2] += later[:, 2]
+        later[...] = done
         d *= 2
     return maps
 
@@ -256,14 +253,14 @@ def _slopes(kernel, rates, y):
         + 2.0 * m * ap * axpd + ap * mdd, axpd, y) + _field(b, c, 0.0, 0.0, dy)
 
 
-def _hermite(y0, v0, a0, y1, v1, a1):
-    """s^0, ..., s^5 coefficients of the quintic on [0, 1] with the values
-    y, first derivatives v and second derivatives a (in s) at both ends."""
+def _hermite(y0, v0, a0, y1, v1, a1, out):
+    """Into out, the s^0, ..., s^5 coefficients of the quintic on [0, 1]
+    with the values y, slopes v and curvatures a (in s) at both ends."""
     d = y1 - y0
-    return (y0, v0, 0.5 * a0,
-            10.0 * d - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1,
-            -15.0 * d + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1,
-            6.0 * d - 3.0 * (v0 + v1) - 0.5 * (a0 - a1))
+    out[0], out[1], out[2] = y0, v0, 0.5 * a0
+    out[3] = 10.0 * d - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1
+    out[4] = -15.0 * d + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1
+    out[5] = 6.0 * d - 3.0 * (v0 + v1) - 0.5 * (a0 - a1)
 
 
 class _AuxiliaryFlow:
@@ -325,7 +322,7 @@ class _AuxiliaryFlow:
             split = np.maximum(1.0, np.ceil(np.maximum(
                 (error.max(axis=0) / MAGNUS_TOL) ** 0.2, turn / _MAX_ROTATION)))
             if not (split > 1.0).any():
-                self._propagate(edges, omega, h * _gauss(*axp.T), start)
+                self._propagate(edges, omega, h * _gauss(*axp), start)
                 self._fit(kinks)
                 split = np.maximum(1.0, np.ceil(
                     (self._defect(nodes, axp) / MAGNUS_TOL) ** (1.0 / 6.0)))
@@ -338,22 +335,23 @@ class _AuxiliaryFlow:
     def _step(self, left, h):
         """From one kernel pass over the Gauss nodes of [left, left + h]: the
         generators (b, c, g) of rows 0 and 1 at each of the three nodes, and
-        a_xp there, one row per step."""
-        nodes = (left[:, None] + h[:, None] * _NODES).ravel()
+        a_xp there, one row per node."""
+        nodes = (left + h * _NODES[:, None]).ravel()
         kernel = self.oscillator.at(nodes)
         gens = _generators(kernel)
         _require_finite(gens, nodes, "effective-oscillator coefficient")
-        gens = [x.reshape(2, -1, 3) for x in gens]
-        return [tuple(x[..., i] for x in gens) for i in range(3)], kernel[6].reshape(-1, 3)
+        gens = [x.reshape(2, 3, -1) for x in gens]
+        return [tuple(x[:, i] for x in gens) for i in range(3)], kernel[6].reshape(3, -1)
 
     def _propagate(self, edges, omega, x_step, start):
         """The states at the edges from the step exponents, the X increments
         and the displacement pair at 0."""
-        maps = _expm(omega)
-        _require_finite(maps, edges[1:], "step propagator")
         # the identity at edge 0, then the running products
-        p, q, r, s, v, w = _scan([np.insert(x, 0, e, axis=1)
-                                  for x, e in zip(maps, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))])
+        maps = np.empty((2, 3, 2, edges.size))
+        maps[..., 0] = np.eye(2, 3)[..., None]
+        _expm(omega, maps[..., 1:])
+        _require_finite(maps[..., 1:], edges[1:], "step propagator")
+        (p, q, v), (r, s, w) = _scan(maps)
         (bx0, y0), rho0 = start, self.rho0
         u1, u2 = rho0 * p[1], q[1] / rho0
         self.edges = edges
@@ -374,7 +372,7 @@ class _AuxiliaryFlow:
         kinked = np.flatnonzero(np.isin(edges[1:], kinks)) + 1
         t = np.concatenate((edges, np.nextafter(edges[kinked], -np.inf)))
         cols = np.concatenate((np.arange(n + 1), kinked))
-        dy, ddy = _slopes(*self.oscillator.at_with_rates(t), y[:, cols])
+        dy, ddy = _slopes(*self.oscillator.at_with_rates(t), np.take(y, cols, axis=1))
         _require_finite((dy, ddy), t, "auxiliary state derivative")
         right = np.arange(1, n + 1)
         right[kinked - 1] = np.arange(n + 1, n + 1 + kinked.size)
@@ -382,8 +380,9 @@ class _AuxiliaryFlow:
         self._h = np.append(h, 1.0)
         self.series = np.zeros((6, 7, n + 1))
         self.series[0, :, n] = y[:, n]
-        self.series[..., :n] = _hermite(y[:, :-1], h * dy[:, :n], h * h * ddy[:, :n],
-                                        y[:, 1:], h * dy[:, right], h * h * ddy[:, right])
+        _hermite(y[:, :-1], h * dy[:, :n], h * h * ddy[:, :n], y[:, 1:],
+                 h * np.take(dy, right, axis=1), h * h * np.take(ddy, right, axis=1),
+                 self.series[..., :n])
 
     def _defect(self, nodes, axp):
         """Per step, the error estimate h |y_H' - G y_H - F| / 1.5 of the
@@ -393,7 +392,7 @@ class _AuxiliaryFlow:
         h = self._h[:-1]
         y, dy = np.einsum("vnj,jik->vink", _DEFECT_POWERS, self.series[..., :-1])
         b, c, g = (np.stack((x, z), axis=1) for x, z in zip(nodes[0], nodes[2]))
-        defect = dy / h - _field(b, c, g[0], axp[:, ::2].T, y)
+        defect = dy / h - _field(b, c, g[0], axp[::2], y)
         return np.max(np.abs(defect) / np.maximum(1.0, np.abs(y)), axis=(0, 1)) * h / 1.5
 
     @functools.cached_property
@@ -430,10 +429,11 @@ class _AuxiliaryFlow:
         lambda_at's."""
         t, k, s = self._locate(t)
         kernel = self.oscillator.at(t) if kernel is None else kernel
-        series = self.series[..., k]
-        linear = series[5]
-        for c in series[4::-1]:
-            linear = linear * s + c
+        # np.take: a fancy index on the last axis returns the transposed layout
+        linear = np.take(self.series[5], k, axis=-1)
+        for c in np.take(self.series[4::-1], k, axis=-1):
+            linear *= s
+            linear += c
         bx, u1, u2, y, q1, q2, x = linear
         u10, u20, phi0 = (self.states[i, k] for i in (2, 4, 6))
         m, m5 = kernel[0], kernel[14]
@@ -562,9 +562,8 @@ def solve_ermakov(params, grid=None):
 # -- propagator coefficients ------------------------------------------------
 
 
-def _rot(theta, metric):
-    c, s = np.cos(theta), np.sin(theta)
-    return (c, s / metric, -metric * s, c, 0.0, 0.0)
+def _rot(c, s, metric):
+    return np.array([[c, s / metric], [-metric * s, c]])
 
 
 def _assemble(flow, kernel, states, t):
@@ -572,23 +571,23 @@ def _assemble(flow, kernel, states, t):
     effective-oscillator tuple and the states (beta_x, beta_x_dot, rho,
     rho_dot, Phi) at the 1-d times of t, and the flow's values at 0.
 
-    Product of scaling by gamma, a pi/4 rotation in the metric
-    eta = m(0) w(0), the Ermakov shear-scale, the rotation by the
+    Product, by einsum on stacked 2x2 matrices from the right, of scaling
+    by gamma, a pi/4 rotation in the metric eta = m(0) w(0) (a constant
+    matrix, as is its inverse), the Ermakov shear-scale, the rotation by the
     accumulated phase Phi, and the inverse pi/4 rotation.
     """
     eta0, rho0 = flow.oscillator.eta0, flow.rho0
     bx_t, bxd_t, rho, rho_dot, phi = states
     m, _, _, w, _, _, axp, _, ap, *_, m5, _, _ = kernel
     g = np.sqrt(eta0 / (m * w))
+    zero = np.zeros_like(g)
+    a_d = np.array([[g, zero], [zero, 1.0 / g]])
+    a_e = _rot(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0), eta0)
+    a_f = np.array([[rho / rho0, zero], [m5 * rho_dot / rho0, rho0 / rho]])
+    a_7 = _rot(np.cos(phi), np.sin(phi), 1.0 / rho0 ** 2)
+    a_e_inv = _rot(math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0), eta0)
 
-    # 6-tuples with zero translation, so that _compose multiplies them
-    a_d = (g, 0.0, 0.0, 1.0 / g, 0.0, 0.0)
-    a_e = _rot(math.pi / 4.0, eta0)
-    a_f = (rho / rho0, 0.0, m5 * rho_dot / rho0, rho0 / rho, 0.0, 0.0)
-    a_7 = _rot(phi, 1.0 / rho0 ** 2)
-    a_e_inv = _rot(-math.pi / 4.0, eta0)
-
-    a, b, d, e, _, _ = _compose(a_d, _compose(a_e, _compose(a_f, _compose(a_7, a_e_inv))))
+    (a, b), (d, e) = _mul(a_d, _mul(a_e, _mul(a_f, _mul(a_7, a_e_inv))))
     ts = np.array(t, dtype=float, ndmin=1)
     return PropagatorCoefficients(
         *_scalar_or_array(t, (ts, a, b, d, e, bx_t, _beta_p(m, axp, ap, bx_t, bxd_t))),

@@ -289,8 +289,13 @@ def test_validate_prints_every_failure(tmp_path, capsys):
     (["evolve", "--config", "{cfg}"], "m: expected a finite number"),
     (["evolve", "--config", "{cfg}", "--horizon", "inf"], "horizon"),
     (["oracle", "--scenario", "driven", "--oracle-dt", "inf"], "dt must be"),
+    (["sweep", "--scenario", "driven", "--sweep", "omega-d:nan:1.4:2"], "lo must be finite"),
+    (["sweep", "--scenario", "driven", "--sweep", "omega-d:inf:1.4:2"], "lo must be finite"),
+    (["sweep", "--scenario", "driven", "--sweep", "omega-d:1.2:nan:2"], "hi must be finite"),
+    (["sweep", "--scenario", "driven", "--sweep", "omega-d:1.2:inf:2"], "hi must be finite"),
 ], ids=["strength-nan", "omega-d-inf", "m-inf", "ck-gamma-nan", "horizon-inf",
-        "compare-rwa-strength-nan", "config-nan", "config-horizon-inf", "oracle-dt-inf"])
+        "compare-rwa-strength-nan", "config-nan", "config-horizon-inf", "oracle-dt-inf",
+        "sweep-lo-nan", "sweep-lo-inf", "sweep-hi-nan", "sweep-hi-inf"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, argv, key):
     cfg = tmp_path / "model.json"
     # Python's json reads NaN and Infinity; m is parsed before horizon

@@ -14,9 +14,9 @@ from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
                          _EffectiveOscillator, effective_m5_omega5,
                          ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
-from tdqho.pipeline import (_LAMBDA_CHUNK, beta_ode_residual, ermakov_residual,
-                            gaussian_density, global_phase, solve, solve_beta,
-                            solve_ermakov)
+from tdqho.pipeline import (_LAMBDA_CHUNK, _expm, _scan, beta_ode_residual,
+                            ermakov_residual, gaussian_density, global_phase, solve,
+                            solve_beta, solve_ermakov)
 from tdqho.scenarios import DrivenSpec, driven_beta
 
 
@@ -289,6 +289,31 @@ def test_cross_term_quadrature():
     assert np.max(np.abs(s.ermakov.X - 0.1 * s.grid)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 1000])
+def test_scan_matches_sequential_running_product(n):
+    # step maps like the solve's: traceless exponents [[a, b], [c, -a]], b > 0 > c,
+    # with forcing (f, g), for both rows
+    rng = np.random.default_rng(n)
+    h = 0.2
+    a = h * rng.uniform(-0.05, 0.05, (2, n))
+    b, c = h * rng.uniform(0.5, 1.5, (2, 2, n)) * np.array([1.0, -1.0])[:, None, None]
+    f, g = h * rng.uniform(-1.0, 1.0, (2, 2, n))
+    maps = np.empty((2, 3, 2, n + 1))
+    maps[..., 0] = np.eye(2, 3)[..., None]
+    _expm((a, b, c, f, g), maps[..., 1:])
+    expected = np.empty_like(maps)
+    for row in range(2):
+        total = np.eye(3)
+        for k in range(n + 1):
+            total = np.vstack((maps[:, :, row, k], [0.0, 0.0, 1.0])) @ total
+            expected[:, :, row, k] = total[:2]
+    got = _scan(maps)
+    assert got is maps
+    assert (maps[..., 0] == np.eye(2, 3)[..., None]).all()
+    scale = np.abs(expected).max(axis=(0, 1))
+    assert (np.abs(maps - expected).max(axis=(0, 1)) <= 1e-13 * scale).all()
+
+
 def test_global_phase_starts_at_zero(generic_solution):
     phase = generic_solution.global_phase()
     assert phase[0] == 0.0
@@ -307,6 +332,22 @@ def test_moments_at_matches_trajectory(generic_solution):
     assert st.mean_x == pytest.approx(mt.mean_x[i], rel=1e-12, abs=1e-12)
     assert st.var_p == pytest.approx(mt.var_p[i], rel=1e-12, abs=1e-12)
     assert st.t == t
+
+
+def test_unsorted_and_repeated_queries_read_as_sorted(generic_solution):
+    sol = generic_solution
+    horizon = sol.params.horizon
+    rng = np.random.default_rng(11)
+    t = np.sort(np.concatenate(([0.0, 0.0, horizon, horizon], sol.grid[[7, 7, 200]],
+                                rng.uniform(0.0, horizon, 60))))
+    perm = rng.permutation(t.size)
+    init = MomentState(0.0, 0.4, -0.3, 0.7, 0.5, 0.2)
+    for query in (sol.coefficients_at, lambda t: sol.moments_at(init, t)):
+        ordered, shuffled = query(t), query(t[perm])
+        for f in dataclasses.fields(ordered):
+            value = np.asarray(getattr(ordered, f.name))
+            want = value[perm] if value.ndim else value
+            assert np.asarray(getattr(shuffled, f.name)).tobytes() == want.tobytes(), f.name
 
 
 @pytest.mark.parametrize("t, named", [
