@@ -148,19 +148,26 @@ def ground_state(ops):
 
 def coherent_state(ops, amplitude):
     """Normalized coherent state, truncated; warns when the lost tail mass
-    exceeds TAIL_MASS_WARN."""
+    exceeds TAIL_MASS_WARN. An amplitude whose truncated weights have no
+    positive finite norm (all of them underflow) is a DomainError."""
     alpha = complex(amplitude)
     ns = np.arange(ops.n)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, ops.n)))))
     log_mag = ns * np.log(np.abs(alpha)) - 0.5 * log_fact if alpha != 0 else \
         np.where(ns == 0, 0.0, -np.inf)
     phase = np.exp(1j * ns * np.angle(alpha)) if alpha != 0 else np.ones(ops.n)
-    coeff = np.exp(-0.5 * np.abs(alpha) ** 2 + log_mag) * phase
+    # a |alpha|^2 past the float range is inf, and every weight 0
+    with np.errstate(over="ignore"):
+        coeff = np.exp(-0.5 * np.abs(alpha) ** 2 + log_mag) * phase
+    norm = np.linalg.norm(coeff)
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"coherent amplitude {amplitude} has no representable weight "
+                          f"in a basis of n={ops.n} states")
     tail = 1.0 - float(np.sum(np.abs(coeff) ** 2))
     if tail > TAIL_MASS_WARN:
         warnings.warn(f"coherent state tail mass {tail:.3e} lost to truncation",
                       stacklevel=2)
-    return coeff / np.linalg.norm(coeff)
+    return coeff / norm
 
 
 def _expectations(psi, ops):
@@ -282,7 +289,7 @@ def propagate_state(psi0, params, grid, ops, dt=None):
     if ts[0] != 0.0:
         ts = np.concatenate(([0.0], ts))
     psi = np.array(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise DomainError("initial state must be normalized")
 
     # never an empty band, or small bases could not raise the alarm

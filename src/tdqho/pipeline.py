@@ -4,12 +4,12 @@ The chain: solve the auxiliary problems as two linear systems, the affine
 displacement pair (beta_x, m beta_x') tracking the drives and the Ermakov
 partner (u, m5 u') of the effective oscillator; read the Ermakov scale
 (rho, rho_dot) and the phase Phi off two solutions of the partner by Pinney
-superposition, and take the quadrature X = int a_xp by a Gauss rule and
+superposition; take the two phase integrals X = int a_xp and
 Lambda = int (a_0 + ell), with the energy bias ell(t) from the
-displacement, as one series per step, the integral of the degree-4
-interpolant through five Gauss nodes of the step (the continuous extension
-of the 5-node Gauss rule; Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, sec. II.6); assemble the linear map
+displacement, together as one series per step, the integral of the
+degree-4 interpolant through five Gauss nodes of the step (the continuous
+extension of the 5-node Gauss rule; Hairer, Norsett & Wanner, Solving
+Ordinary Differential Equations I, sec. II.6); assemble the linear map
 (A, B, D, E) relating centered means at time t to those at 0; then push
 first and second moments through that map with ``model.propagate_moments``.
 
@@ -18,9 +18,9 @@ formula, every step of the solve in one batch, and the running product of
 the step propagators is a Hillis-Steele scan. The steps depend only on the
 parameters, not on the sample grid; a sample, on the grid or off it, is read
 off the dense output of its step, one quintic Hermite series per step in the
-seven linear states, built once per solve from their values, slopes and
-curvatures at the step edges and split where its defect asks; Lambda there
-is its step's own series, built for all steps the first time Lambda is read.
+six linear states, built once per solve from their values, slopes and
+curvatures at the step edges and split where its defect asks; X and Lambda
+share a series of their own per step, built for all steps on first read.
 The map is built as a product of five 2x2 conjugation matrices (scaling,
 basis rotation, shear-scale, phase rotation, inverse basis rotation), which
 keeps AE - BD = 1 to machine precision by construction. The solve uses
@@ -56,8 +56,7 @@ def default_grid(params, n_samples=PIPELINE_SAMPLES):
 
 # -- linear auxiliary solve ------------------------------------------------------
 
-# Nodes of the three-node Gauss-Legendre rule on [0, 1] (weights in _gauss):
-# the Magnus nodes, and the rule for X.
+# Nodes of the three-node Gauss-Legendre rule on [0, 1]: the Magnus nodes.
 _GAUSS = math.sqrt(15.0) / 10.0
 _NODES = np.array([0.5 - _GAUSS, 0.5, 0.5 + _GAUSS])
 # First steps advance the effective phase at t = 0 by this much; refinement
@@ -69,21 +68,15 @@ _MAX_ROTATION = 0.5
 _MAX_REFINEMENTS = 6
 _MAX_STEPS = 1 << 20
 # values at five Gauss nodes of [0, 1] -> s, ..., s^5 coefficients of the integrated quartic
-_LAMBDA_NODES = 0.5 + np.array([-1.0, -1.0, 0.0, 1.0, 1.0]) * np.sqrt(
+_PHASE_NODES = 0.5 + np.array([-1.0, -1.0, 0.0, 1.0, 1.0]) * np.sqrt(
     5.0 + np.array([2.0, -2.0, 0.0, -2.0, 2.0]) * math.sqrt(10.0 / 7.0)) / 6.0
-_LAMBDA_SERIES = np.array([P.polyint(P.polyfromroots(np.delete(_LAMBDA_NODES, i)))[1:]
-                           / np.prod(x - np.delete(_LAMBDA_NODES, i))
-                           for i, x in enumerate(_LAMBDA_NODES)]).T
-_LAMBDA_CHUNK = 256  # steps per pass of at(); one pass of 1207 steps peaked 4.2 MB, not 1.3
+_PHASE_SERIES = np.array([P.polyint(P.polyfromroots(np.delete(_PHASE_NODES, i)))[1:]
+                          / np.prod(x - np.delete(_PHASE_NODES, i))
+                          for i, x in enumerate(_PHASE_NODES)]).T
 
 
 def _beta_p(m, axp, ap, bx, bxd):
     return m * (-bxd + 2.0 * axp * bx + ap)
-
-
-def _gauss(f1, f2, f3):
-    """The Gauss rule on [0, 1] from the values at the three nodes."""
-    return (5.0 * f1 + 8.0 * f2 + 5.0 * f3) / 18.0
 
 
 def _require_finite(values, t, what):
@@ -219,20 +212,19 @@ def _subdivide(edges, split):
 
 # -- dense output ------------------------------------------------------------
 
-# The seven linear states, in the order of the series: the positions
-# (beta_x, u1, u2), their momenta (m beta_x', m5 u1', m5 u2') and X; rows of
+# The six linear states, in the order of the series: the positions
+# (beta_x, u1, u2) and their momenta (m beta_x', m5 u1', m5 u2'); rows of
 # _AuxiliaryFlow.states.
-_LINEAR = [0, 2, 4, 1, 3, 5, 7]
+_LINEAR = [0, 2, 4, 1, 3, 5]
 # s^j and d(s^j)/ds at the outer Gauss nodes, the defect's nodes
 _DEFECT_POWERS = np.array([[[s ** j for j in range(6)] for s in _NODES[::2]],
                            [[j * s ** (j - 1) for j in range(6)] for s in _NODES[::2]]])
 
 
-def _field(b, c, g, rate, y):
+def _field(b, c, g, y):
     """G y + F for the linear states y (leading axis) from the generators b
-    and c of rows 0 and 1, row 0's forcing g and X's rate."""
-    return np.concatenate((b[0] * y[3:4], b[1] * y[4:6], c[0] * y[:1] + g,
-                           c[1] * y[1:3], rate + 0.0 * y[6:]))
+    and c of rows 0 and 1 and row 0's forcing g."""
+    return np.concatenate((b[0] * y[3:4], b[1] * y[4:6], c[0] * y[:1] + g, c[1] * y[1:3]))
 
 
 def _slopes(kernel, rates, y):
@@ -243,14 +235,14 @@ def _slopes(kernel, rates, y):
     m, md, mdd, w, wd, _, axp, axpd, ap, apd, _, _, kap, kapd, m5, m5log, w5sq = kernel
     axd, apdd, axpdd = rates
     b, c, g = _generators(kernel)
-    dy = _field(b, c, g[0], axp, y)
+    dy = _field(b, c, g[0], y)
     return dy, _field(
         (-md / (m * m), -m5log / m5),
         (2.0 * m * axpdd + 4.0 * md * axpd - md * w * w - 2.0 * m * w * wd
          + 4.0 * md * axp * axp + 8.0 * m * axp * axpd + 2.0 * axp * mdd,
          -m5 * (m5log * w5sq + 2.0 * (w * wd - kap * kapd))),
         m * apdd + 2.0 * md * apd - axd + 2.0 * md * ap * axp + 2.0 * m * apd * axp
-        + 2.0 * m * ap * axpd + ap * mdd, axpd, y) + _field(b, c, 0.0, 0.0, dy)
+        + 2.0 * m * ap * axpd + ap * mdd, y) + _field(b, c, 0.0, dy)
 
 
 def _hermite(y0, v0, a0, y1, v1, a1, out):
@@ -266,9 +258,9 @@ def _hermite(y0, v0, a0, y1, v1, a1, out):
 class _AuxiliaryFlow:
     """The two linear auxiliary systems on [0, T] by order-6 Magnus steps:
     the states at the step edges, and at any time the dense output of its
-    step, one quintic Hermite series per step in the seven linear states
+    step, one quintic Hermite series per step in the six linear states
     (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
-    sec. II.6).
+    sec. II.6); X and Lambda share a second series per step, built on first use.
 
     The start is read off the effective-oscillator tuple at t = 0
     (``kernel0``): the displacement pair from the translation of the frozen
@@ -313,7 +305,7 @@ class _AuxiliaryFlow:
                                        t=float(edges[np.argmax(split > 1)]))
             edges = _subdivide(edges, split)
             h = np.diff(edges)
-            nodes, axp = self._step(edges[:-1], h)
+            nodes = self._step(edges[:-1], h)
             omega, error = _magnus(nodes, h, np.maximum(1.0, np.max(np.abs(
                 [g for _, _, g in nodes]), axis=0)))
             _require_finite((error,), edges[:-1], "Magnus error estimate")
@@ -322,10 +314,10 @@ class _AuxiliaryFlow:
             split = np.maximum(1.0, np.ceil(np.maximum(
                 (error.max(axis=0) / MAGNUS_TOL) ** 0.2, turn / _MAX_ROTATION)))
             if not (split > 1.0).any():
-                self._propagate(edges, omega, h * _gauss(*axp), start)
+                self._propagate(edges, omega, start)
                 self._fit(kinks)
                 split = np.maximum(1.0, np.ceil(
-                    (self._defect(nodes, axp) / MAGNUS_TOL) ** (1.0 / 6.0)))
+                    (self._defect(nodes) / MAGNUS_TOL) ** (1.0 / 6.0)))
                 if not (split > 1.0).any():
                     break
         else:
@@ -334,18 +326,17 @@ class _AuxiliaryFlow:
 
     def _step(self, left, h):
         """From one kernel pass over the Gauss nodes of [left, left + h]: the
-        generators (b, c, g) of rows 0 and 1 at each of the three nodes, and
-        a_xp there, one row per node."""
+        generators (b, c, g) of rows 0 and 1 at each of the three nodes."""
         nodes = (left + h * _NODES[:, None]).ravel()
         kernel = self.oscillator.at(nodes)
         gens = _generators(kernel)
         _require_finite(gens, nodes, "effective-oscillator coefficient")
         gens = [x.reshape(2, 3, -1) for x in gens]
-        return [tuple(x[:, i] for x in gens) for i in range(3)], kernel[6].reshape(3, -1)
+        return [tuple(x[:, i] for x in gens) for i in range(3)]
 
-    def _propagate(self, edges, omega, x_step, start):
-        """The states at the edges from the step exponents, the X increments
-        and the displacement pair at 0."""
+    def _propagate(self, edges, omega, start):
+        """The states at the edges from the step exponents and the
+        displacement pair at 0."""
         # the identity at edge 0, then the running products
         maps = np.empty((2, 3, 2, edges.size))
         maps[..., 0] = np.eye(2, 3)[..., None]
@@ -356,11 +347,10 @@ class _AuxiliaryFlow:
         u1, u2 = rho0 * p[1], q[1] / rho0
         self.edges = edges
         # per edge: beta_x, m beta_x', the partner solutions (u, m5 u') from
-        # (rho0, 0) and from (0, 1/rho0), Phi and X
+        # (rho0, 0) and from (0, 1/rho0), and Phi
         self.states = np.array([p[0] * bx0 + q[0] * y0 + v[0], r[0] * bx0 + s[0] * y0 + w[0],
                                 u1, rho0 * r[1], u2, s[1] / rho0,
-                                np.unwrap(np.arctan2(u2, u1)),
-                                np.concatenate(([0.0], np.cumsum(x_step)))])
+                                np.unwrap(np.arctan2(u2, u1))])
         _require_finite(self.states, edges, "auxiliary state")
 
     def _fit(self, kinks):
@@ -378,13 +368,13 @@ class _AuxiliaryFlow:
         right[kinked - 1] = np.arange(n + 1, n + 1 + kinked.size)
         h = np.diff(edges)
         self._h = np.append(h, 1.0)
-        self.series = np.zeros((6, 7, n + 1))
+        self.series = np.zeros((6, 6, n + 1))
         self.series[0, :, n] = y[:, n]
         _hermite(y[:, :-1], h * dy[:, :n], h * h * ddy[:, :n], y[:, 1:],
                  h * np.take(dy, right, axis=1), h * h * np.take(ddy, right, axis=1),
                  self.series[..., :n])
 
-    def _defect(self, nodes, axp):
+    def _defect(self, nodes):
         """Per step, the error estimate h |y_H' - G y_H - F| / 1.5 of the
         series y_H at the two outer Gauss nodes, each relative to
         max(1, |y_H|): the slope of the quintic's error s^3 (1 - s)^3 there
@@ -392,25 +382,26 @@ class _AuxiliaryFlow:
         h = self._h[:-1]
         y, dy = np.einsum("vnj,jik->vink", _DEFECT_POWERS, self.series[..., :-1])
         b, c, g = (np.stack((x, z), axis=1) for x, z in zip(nodes[0], nodes[2]))
-        defect = dy / h - _field(b, c, g[0], axp[::2], y)
+        defect = dy / h - _field(b, c, g[0], y)
         return np.max(np.abs(defect) / np.maximum(1.0, np.abs(y)), axis=(0, 1)) * h / 1.5
 
     @functools.cached_property
-    def _lambda_series(self):
-        """(Lambda at the edges, h times each step's series, a zero one at T);
-        einsum, as @ would start BLAS."""
+    def _phase_series(self):
+        """((X, Lambda) at the edges, h times each step's series of both, a zero
+        one at T), coefficients first, from the displacement's series and one kernel
+        pass over five Gauss nodes of every step, node-major; einsum: @ starts BLAS."""
         h = self._h[:-1]
-        nodes = (self.edges[:-1, None] + h[:, None] * _LAMBDA_NODES).ravel()
-        f = np.empty_like(nodes)
-        for i in range(0, nodes.size, 5 * _LAMBDA_CHUNK):
-            (bx, bxd, *_), kernel = self.at(nodes[i:i + 5 * _LAMBDA_CHUNK])
-            m, _, _, w, _, _, axp, _, ap, _, ax, a0 = kernel[:12]
-            f[i:i + 5 * _LAMBDA_CHUNK] = a0 + _energy_offset(
-                m, w, ax, ap, axp, bx, _beta_p(m, axp, ap, bx, bxd))
-        series = h * np.einsum("ij,kj->ik", _LAMBDA_SERIES, f.reshape(-1, 5))
-        edge = np.concatenate(([0.0], np.cumsum(series.sum(axis=0))))
-        _require_finite((f, np.repeat(edge[1:], 5)), nodes, "auxiliary state")
-        return edge, np.pad(series, ((0, 0), (0, 1)))
+        nodes = (self.edges[:-1] + h * _PHASE_NODES[:, None]).ravel()
+        # beta_x and m beta_x' there, off the flow's series by a constant s^j table
+        bx, y = np.einsum("nj,jik->ink", _PHASE_NODES[:, None] ** np.arange(6),
+                          self.series[:, [0, 3], :-1]).reshape(2, -1)
+        m, _, _, w, _, _, axp, _, ap, _, ax, a0 = self.oscillator.at(nodes)[:12]
+        f = np.stack((axp, a0 + _energy_offset(m, w, ax, ap, axp, bx,
+                                               _beta_p(m, axp, ap, bx, y / m))))
+        series = h * np.einsum("ij,rjk->irk", _PHASE_SERIES, f.reshape(2, 5, -1))
+        edge = np.pad(np.cumsum(series.sum(axis=0), axis=-1), ((0, 0), (1, 0)))
+        _require_finite((f, np.tile(edge[:, 1:], 5)), nodes, "auxiliary state")
+        return edge, np.pad(series, ((0, 0), (0, 0), (0, 1)))
 
     def _locate(self, t):
         """(t as a 1-d array, the step of each time, s = tau/h in it; T is
@@ -423,10 +414,9 @@ class _AuxiliaryFlow:
         return t, k, (t - self.edges[k]) / self._h[k]
 
     def at(self, t, kernel=None):
-        """[beta_x, beta_x_dot, rho, rho_dot, Phi, X] at the times t as a
-        1-d array, from the series of their steps, and the
-        effective-oscillator tuple there (evaluated unless given); Lambda is
-        lambda_at's."""
+        """[beta_x, beta_x_dot, rho, rho_dot, Phi] at the times t as a 1-d
+        array, from the series of their steps, and the effective-oscillator
+        tuple there (evaluated unless given); X and Lambda are phase_at's."""
         t, k, s = self._locate(t)
         kernel = self.oscillator.at(t) if kernel is None else kernel
         # np.take: a fancy index on the last axis returns the transposed layout
@@ -434,20 +424,20 @@ class _AuxiliaryFlow:
         for c in np.take(self.series[4::-1], k, axis=-1):
             linear *= s
             linear += c
-        bx, u1, u2, y, q1, q2, x = linear
+        bx, u1, u2, y, q1, q2 = linear
         u10, u20, phi0 = (self.states[i, k] for i in (2, 4, 6))
         m, m5 = kernel[0], kernel[14]
         rho = np.hypot(u1, u2)
         out = [bx, y / m, rho, (u1 * q1 + u2 * q2) / (m5 * rho),
-               phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2), x]
+               phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2)]
         _require_finite(out, t, "auxiliary state")
         return out, kernel
 
-    def lambda_at(self, t):
-        """Lambda at the times t as a 1-d array: edge plus series at s = tau/h."""
+    def phase_at(self, t):
+        """(X, Lambda) at the times t as a 1-d array: edge plus series at s = tau/h."""
         t, k, s = self._locate(t)
-        edge, series = self._lambda_series
-        return edge[k] + s * P.polyval(s, series[:, k], tensor=False)
+        edge, series = self._phase_series
+        return edge[:, k] + s * P.polyval(s, series[..., k], tensor=False)
 
 
 def _scalar_or_array(t, values):
@@ -489,25 +479,28 @@ class BetaSolution:
 class ErmakovSolution:
     """Sampled Ermakov scale rho with the three running phase integrals:
     Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell). A view of the
-    auxiliary solution; Lambda, from the displacement alone, is a per-step
-    series built on first use over all steps and read at any time after."""
+    auxiliary solution; X and Lambda, from the displacement alone, are one
+    per-step series built on first use over all steps and read at any time after."""
 
     times: np.ndarray
     rho: np.ndarray
     rho_dot: np.ndarray
     Phi: np.ndarray
-    X: np.ndarray
     _flow: object
 
     def at(self, t):
         """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, off the series of
-        its step: the auxiliary states' for the first four, Lambda's own."""
+        its step: the auxiliary states' for the first three, else the phase series'."""
         states, _ = self._flow.at(t)
-        return _scalar_or_array(t, (*states[2:], self._flow.lambda_at(t)))
+        return _scalar_or_array(t, (*states[2:], *self._flow.phase_at(t)))
+
+    @functools.cached_property
+    def X(self):
+        return self._flow.phase_at(self.times)[0]
 
     @functools.cached_property
     def Lambda(self):
-        return self._flow.lambda_at(self.times)
+        return self._flow.phase_at(self.times)[1]
 
     @property
     def rho0(self):
@@ -539,10 +532,10 @@ def _solve_auxiliary(params, grid):
     m, _, _, _, _, _, axp, _, ap, *_ = kernel
     start = np.searchsorted(grid, 0.0)
     flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[start] for x in kernel))
-    (bx, bxd, rho, rho_dot, phi, x), _ = flow.at(grid, kernel)
+    (bx, bxd, rho, rho_dot, phi), _ = flow.at(grid, kernel)
     beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
                         beta_p=_beta_p(m, axp, ap, bx, bxd), _flow=flow)
-    ermakov = ErmakovSolution(times=grid, rho=rho, rho_dot=rho_dot, Phi=phi, X=x, _flow=flow)
+    ermakov = ErmakovSolution(times=grid, rho=rho, rho_dot=rho_dot, Phi=phi, _flow=flow)
     return beta, ermakov, kernel
 
 
@@ -598,7 +591,7 @@ def coefficients(params, beta, ermakov, t):
     """Propagator coefficients at time(s) t, off the series of their steps
     of the auxiliary solution: scalars for a scalar t, else arrays."""
     states, kernel = beta._flow.at(t)
-    return _assemble(beta._flow, kernel, states[:5], t)
+    return _assemble(beta._flow, kernel, states, t)
 
 
 # -- moments ----------------------------------------------------------------
@@ -607,7 +600,7 @@ def coefficients(params, beta, ermakov, t):
 def global_phase(ermakov, t):
     """Accumulated scalar phase -Lambda(t)/hbar, with hbar from the solution."""
     flow = ermakov._flow
-    return _scalar_or_array(t, (-flow.lambda_at(t) / flow.oscillator.params.hbar,))[0]
+    return _scalar_or_array(t, (-flow.phase_at(t)[1] / flow.oscillator.params.hbar,))[0]
 
 
 def gaussian_density(state, x_grid):
@@ -660,8 +653,9 @@ class PipelineSolution:
 
 def solve(params, n_samples=PIPELINE_SAMPLES):
     """Run the full chain on a uniform grid and return a PipelineSolution."""
-    if n_samples < 2:
-        raise DomainError(f"n_samples must be at least 2, got {n_samples}")
+    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool) \
+            or n_samples < 2:
+        raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     validate(params).raise_if_invalid()
     grid = default_grid(params, n_samples)
     beta, ermakov, kernel = _solve_auxiliary(params, grid)

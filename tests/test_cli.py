@@ -192,6 +192,18 @@ def test_non_finite_coherent_amplitude_is_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+@pytest.mark.parametrize("amplitude", ["40", "1e200"])
+def test_coherent_amplitude_the_basis_cannot_hold_is_config_error(tmp_path, capsys,
+                                                                   command, amplitude):
+    # every weight of the truncated state underflows: named before any division
+    rc = main([command, "--scenario", "driven", "--initial", f"coherent:{amplitude}",
+               "--horizon", "1", "--samples", "3", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coherent amplitude") and "n=64" in err
+
+
 def test_validate_reports_a_failure_at_zero_like_any_other(tmp_path, capsys):
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"m": {"kind": "polynomial", "coefficients": [-1, 1]},

@@ -158,15 +158,32 @@ def test_dense_output_error_control_matches_heisenberg_flow(params):
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_series_read_the_edge_states_and_join_at_the_edges(params):
     flow = solve(params, n_samples=9).beta._flow
-    (bx, bxd, rho, rho_dot, phi, x), kernel = flow.at(flow.edges)
-    bx_e, y_e, u1, q1, u2, q2, phi_e, x_e = flow.states
+    (bx, bxd, rho, rho_dot, phi), kernel = flow.at(flow.edges)
+    bx_e, y_e, u1, q1, u2, q2, phi_e = flow.states
     m, m5 = kernel[0], kernel[14]
     # every edge is s = 0 of its own series, T of a constant one
     for got, ref in ((bx, bx_e), (bxd, y_e / m), (rho, np.hypot(u1, u2)),
                      (rho_dot, (u1 * q1 + u2 * q2) / (m5 * np.hypot(u1, u2))),
-                     (phi, phi_e), (x, x_e)):
+                     (phi, phi_e)):
         assert np.array_equal(got, ref)
     # s = 1 of each step's series is the next edge's state, to round-off
-    linear = flow.states[[0, 2, 4, 1, 3, 5, 7], 1:]
+    linear = flow.states[[0, 2, 4, 1, 3, 5], 1:]
     ends = flow.series[..., :-1].sum(axis=0)
     assert np.max(np.abs(ends - linear) / np.maximum(1.0, np.abs(linear))) < 1e-14
+
+
+@pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
+                         ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
+def test_phase_series_is_built_on_first_read_and_joins_at_the_edges(params):
+    sol = solve(params, n_samples=9)
+    flow = sol.beta._flow
+    init = MomentState(0.0, *START, 1.0, 1.0, 0.0)
+    q = np.linspace(0.0, params.horizon, 7)
+    sol.moments(init), sol.moments_at(init, q), sol.coefficients_at(q)
+    assert "_phase_series" not in vars(flow)
+    # every edge is s = 0 of its own series of (X, Lambda), T of a zero one
+    edge, series = flow._phase_series
+    assert np.array_equal(flow.phase_at(flow.edges), edge)
+    # s = 1 of each step's series is the next edge's value, to round-off
+    ends = edge[:, :-1] + series[..., :-1].sum(axis=0)
+    assert np.max(np.abs(ends - edge[:, 1:]) / np.maximum(1.0, np.abs(edge[:, 1:]))) < 1e-14

@@ -90,6 +90,18 @@ def test_coherent_state_tail_warning():
         coherent_state(small, 2.0 + 0.0j)
 
 
+def test_coherent_amplitude_with_no_weight_in_the_basis_is_domain_error(ops):
+    for amplitude in (40.0, 1e200):
+        with pytest.raises(DomainError, match=f"n={ops.n}"):
+            coherent_state(ops, amplitude)
+
+
+def test_non_finite_initial_state_is_domain_error(ops):
+    params = QuadraticParams.from_dict({"m": 1.0, "omega": 1.0, "horizon": 1.0})
+    with pytest.raises(DomainError, match="normalized"):
+        propagate_state(np.full(ops.n, np.nan), params, np.array([0.0, 1.0]), ops)
+
+
 def test_number_state_variance(ops):
     # |1> has var_x = 3 hbar / (2 m w)
     psi = np.zeros(ops.n, dtype=complex)

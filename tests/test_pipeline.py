@@ -14,9 +14,9 @@ from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
                          _EffectiveOscillator, effective_m5_omega5,
                          ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
-from tdqho.pipeline import (_LAMBDA_CHUNK, _expm, _scan, beta_ode_residual,
-                            ermakov_residual, gaussian_density, global_phase, solve,
-                            solve_beta, solve_ermakov)
+from tdqho.pipeline import (_expm, _scan, beta_ode_residual, ermakov_residual,
+                            gaussian_density, global_phase, solve, solve_beta,
+                            solve_ermakov)
 from tdqho.scenarios import DrivenSpec, driven_beta
 
 
@@ -289,6 +289,38 @@ def test_cross_term_quadrature():
     assert np.max(np.abs(s.ermakov.X - 0.1 * s.grid)) < 1e-12
 
 
+def _check_cross_term_quadrature(p, exact):
+    # X on the grid and at 256 times off it against its exact integral
+    sol = solve(p, n_samples=300)
+    q = np.random.default_rng(5).uniform(0.0, p.horizon, 256)
+    for t, x in ((sol.grid, sol.ermakov.X), (q, sol.ermakov.at(q)[3])):
+        assert np.max(np.abs(x - exact(t))) < 1e-12
+
+
+def test_cross_term_quadrature_of_a_cosine():
+    amp, w, phi = 0.15, 0.7, 0.4
+    p = standard_params(horizon=10.0, alpha_xp={
+        "kind": "cosine", "amplitude": amp, "angular_frequency": w, "phase": phi})
+    _check_cross_term_quadrature(p, lambda t: amp / w * (np.sin(w * t + phi) - math.sin(phi)))
+
+
+def test_cross_term_quadrature_of_an_order_1_table():
+    # the exact integral of the linear pieces: whole trapezoids up to the
+    # knot below t, then the part of the next one
+    knots, values = np.array([0.0, 1.5, 4.0, 7.0, 10.0]), np.array([0.1, -0.2, 0.05, 0.2, -0.1])
+    p = standard_params(horizon=10.0, alpha_xp={
+        "kind": "tabulated", "grid": list(knots), "values": list(values), "order": 1})
+    slopes = np.diff(values) / np.diff(knots)
+    whole = np.concatenate(([0.0], np.cumsum(np.diff(knots) * (values[:-1] + values[1:]) / 2.0)))
+
+    def exact(t):
+        k = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+        tau = t - knots[k]
+        return whole[k] + tau * (values[k] + 0.5 * slopes[k] * tau)
+
+    _check_cross_term_quadrature(p, exact)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 1000])
 def test_scan_matches_sequential_running_product(n):
     # step maps like the solve's: traceless exponents [[a, b], [c, -a]], b > 0 > c,
@@ -468,6 +500,12 @@ def test_solve_rejects_fewer_than_two_samples(n_samples):
         solve(standard_params(), n_samples=n_samples)
 
 
+@pytest.mark.parametrize("n_samples", [2.5, math.nan, 400.0, True])
+def test_solve_rejects_a_sample_count_that_is_not_an_integer(n_samples):
+    with pytest.raises(DomainError, match=f"must be an integer of at least 2, got {n_samples}"):
+        solve(standard_params(), n_samples=n_samples)
+
+
 def test_solve_propagates_initial_singularity():
     grid = np.linspace(-0.1, 2.1, 301)
     # omega(0)^2 = 4 alpha_xp(0)^2 exactly at t = 0
@@ -590,13 +628,11 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol.coefficients_at(3.7)
     sol.coefficients_at(np.array([1.0, 2.5]))
     assert scalars == []
-    # the global phase takes only the Lambda build, _LAMBDA_CHUNK steps at a
-    # time: one pass over the five Gauss nodes of each step, read off the series
+    # the global phase takes only the phase series' build: one pass over the
+    # five Gauss nodes of every step
     sizes.clear()
     sol.global_phase()
-    chunks = [min(_LAMBDA_CHUNK, steps - i) for i in range(0, steps, _LAMBDA_CHUNK)]
-    assert len(chunks) > 1
-    assert sorted(sizes) == sorted(5 * c for c in chunks for _ in range(6))
+    assert sizes == [5 * steps] * 6
     # later queries, at new times too, read the built series: no jets at all
     sizes.clear()
     sol.global_phase(np.linspace(0.05, 9.95, 37))
