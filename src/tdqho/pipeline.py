@@ -19,8 +19,9 @@ the step propagators is a Hillis-Steele scan. The steps depend only on the
 parameters, not on the sample grid; a sample, on the grid or off it, is read
 off the dense output of its step, one quintic Hermite series per step in the
 six linear states, built once per solve from their values, slopes and
-curvatures at the step edges and split where its defect asks; X and Lambda
-share a series of their own per step, built for all steps on first read.
+curvatures at the step edges, with steps split where its defect or the
+Ermakov turn asks; X and Lambda share a series of their own per step, built
+for all steps on first read.
 The map is built as a product of five 2x2 conjugation matrices (scaling,
 basis rotation, shear-scale, phase rotation, inverse basis rotation), which
 keeps AE - BD = 1 to machine precision by construction. The solve uses
@@ -44,9 +45,9 @@ from .model import (_COEFF_KEYS, MomentTrajectory, PropagatorCoefficients,
 from .staticdiag import StaticParams, _energy_offset, static_translation
 
 PIPELINE_SAMPLES = 2000
-# Largest |Omega6 - Omega4| a Magnus step may keep (an estimate of the local
-# error of the order-4 exponent; the order-6 one is far smaller), and the
-# largest error estimate of the dense output between its edges.
+# Largest error estimate of a step's dense output, from its defect: the
+# series solves exactly the ODE perturbed by its defect, so this bounds the
+# step's propagation error as well as its interpolation error.
 MAGNUS_TOL = 1e-10
 
 
@@ -60,9 +61,9 @@ def default_grid(params, n_samples=PIPELINE_SAMPLES):
 _GAUSS = math.sqrt(15.0) / 10.0
 _NODES = np.array([0.5 - _GAUSS, 0.5, 0.5 + _GAUSS])
 # First steps advance the effective phase at t = 0 by this much; refinement
-# splits them where MAGNUS_TOL asks, or where an Ermakov step turns by more
-# than _MAX_ROTATION, which keeps every phase step far below the pi that
-# unwrap needs.
+# splits them where the series' defect puts its error above MAGNUS_TOL, or
+# where an Ermakov step turns by more than _MAX_ROTATION, which keeps every
+# phase step far below the pi that unwrap needs.
 _FIRST_ROTATION = 1.0 / 32.0
 _MAX_ROTATION = 0.5
 _MAX_REFINEMENTS = 6
@@ -126,18 +127,15 @@ def _generators(kernel):
 # 3x3 form on the leading axes, times last: one einsum per product (matmul starts BLAS).
 
 
-def _magnus(nodes, h, forcing_scale):
+def _magnus(nodes, h):
     """Order-6 Magnus exponent over steps of length h from the generators
     (b, c, g) at the three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009), eq. 253), and the largest entry of |Omega6 - Omega4|
-    per step, its forcing part relative to ``forcing_scale``: the
-    displacement, and its error, grow with the forcing.
+    470, 151 (2009), eq. 253).
 
     With a1, a2, a3 the Legendre moments of the generator, k1 = [a1, a2]
     and k2 = [a1, 2 a3 + k1]:
-    Omega6 = a1 + a3/12 + [-20 a1 - a3 + k1, a2 - k2/60]/240 and
-    Omega4 = a1 + a3/12 - k1/12. The moments have a = f = 0, which the
-    commutators below use.
+    Omega6 = a1 + a3/12 + [-20 a1 - a3 + k1, a2 - k2/60]/240. The moments
+    have a = f = 0, which the commutators below use.
     """
     (b1, c1, g1), (b2, c2, g2), (b3, c3, g3) = nodes
     r15 = math.sqrt(15.0) / 3.0 * h
@@ -158,9 +156,7 @@ def _magnus(nodes, h, forcing_scale):
     tc = (lc * ra - ka * rc) / 120.0
     tf = (ka * rf + lb * rg - ra * kf - rb * lg) / 240.0
     tg = (lc * rf - ka * rg - rc * kf + ra * lg) / 240.0
-    omega = (ta, ab + cb / 12.0 + tb, ac + cc / 12.0 + tc, tf, ag + cg / 12.0 + tg)
-    return omega, np.maximum(np.max(np.abs([ta + ka / 12.0, tb, tc]), axis=0),
-                             np.maximum(abs(tf + kf / 12.0), abs(tg)) / forcing_scale)
+    return ta, ab + cb / 12.0 + tb, ac + cc / 12.0 + tc, tf, ag + cg / 12.0 + tg
 
 
 def _expm(omega, out):
@@ -271,12 +267,14 @@ class _AuxiliaryFlow:
     uniform between the kinks of the coefficients (the knots of order-1
     tables), so that no step straddles a kink: the order-6 formula assumes
     a smooth generator, and a kink inside a step costs it about 1e-5 on the
-    map. Steps are split, a priori, where |Omega6 - Omega4| exceeds
-    MAGNUS_TOL or an Ermakov step turns by more than _MAX_ROTATION, and
-    then where the defect of the series at the outer Gauss nodes puts its
-    error above MAGNUS_TOL. The series matches value, slope and curvature at
-    both edges of its step, the right edge's read from inside the step, so
-    that a kink there is seen from the step's own side.
+    map. Each round steps, fits the series and splits steps where an Ermakov
+    step turns by more than _MAX_ROTATION or the series' defect at the outer
+    Gauss nodes puts its error above MAGNUS_TOL, until none splits. The
+    series matches value, slope and curvature at both edges of its step, the
+    right edge's read from inside the step, so that a kink there is seen
+    from the step's own side. It thus solves exactly the ODE perturbed by
+    its defect, which bounds the propagation error too (Enright, J. Comput.
+    Appl. Math. 125, 159 (2000)).
     A ValidityError names the earliest Gauss node where w + kappa or
     w^2 - kappa^2 is not positive; a non-finite generator, propagator or
     state is an IntegrationError at the earliest time it appears.
@@ -294,7 +292,7 @@ class _AuxiliaryFlow:
         self.rho0 = 1.0 / math.sqrt(m5 * nu0)
         start = bx0, m * bxd0
         # the first steps split [0, T] uniformly between kinks; each later
-        # round splits the steps the estimates flag
+        # round splits the steps that turn too far or whose series' defect is too large
         kinks = _kinks(params)
         edges = np.array(sorted({0.0, horizon, *(t for t in kinks.tolist()
                                                  if 0.0 < t < horizon)}))
@@ -306,20 +304,15 @@ class _AuxiliaryFlow:
             edges = _subdivide(edges, split)
             h = np.diff(edges)
             nodes = self._step(edges[:-1], h)
-            omega, error = _magnus(nodes, h, np.maximum(1.0, np.max(np.abs(
-                [g for _, _, g in nodes]), axis=0)))
-            _require_finite((error,), edges[:-1], "Magnus error estimate")
-            # the Ermakov row's turn; the error of the worse row
+            omega = _magnus(nodes, h)
+            self._propagate(edges, omega, start)
+            self._fit(kinks)
+            # the Ermakov row's turn; the series' error grows as h^6
             turn = np.sqrt(np.abs(omega[0][1] ** 2 + omega[1][1] * omega[2][1]))
             split = np.maximum(1.0, np.ceil(np.maximum(
-                (error.max(axis=0) / MAGNUS_TOL) ** 0.2, turn / _MAX_ROTATION)))
+                turn / _MAX_ROTATION, (self._defect(nodes) / MAGNUS_TOL) ** (1.0 / 6.0))))
             if not (split > 1.0).any():
-                self._propagate(edges, omega, start)
-                self._fit(kinks)
-                split = np.maximum(1.0, np.ceil(
-                    (self._defect(nodes) / MAGNUS_TOL) ** (1.0 / 6.0)))
-                if not (split > 1.0).any():
-                    break
+                break
         else:
             raise IntegrationError("Magnus step refinement did not settle",
                                    t=float(edges[np.argmax(split > 1.0)]))

@@ -91,7 +91,8 @@ def test_coarse_sample_grids_match_heisenberg_flow(params, n_samples):
 
 def test_refined_steps_match_heisenberg_flow():
     # omega grows twelvefold: steps sized by the phase at t = 0 are split
-    # where the Magnus error estimate or the Ermakov turn asks for it
+    # where the series' defect asks; with its split left out, the Ermakov
+    # turn alone leaves this test failing
     params = QuadraticParams.from_dict({
         "m": 1.0, "omega": {"kind": "exponential", "prefactor": 1.0, "rate": 0.25},
         "alpha_x": {"kind": "cosine", "amplitude": 0.2, "angular_frequency": 2.0},
@@ -149,9 +150,27 @@ OMEGA_RAMP = QuadraticParams.from_dict({
                          ids=["omega-ramp-1-to-8", "drives-at-15", "drives-at-25"])
 def test_dense_output_error_control_matches_heisenberg_flow(params):
     # samples are read off one quintic per step, and steps are split where
-    # its defect asks: on the ramp, steps sized for the Magnus error alone
-    # leave about 7e-8 on the map
+    # its defect asks: with that split left out, each of these cases fails
     _check_against_heisenberg(params, 400)
+
+
+def _rough_order_3_table(key, n_knots):
+    """An order-3 table of m or omega at knot values scattered within
+    +-0.08 of its base, so that the spline's second derivative jumps at
+    every knot, which the steps do not take as edges."""
+    rng = np.random.default_rng(7)
+    base = {"m": 1.0, "omega": 1.1}
+    knots = np.linspace(0.0, 10.0, n_knots)
+    return QuadraticParams.from_dict({
+        **base, "alpha_x": 0.1, "horizon": 10.0,
+        key: {"kind": "tabulated", "grid": list(knots),
+              "values": list(base[key] + rng.uniform(-0.08, 0.08, n_knots)), "order": 3}})
+
+
+@pytest.mark.parametrize("n_knots", [11, 41])
+@pytest.mark.parametrize("key", ["m", "omega"])
+def test_rough_order_3_tables_match_heisenberg_flow(key, n_knots):
+    _check_against_heisenberg(_rough_order_3_table(key, n_knots), 400)
 
 
 @pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],

@@ -14,10 +14,13 @@ from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
                          _EffectiveOscillator, effective_m5_omega5,
                          ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
+from tdqho import pipeline
 from tdqho.pipeline import (_expm, _scan, beta_ode_residual, ermakov_residual,
                             gaussian_density, global_phase, solve, solve_beta,
                             solve_ermakov)
 from tdqho.scenarios import DrivenSpec, driven_beta
+
+from test_heisenberg import OMEGA_RAMP, _criterion_5_sets
 
 
 def standard_params(horizon=4.0 * math.pi, **kw):
@@ -601,6 +604,48 @@ def test_overflowing_lambda_is_integration_error_when_built():
         sol.global_phase(1.0)
     assert 179.7 < info.value.t < 179.8
     assert "non-finite auxiliary state" in str(info.value)
+
+
+def test_refinement_that_does_not_settle_is_integration_error(monkeypatch):
+    # the ramp's first steps, sized by omega(0) = 1, are too long once omega grows
+    monkeypatch.setattr(pipeline, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(IntegrationError, match="did not settle") as info:
+        solve(OMEGA_RAMP)
+    assert 0.0 <= info.value.t <= 12.0
+
+
+def test_more_steps_than_the_cap_is_integration_error(monkeypatch):
+    monkeypatch.setattr(pipeline, "_MAX_STEPS", 100)
+    with pytest.raises(IntegrationError, match="more than 100 Magnus steps"):
+        solve(OMEGA_RAMP)
+
+
+def _turn_and_defect(flow):
+    """Per accepted step, the Ermakov row's turn and the series' error
+    estimate, recomputed from the step edges."""
+    h = np.diff(flow.edges)
+    nodes = flow._step(flow.edges[:-1], h)
+    a, b, c, _, _ = pipeline._magnus(nodes, h)
+    return np.sqrt(np.abs(a[1] ** 2 + b[1] * c[1])), flow._defect(nodes)
+
+
+@pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
+                         ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
+def test_accepted_steps_keep_the_turn_and_defect_bounds(params):
+    turn, defect = _turn_and_defect(solve(params, n_samples=9).beta._flow)
+    assert np.max(turn) <= pipeline._MAX_ROTATION
+    assert np.max(defect) <= pipeline.MAGNUS_TOL
+
+
+def test_turn_bound_alone_keeps_the_phase_unwrapped(monkeypatch):
+    # first steps turning by 2 rad with the defect left out: only the turn
+    # bound splits them, as far as np.unwrap of Phi needs
+    monkeypatch.setattr(pipeline, "_FIRST_ROTATION", 2.0)
+    monkeypatch.setattr(pipeline, "MAGNUS_TOL", math.inf)
+    flow = solve(OMEGA_RAMP, n_samples=9).beta._flow
+    turn, _ = _turn_and_defect(flow)
+    assert 0.25 < np.max(turn) <= pipeline._MAX_ROTATION
+    assert np.all(np.diff(flow.states[6]) > 0.0)
 
 
 def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
