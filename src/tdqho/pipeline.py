@@ -4,9 +4,9 @@ The chain: solve the auxiliary problems as two linear systems, the affine
 displacement pair (beta_x, m beta_x') tracking the drives and the Ermakov
 partner (u, m5 u') of the effective oscillator; read the Ermakov scale
 (rho, rho_dot) and the phase Phi off two solutions of the partner by Pinney
-superposition; take the two phase integrals X = int a_xp and
-Lambda = int (a_0 + ell), with the energy bias ell(t) from the
-displacement, together as one series per step, the integral of the
+superposition; take the one quadrature, the global-phase integral
+Lambda = int (a_0 + ell) with the energy bias ell(t) from the
+displacement, as one series per step, the integral of the
 degree-4 interpolant through five Gauss nodes of the step (the continuous
 extension of the 5-node Gauss rule; Hairer, Norsett & Wanner, Solving
 Ordinary Differential Equations I, sec. II.6); assemble the linear map
@@ -20,8 +20,8 @@ parameters, not on the sample grid; a sample, on the grid or off it, is read
 off the dense output of its step, one quintic Hermite series per step in the
 six linear states, built once per solve from their values, slopes and
 curvatures at the step edges, with steps split where its defect or the
-Ermakov turn asks; X and Lambda share a series of their own per step, built
-for all steps on first read.
+Ermakov turn asks; Lambda has a series of its own per step, built for all
+steps on first read.
 The map is built as a product of five 2x2 conjugation matrices (scaling,
 basis rotation, shear-scale, phase rotation, inverse basis rotation), which
 keeps AE - BD = 1 to machine precision by construction. The solve uses
@@ -256,7 +256,7 @@ class _AuxiliaryFlow:
     the states at the step edges, and at any time the dense output of its
     step, one quintic Hermite series per step in the six linear states
     (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
-    sec. II.6); X and Lambda share a second series per step, built on first use.
+    sec. II.6); Lambda has a second series per step, built on first use.
 
     The start is read off the effective-oscillator tuple at t = 0
     (``kernel0``): the displacement pair from the translation of the frozen
@@ -380,8 +380,8 @@ class _AuxiliaryFlow:
 
     @functools.cached_property
     def _phase_series(self):
-        """((X, Lambda) at the edges, h times each step's series of both, a zero
-        one at T), coefficients first, from the displacement's series and one kernel
+        """(Lambda at the edges, h times each step's series of it, a zero one
+        at T), coefficients first, from the displacement's series and one kernel
         pass over five Gauss nodes of every step, node-major; einsum: @ starts BLAS."""
         h = self._h[:-1]
         nodes = (self.edges[:-1] + h * _PHASE_NODES[:, None]).ravel()
@@ -389,12 +389,11 @@ class _AuxiliaryFlow:
         bx, y = np.einsum("nj,jik->ink", _PHASE_NODES[:, None] ** np.arange(6),
                           self.series[:, [0, 3], :-1]).reshape(2, -1)
         m, _, _, w, _, _, axp, _, ap, _, ax, a0 = self.oscillator.at(nodes)[:12]
-        f = np.stack((axp, a0 + _energy_offset(m, w, ax, ap, axp, bx,
-                                               _beta_p(m, axp, ap, bx, y / m))))
-        series = h * np.einsum("ij,rjk->irk", _PHASE_SERIES, f.reshape(2, 5, -1))
-        edge = np.pad(np.cumsum(series.sum(axis=0), axis=-1), ((0, 0), (1, 0)))
-        _require_finite((f, np.tile(edge[:, 1:], 5)), nodes, "auxiliary state")
-        return edge, np.pad(series, ((0, 0), (0, 0), (0, 1)))
+        f = a0 + _energy_offset(m, w, ax, ap, axp, bx, _beta_p(m, axp, ap, bx, y / m))
+        series = h * np.einsum("ij,jk->ik", _PHASE_SERIES, f.reshape(5, -1))
+        edge = np.pad(np.cumsum(series.sum(axis=0)), (1, 0))
+        _require_finite((f, np.tile(edge[1:], 5)), nodes, "auxiliary state")
+        return edge, np.pad(series, ((0, 0), (0, 1)))
 
     def _locate(self, t):
         """(t as a 1-d array, the step of each time, s = tau/h in it; T is
@@ -409,7 +408,7 @@ class _AuxiliaryFlow:
     def at(self, t, kernel=None):
         """[beta_x, beta_x_dot, rho, rho_dot, Phi] at the times t as a 1-d
         array, from the series of their steps, and the effective-oscillator
-        tuple there (evaluated unless given); X and Lambda are phase_at's."""
+        tuple there (evaluated unless given); Lambda is phase_at's."""
         t, k, s = self._locate(t)
         kernel = self.oscillator.at(t) if kernel is None else kernel
         # np.take: a fancy index on the last axis returns the transposed layout
@@ -427,10 +426,10 @@ class _AuxiliaryFlow:
         return out, kernel
 
     def phase_at(self, t):
-        """(X, Lambda) at the times t as a 1-d array: edge plus series at s = tau/h."""
+        """Lambda at the times t as a 1-d array: edge plus series at s = tau/h."""
         t, k, s = self._locate(t)
         edge, series = self._phase_series
-        return edge[:, k] + s * P.polyval(s, series[..., k], tensor=False)
+        return edge[k] + s * P.polyval(s, series[:, k], tensor=False)
 
 
 def _scalar_or_array(t, values):
@@ -470,10 +469,10 @@ class BetaSolution:
 
 @dataclass(frozen=True)
 class ErmakovSolution:
-    """Sampled Ermakov scale rho with the three running phase integrals:
-    Phi = int Omega, X = int a_xp, Lambda = int (a_0 + ell). A view of the
-    auxiliary solution; X and Lambda, from the displacement alone, are one
-    per-step series built on first use over all steps and read at any time after."""
+    """Sampled Ermakov scale rho with the two running phase integrals:
+    Phi = int Omega and Lambda = int (a_0 + ell). A view of the auxiliary
+    solution; Lambda, from the displacement alone, is one per-step series
+    built on first use over all steps and read at any time after."""
 
     times: np.ndarray
     rho: np.ndarray
@@ -482,18 +481,14 @@ class ErmakovSolution:
     _flow: object
 
     def at(self, t):
-        """(rho, rho_dot, Phi, X, Lambda) at arbitrary t, off the series of
-        its step: the auxiliary states' for the first three, else the phase series'."""
+        """(rho, rho_dot, Phi, Lambda) at arbitrary t, off the series of its
+        step: the auxiliary states' for the first three, the phase series' for Lambda."""
         states, _ = self._flow.at(t)
-        return _scalar_or_array(t, (*states[2:], *self._flow.phase_at(t)))
-
-    @functools.cached_property
-    def X(self):
-        return self._flow.phase_at(self.times)[0]
+        return _scalar_or_array(t, (*states[2:], self._flow.phase_at(t)))
 
     @functools.cached_property
     def Lambda(self):
-        return self._flow.phase_at(self.times)[1]
+        return self._flow.phase_at(self.times)
 
     @property
     def rho0(self):
@@ -539,9 +534,9 @@ def solve_beta(params, grid=None):
 
 
 def solve_ermakov(params, grid=None):
-    """Ermakov scale and phase quadratures on [0, T]: the ErmakovSolution
-    half of the auxiliary solve, which also solves the displacement pair
-    that Lambda needs."""
+    """Ermakov scale, Phi and Lambda on [0, T]: the ErmakovSolution half of
+    the auxiliary solve, which also solves the displacement pair that Lambda
+    needs."""
     return _solve_auxiliary(params, grid)[1]
 
 
@@ -593,7 +588,7 @@ def coefficients(params, beta, ermakov, t):
 def global_phase(ermakov, t):
     """Accumulated scalar phase -Lambda(t)/hbar, with hbar from the solution."""
     flow = ermakov._flow
-    return _scalar_or_array(t, (-flow.phase_at(t)[1] / flow.oscillator.params.hbar,))[0]
+    return _scalar_or_array(t, (-flow.phase_at(t) / flow.oscillator.params.hbar,))[0]
 
 
 def gaussian_density(state, x_grid):

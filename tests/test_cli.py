@@ -339,6 +339,16 @@ def test_oracle_on_runaway_hamiltonian_exits_with_validity_error(tmp_path, capsy
     assert err.startswith("validity error: Hamiltonian norm bound") and "at t=0.3" in err
 
 
+def test_oracle_norm_drift_exits_with_validity_error(tmp_path, capsys, monkeypatch):
+    # a drift beyond NORM_DRIFT_ABORT aborts the run (exit 3), unlike the
+    # truncation alarm, which finishes it and flags it unreliable (exit 5)
+    monkeypatch.setattr(tdqho.oracle, "NORM_DRIFT_ABORT", 1e-17)
+    assert main(["oracle", "--scenario", "driven", "--horizon", "2", "--samples", "50",
+                 "--oracle-n", "16", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"validity error: norm drift \S+ exceeds 1e-17 at t=0\.0408163\n", err)
+
+
 def test_readme_compare_example_passes(tmp_path, capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     # every documented command line parses, so a renamed flag fails here

@@ -200,9 +200,10 @@ def test_phase_series_is_built_on_first_read_and_joins_at_the_edges(params):
     q = np.linspace(0.0, params.horizon, 7)
     sol.moments(init), sol.moments_at(init, q), sol.coefficients_at(q)
     assert "_phase_series" not in vars(flow)
-    # every edge is s = 0 of its own series of (X, Lambda), T of a zero one
+    # every edge is s = 0 of its own series of Lambda, T of a zero one
     edge, series = flow._phase_series
+    assert edge.shape == (flow.edges.size,) and series.shape == (5, flow.edges.size)
     assert np.array_equal(flow.phase_at(flow.edges), edge)
     # s = 1 of each step's series is the next edge's value, to round-off
-    ends = edge[:, :-1] + series[..., :-1].sum(axis=0)
-    assert np.max(np.abs(ends - edge[:, 1:]) / np.maximum(1.0, np.abs(edge[:, 1:]))) < 1e-14
+    ends = edge[:-1] + series[:, :-1].sum(axis=0)
+    assert np.max(np.abs(ends - edge[1:]) / np.maximum(1.0, np.abs(edge[1:]))) < 1e-14

@@ -252,7 +252,7 @@ def test_uncertainty_product_preserved_for_pure_state(generic_solution):
 
 
 def lewis_invariant(params, sol, traj_times, x, p):
-    rho, rho_dot, _, _, _ = sol.ermakov.at(traj_times)
+    rho, rho_dot, _, _ = sol.ermakov.at(traj_times)
     m5 = np.array([effective_m5_omega5(params, float(t))[0] for t in traj_times])
     return 0.5 * ((rho * p - m5 * rho_dot * x) ** 2 + (x / rho) ** 2)
 
@@ -286,32 +286,27 @@ def test_invariant_on_standard_oscillator_columns(standard_solution):
 # -- quadratures and phases ---------------------------------------------------
 
 
-def test_cross_term_quadrature():
-    p = standard_params(horizon=3.0, alpha_xp=0.1)
-    s = solve(p, n_samples=60)
-    assert np.max(np.abs(s.ermakov.X - 0.1 * s.grid)) < 1e-12
-
-
-def _check_cross_term_quadrature(p, exact):
-    # X on the grid and at 256 times off it against its exact integral
+def _check_energy_quadrature(p, exact):
+    # no drives leave ell = 0, so Lambda = int a_0: on the grid and at 256
+    # times off it against its exact integral
     sol = solve(p, n_samples=300)
     q = np.random.default_rng(5).uniform(0.0, p.horizon, 256)
-    for t, x in ((sol.grid, sol.ermakov.X), (q, sol.ermakov.at(q)[3])):
-        assert np.max(np.abs(x - exact(t))) < 1e-12
+    for t, lam in ((sol.grid, sol.ermakov.Lambda), (q, sol.ermakov.at(q)[-1])):
+        assert np.max(np.abs(lam - exact(t))) < 1e-12
 
 
-def test_cross_term_quadrature_of_a_cosine():
+def test_energy_quadrature_of_a_cosine():
     amp, w, phi = 0.15, 0.7, 0.4
-    p = standard_params(horizon=10.0, alpha_xp={
+    p = standard_params(horizon=10.0, alpha_0={
         "kind": "cosine", "amplitude": amp, "angular_frequency": w, "phase": phi})
-    _check_cross_term_quadrature(p, lambda t: amp / w * (np.sin(w * t + phi) - math.sin(phi)))
+    _check_energy_quadrature(p, lambda t: amp / w * (np.sin(w * t + phi) - math.sin(phi)))
 
 
-def test_cross_term_quadrature_of_an_order_1_table():
+def test_energy_quadrature_of_an_order_1_table():
     # the exact integral of the linear pieces: whole trapezoids up to the
-    # knot below t, then the part of the next one
+    # knot below t, then the part of the next one; the knots are step edges
     knots, values = np.array([0.0, 1.5, 4.0, 7.0, 10.0]), np.array([0.1, -0.2, 0.05, 0.2, -0.1])
-    p = standard_params(horizon=10.0, alpha_xp={
+    p = standard_params(horizon=10.0, alpha_0={
         "kind": "tabulated", "grid": list(knots), "values": list(values), "order": 1})
     slopes = np.diff(values) / np.diff(knots)
     whole = np.concatenate(([0.0], np.cumsum(np.diff(knots) * (values[:-1] + values[1:]) / 2.0)))
@@ -321,7 +316,7 @@ def test_cross_term_quadrature_of_an_order_1_table():
         tau = t - knots[k]
         return whole[k] + tau * (values[k] + 0.5 * slopes[k] * tau)
 
-    _check_cross_term_quadrature(p, exact)
+    _check_energy_quadrature(p, exact)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 1000])
