@@ -16,8 +16,7 @@ from .model import (MomentState, MomentTrajectory, PropagatorCoefficients,
                     kappa_dot, propagate_moments, validate)
 from .pipeline import (BetaSolution, ErmakovSolution, PipelineSolution,
                        beta_ode_residual, coefficients, ermakov_residual,
-                       gaussian_density, global_phase, solve, solve_beta,
-                       solve_ermakov)
+                       gaussian_density, solve, solve_beta, solve_ermakov)
 from .scenarios import (CKSpec, DrivenSpec, ck_coefficients, ck_ground_variances,
                         ck_moments, ck_uncertainty, driven_beta,
                         driven_coefficients, driven_moments_exact,
@@ -43,7 +42,7 @@ __all__ = [
     "diag_branch_theta_p_zero", "diag_branch_theta_x_zero", "driven_beta",
     "driven_coefficients", "driven_moments_exact", "driven_moments_rwa",
     "effective_m5_omega5", "effective_mass_frequency", "ermakov_residual",
-    "gamma_squeeze", "gaussian_density", "global_phase", "ground_moments",
+    "gamma_squeeze", "gaussian_density", "ground_moments",
     "kappa", "kappa_dot", "propagate_moments", "solve", "solve_beta",
     "solve_ermakov", "static_translation", "validate",
 ]

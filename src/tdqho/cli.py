@@ -376,9 +376,12 @@ def cmd_sweep(args):
     if len(parts) != 4:
         raise ConfigError("--sweep must look like param:lo:hi:count")
     name, lo, hi, count = parts[0], parts[1], parts[2], parts[3]
-    allowed = {"omega-d", "strength", "gamma", "horizon", "m", "omega"}
+    # only the knobs the preset reads; any other would give a flat sweep
+    allowed = {"driven": {"omega-d", "strength"}, "ck": {"gamma"}}[args.scenario] \
+        | {"horizon", "m", "omega"}
     if name not in allowed:
-        raise ConfigError(f"sweep parameter must be one of {sorted(allowed)}")
+        raise ConfigError(f"sweep parameter of the {args.scenario} scenario must be "
+                          f"one of {sorted(allowed)}")
     try:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:

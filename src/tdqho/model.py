@@ -123,12 +123,19 @@ class MomentState:
 
 def ground_moments(m0, omega0, hbar=1.0, t=0.0):
     """Moments of the instantaneous ground state of the alpha-free oscillator."""
-    return MomentState(t, 0.0, 0.0, hbar / (2.0 * m0 * omega0), hbar * m0 * omega0 / 2.0, 0.0)
+    return coherent_moments(0.0, m0, omega0, hbar, t)
 
 
 def coherent_moments(alpha, m0, omega0, hbar=1.0, t=0.0):
-    """Moments of a coherent state |alpha>; same variances as the ground state."""
+    """Moments of a coherent state |alpha>; same variances as the ground
+    state. A DomainError names a scale that is not positive and finite, or
+    an amplitude that is not finite."""
+    for name, value in (("m0", m0), ("omega0", omega0), ("hbar", hbar)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
     alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise DomainError(f"coherent amplitude must be finite, got {alpha!r}")
     mean_x = math.sqrt(2.0 * hbar / (m0 * omega0)) * alpha.real
     mean_p = math.sqrt(2.0 * hbar * m0 * omega0) * alpha.imag
     return MomentState(t, mean_x, mean_p,

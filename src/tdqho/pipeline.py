@@ -51,10 +51,6 @@ PIPELINE_SAMPLES = 2000
 MAGNUS_TOL = 1e-10
 
 
-def default_grid(params, n_samples=PIPELINE_SAMPLES):
-    return np.linspace(0.0, params.horizon, n_samples)
-
-
 # -- linear auxiliary solve ------------------------------------------------------
 
 # Nodes of the three-node Gauss-Legendre rule on [0, 1]: the Magnus nodes.
@@ -208,10 +204,6 @@ def _subdivide(edges, split):
 
 # -- dense output ------------------------------------------------------------
 
-# The six linear states, in the order of the series: the positions
-# (beta_x, u1, u2) and their momenta (m beta_x', m5 u1', m5 u2'); rows of
-# _AuxiliaryFlow.states.
-_LINEAR = [0, 2, 4, 1, 3, 5]
 # s^j and d(s^j)/ds at the outer Gauss nodes, the defect's nodes
 _DEFECT_POWERS = np.array([[[s ** j for j in range(6)] for s in _NODES[::2]],
                            [[j * s ** (j - 1) for j in range(6)] for s in _NODES[::2]]])
@@ -253,7 +245,8 @@ def _hermite(y0, v0, a0, y1, v1, a1, out):
 
 class _AuxiliaryFlow:
     """The two linear auxiliary systems on [0, T] by order-6 Magnus steps:
-    the states at the step edges, and at any time the dense output of its
+    the six linear states at the step edges (``states``, in _propagate's
+    order) and Phi there (``phi``), and at any time the dense output of its
     step, one quintic Hermite series per step in the six linear states
     (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
     sec. II.6); Lambda has a second series per step, built on first use.
@@ -339,18 +332,19 @@ class _AuxiliaryFlow:
         (bx0, y0), rho0 = start, self.rho0
         u1, u2 = rho0 * p[1], q[1] / rho0
         self.edges = edges
-        # per edge: beta_x, m beta_x', the partner solutions (u, m5 u') from
-        # (rho0, 0) and from (0, 1/rho0), and Phi
-        self.states = np.array([p[0] * bx0 + q[0] * y0 + v[0], r[0] * bx0 + s[0] * y0 + w[0],
-                                u1, rho0 * r[1], u2, s[1] / rho0,
-                                np.unwrap(np.arctan2(u2, u1))])
+        # per edge, in the order of the series: the positions beta_x and u1, u2
+        # of the partner solutions from (rho0, 0) and from (0, 1/rho0), then
+        # their momenta m beta_x', m5 u1', m5 u2'; Phi apart (finite with them)
+        self.states = np.array([p[0] * bx0 + q[0] * y0 + v[0], u1, u2,
+                                r[0] * bx0 + s[0] * y0 + w[0], rho0 * r[1], s[1] / rho0])
+        self.phi = np.unwrap(np.arctan2(u2, u1))
         _require_finite(self.states, edges, "auxiliary state")
 
     def _fit(self, kinks):
         """The series of every step from one kernel pass over the edges and
         just inside the right edges that are kinks, and a constant one at T
         (step length 1), so that every edge reads its own state at s = 0."""
-        edges, y = self.edges, self.states[_LINEAR]
+        edges, y = self.edges, self.states
         n = edges.size - 1
         kinked = np.flatnonzero(np.isin(edges[1:], kinks)) + 1
         t = np.concatenate((edges, np.nextafter(edges[kinked], -np.inf)))
@@ -417,7 +411,8 @@ class _AuxiliaryFlow:
             linear *= s
             linear += c
         bx, u1, u2, y, q1, q2 = linear
-        u10, u20, phi0 = (self.states[i, k] for i in (2, 4, 6))
+        u10, u20 = self.states[1:3, k]
+        phi0 = self.phi[k]
         m, m5 = kernel[0], kernel[14]
         rho = np.hypot(u1, u2)
         out = [bx, y / m, rho, (u1 * q1 + u2 * q2) / (m5 * rho),
@@ -490,10 +485,6 @@ class ErmakovSolution:
     def Lambda(self):
         return self._flow.phase_at(self.times)
 
-    @property
-    def rho0(self):
-        return self.rho[0]
-
 
 def _solve_auxiliary(params, grid):
     """Solve the displacement pair and the Ermakov partner on [0, T] and
@@ -507,10 +498,9 @@ def _solve_auxiliary(params, grid):
     (BetaSolution, ErmakovSolution) sharing one solution, and the
     effective-oscillator tuple on the grid.
     """
-    if grid is not None and np.ndim(grid) != 1:
+    if np.ndim(grid) != 1:
         raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
-    grid = np.sort(np.concatenate((default_grid(params) if grid is None else grid,
-                                   [0.0, params.horizon])))
+    grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
     # the range before the kernel, which past T could fail or overflow first;
     # then drop repeats as np.union1d would, without the numpy.ma it imports
     _require_in_horizon(grid, params.horizon)
@@ -518,8 +508,7 @@ def _solve_auxiliary(params, grid):
     oscillator = _EffectiveOscillator(params)
     kernel = oscillator.at(grid)
     m, _, _, _, _, _, axp, _, ap, *_ = kernel
-    start = np.searchsorted(grid, 0.0)
-    flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[start] for x in kernel))
+    flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[0] for x in kernel))
     (bx, bxd, rho, rho_dot, phi), _ = flow.at(grid, kernel)
     beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
                         beta_p=_beta_p(m, axp, ap, bx, bxd), _flow=flow)
@@ -527,13 +516,13 @@ def _solve_auxiliary(params, grid):
     return beta, ermakov, kernel
 
 
-def solve_beta(params, grid=None):
+def solve_beta(params, grid):
     """Displacement pair on [0, T]: the BetaSolution half of the auxiliary
     solve."""
     return _solve_auxiliary(params, grid)[0]
 
 
-def solve_ermakov(params, grid=None):
+def solve_ermakov(params, grid):
     """Ermakov scale, Phi and Lambda on [0, T]: the ErmakovSolution half of
     the auxiliary solve, which also solves the displacement pair that Lambda
     needs."""
@@ -585,12 +574,6 @@ def coefficients(params, beta, ermakov, t):
 # -- moments ----------------------------------------------------------------
 
 
-def global_phase(ermakov, t):
-    """Accumulated scalar phase -Lambda(t)/hbar, with hbar from the solution."""
-    flow = ermakov._flow
-    return _scalar_or_array(t, (-flow.phase_at(t) / flow.oscillator.params.hbar,))[0]
-
-
 def gaussian_density(state, x_grid):
     """Normal position density of a Gaussian state on x_grid.
 
@@ -636,7 +619,9 @@ class PipelineSolution:
         return propagate_moments(initial, self.coefficients_at(t))
 
     def global_phase(self, t=None):
-        return global_phase(self.ermakov, self.grid if t is None else t)
+        """Accumulated scalar phase -Lambda(t)/hbar, on the grid by default."""
+        t = self.grid if t is None else t
+        return _scalar_or_array(t, (-self.ermakov._flow.phase_at(t) / self.params.hbar,))[0]
 
 
 def solve(params, n_samples=PIPELINE_SAMPLES):
@@ -645,7 +630,7 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
             or n_samples < 2:
         raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     validate(params).raise_if_invalid()
-    grid = default_grid(params, n_samples)
+    grid = np.linspace(0.0, params.horizon, n_samples)
     beta, ermakov, kernel = _solve_auxiliary(params, grid)
     # from the solve's own samples and kernel tuple: no second pass on the grid
     coeffs = _assemble(beta._flow, kernel, (beta.beta_x, beta.beta_x_dot, ermakov.rho,
@@ -657,16 +642,17 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
 # -- independent residual checks --------------------------------------------
 
 
-def _five_point_residual(params, flow, T, rows, residual):
+def _five_point_residual(flow, rows, residual):
     """Max |residual(kernel, y'', *states[rows])| over stencil times tt in
     [2h, T - 2h], h = T/4096, with the flow's states and effective-oscillator
     tuple at tt, where y'' is the five-point central difference of the last
     of the rows. Times whose span [tt - 2h, tt + 2h] holds a kink of the
-    coefficients (a knot of an order-1 table, where second derivatives jump)
-    are left out; NaN if none is left."""
+    flow's coefficients (a knot of an order-1 table, where second derivatives
+    jump) are left out; NaN if none is left."""
+    T = flow.edges[-1]
     h = T / 4096.0
     tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
-    kinks = _kinks(params)
+    kinks = _kinks(flow.oscillator.params)
     tt = tt[np.searchsorted(kinks, tt - 2 * h) == np.searchsorted(kinks, tt + 2 * h, "right")]
     if not tt.size:
         return math.nan
@@ -677,22 +663,21 @@ def _five_point_residual(params, flow, T, rows, residual):
     return float(np.abs(residual(kernel, dd, *states[rows])).max())
 
 
-def ermakov_residual(params, ermakov):
+def ermakov_residual(ermakov):
     """Max Ermakov-equation residual, with the second derivative taken by a
     five-point central difference of the integrated rho_dot channel."""
     def residual(kernel, rho_dd, rho, rho_dot):
         *_, m5, m5_log_dot, w5sq = kernel
         return rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
 
-    return _five_point_residual(params, ermakov._flow, float(ermakov.times[-1]),
-                                slice(2, 4), residual)
+    return _five_point_residual(ermakov._flow, slice(2, 4), residual)
 
 
-def beta_ode_residual(params, beta):
+def beta_ode_residual(beta):
     """Max second-order displacement-equation residual via a five-point
     central difference of the integrated beta_x_dot channel."""
     def residual(kernel, bxdd, bx, bxd):
         mlog, coeff, forcing = _displacement_terms(kernel)
         return bxdd + mlog * bxd - coeff * bx - forcing
 
-    return _five_point_residual(params, beta._flow, float(beta.times[-1]), slice(0, 2), residual)
+    return _five_point_residual(beta._flow, slice(0, 2), residual)

@@ -254,8 +254,8 @@ def test_criterion_7_residuals_on_scenarios_and_random_draws():
     cases += [_mixed_random_params(rng) for _ in range(5)]
     for params in cases:
         sol = solve(params, n_samples=400)
-        assert np.max(ermakov_residual(params, sol.ermakov)) < 1e-8
-        assert np.max(beta_ode_residual(params, sol.beta)) < 1e-9
+        assert np.max(ermakov_residual(sol.ermakov)) < 1e-8
+        assert np.max(beta_ode_residual(sol.beta)) < 1e-9
         assert np.max(sol.beta.constraint_residual()) == 0.0
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -114,6 +115,15 @@ t = np.linspace(-0.2, 3.2, 41)
 same = [a.tobytes() == CubicSpline(g, v)(t, nu).tobytes() for nu, a in enumerate(f.jet(t))]
 print(json.dumps({"rc": rc, "ma": ma, "before": before, "loaded": loaded, "same": same}))
 """
+
+
+def test_package_exports_every_public_name_it_imports():
+    missing = [name for name in tdqho.__all__ if not hasattr(tdqho, name)]
+    assert missing == []
+    tree = ast.parse(Path(tdqho.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} <= set(tdqho.__all__)
 
 
 def test_closed_form_runs_load_no_scipy():
@@ -585,7 +595,7 @@ def test_sweep(tmp_path, capsys):
     assert np.argmax(excursions) == 2
 
 
-def test_sweep_argument_validation(tmp_path):
+def test_sweep_argument_validation(tmp_path, capsys):
     assert main(["sweep", "--scenario", "driven",
                  "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--scenario", "driven", "--sweep", "omega-d:0:1",
@@ -594,6 +604,13 @@ def test_sweep_argument_validation(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--sweep", "omega-d:0:1:3",
                  "--out", str(tmp_path)]) == 2
+    # a knob the preset ignores would write identical rows
+    capsys.readouterr()
+    for scenario, name in (("ck", "omega-d"), ("ck", "strength"), ("driven", "gamma")):
+        assert main(["sweep", "--scenario", scenario, "--sweep", f"{name}:0.5:1.5:3",
+                     "--samples", "50", "--out", str(tmp_path)]) == 2
+        assert f"of the {scenario} scenario" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_records_per_point_failures(tmp_path):

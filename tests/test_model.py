@@ -248,6 +248,9 @@ def test_gamma_squeeze_initial_value_is_one():
 
 def test_ground_moments_saturate_uncertainty():
     s = ground_moments(2.0, 3.0, hbar=1.5)
+    # the coherent state at amplitude 0, bit for bit, with +0.0 means
+    assert s == MomentState(0.0, 0.0, 0.0, 1.5 / (2.0 * 2.0 * 3.0), 1.5 * 2.0 * 3.0 / 2.0, 0.0)
+    assert math.copysign(1.0, s.mean_x) == math.copysign(1.0, s.mean_p) == 1.0
     assert s.var_x == pytest.approx(1.5 / 12.0, rel=1e-15)
     assert s.var_p == pytest.approx(1.5 * 3.0, rel=1e-15)
     assert s.uncertainty_product() == pytest.approx(1.5 ** 2 / 4.0, rel=1e-15)
@@ -262,6 +265,22 @@ def test_coherent_moments_displace_ground():
     assert s.var_p == pytest.approx(g.var_p, rel=1e-15)
     assert s.mean_x == pytest.approx(math.sqrt(2.0 / 2.0) * alpha.real, rel=1e-14)
     assert s.mean_p == pytest.approx(math.sqrt(2.0 * 2.0) * alpha.imag, rel=1e-14)
+
+
+@pytest.mark.parametrize("m0, omega0, hbar, name", [
+    (-1.0, 1.0, 1.0, "m0"), (1.0, 0.0, 1.0, "omega0"), (1.0, 1.0, -0.5, "hbar"),
+    (math.inf, 1.0, 1.0, "m0"), (1.0, math.nan, 1.0, "omega0"), (1.0, 1.0, math.inf, "hbar")])
+def test_moment_constructors_reject_unphysical_scales(m0, omega0, hbar, name):
+    for make in (lambda: ground_moments(m0, omega0, hbar),
+                 lambda: coherent_moments(0.5, m0, omega0, hbar)):
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+            make()
+
+
+@pytest.mark.parametrize("alpha", [complex(math.inf, 0.0), complex(0.0, math.nan)])
+def test_coherent_moments_reject_a_non_finite_amplitude(alpha):
+    with pytest.raises(DomainError, match="amplitude must be finite"):
+        coherent_moments(alpha, 1.0, 1.0)
 
 
 def test_moment_state_check_rejects_sub_heisenberg():

@@ -16,8 +16,7 @@ from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 from tdqho import pipeline
 from tdqho.pipeline import (_expm, _scan, beta_ode_residual, ermakov_residual,
-                            gaussian_density, global_phase, solve, solve_beta,
-                            solve_ermakov)
+                            gaussian_density, solve, solve_beta, solve_ermakov)
 from tdqho.scenarios import DrivenSpec, driven_beta
 
 from test_heisenberg import OMEGA_RAMP, _criterion_5_sets
@@ -105,8 +104,8 @@ def test_constant_energy_offset_only_shifts_phase():
     for hbar in (1.0, 0.7):
         p = standard_params(horizon=5.0, alpha_0=0.3, hbar=hbar)
         s = solve(p, n_samples=100)
-        # the module-level function reads hbar off the solution, as the method does
-        for phase in (global_phase(s.ermakov, s.grid), s.global_phase()):
+        # an explicit grid and the default both read hbar off the solution
+        for phase in (s.global_phase(s.grid), s.global_phase()):
             assert np.max(np.abs(phase + 0.3 * s.grid / hbar)) < 1e-12
         assert np.max(np.abs(s.ermakov.Lambda - 0.3 * s.grid)) < 1e-12
         mt = s.moments(ground_moments(1.0, 1.0, hbar))
@@ -158,12 +157,12 @@ def test_lambda_of_a_quartic_energy_offset_is_its_antiderivative():
 
 
 def test_ermakov_residual_generic(generic_solution):
-    res = ermakov_residual(generic_params(), generic_solution.ermakov)
+    res = ermakov_residual(generic_solution.ermakov)
     assert np.max(res) < 1e-8
 
 
 def test_beta_residual_generic(generic_solution):
-    res = beta_ode_residual(generic_params(), generic_solution.beta)
+    res = beta_ode_residual(generic_solution.beta)
     assert np.max(res) < 1e-9
 
 
@@ -172,9 +171,8 @@ def test_beta_constraint_residual_is_exact(generic_solution):
 
 
 def test_residuals_on_standard_oscillator(standard_solution):
-    p = standard_params()
-    assert np.max(ermakov_residual(p, standard_solution.ermakov)) < 1e-8
-    assert np.max(beta_ode_residual(p, standard_solution.beta)) < 1e-9
+    assert np.max(ermakov_residual(standard_solution.ermakov)) < 1e-8
+    assert np.max(beta_ode_residual(standard_solution.beta)) < 1e-9
 
 
 @pytest.mark.parametrize("key, base", [("omega", 1.1), ("m", 1.0), ("alpha_x", 0.0)])
@@ -186,8 +184,8 @@ def test_residuals_skip_stencils_across_order_1_knots(key, base):
              "values": list(base + 0.08 * np.cos(1.3 * knots + 0.4))}
     p = standard_params(horizon=10.0, **{key: table})
     sol = solve(p, n_samples=400)
-    assert ermakov_residual(p, sol.ermakov) < 1e-8
-    assert beta_ode_residual(p, sol.beta) < 1e-9
+    assert ermakov_residual(sol.ermakov) < 1e-8
+    assert beta_ode_residual(sol.beta) < 1e-9
 
 
 def test_residuals_are_nan_when_every_stencil_crosses_a_knot():
@@ -197,8 +195,8 @@ def test_residuals_are_nan_when_every_stencil_crosses_a_knot():
         "kind": "tabulated", "grid": list(knots), "order": 1,
         "values": list(0.08 * np.cos(1.3 * knots))})
     sol = solve(p, n_samples=100)
-    assert math.isnan(ermakov_residual(p, sol.ermakov))
-    assert math.isnan(beta_ode_residual(p, sol.beta))
+    assert math.isnan(ermakov_residual(sol.ermakov))
+    assert math.isnan(beta_ode_residual(sol.beta))
 
 
 # -- generic case against direct moment integration ---------------------------
@@ -532,10 +530,10 @@ def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
 def test_auxiliary_solve_starts_at_zero_on_any_grid():
     # rho(0) comes from m5 and w5^2 at t = 0, also when the grid starts later
     p = generic_params()
-    full = solve_ermakov(p)
+    full = solve(p).ermakov
     late = solve_ermakov(p, grid=np.linspace(1.0, 5.0, 9))
     assert late.times[0] == 0.0 and late.times[-1] == p.horizon
-    assert late.rho0 == full.rho0
+    assert late.rho[0] == full.rho[0]
     assert late.at(3.0) == full.at(3.0)
 
 
@@ -640,7 +638,7 @@ def test_turn_bound_alone_keeps_the_phase_unwrapped(monkeypatch):
     flow = solve(OMEGA_RAMP, n_samples=9).beta._flow
     turn, _ = _turn_and_defect(flow)
     assert 0.25 < np.max(turn) <= pipeline._MAX_ROTATION
-    assert np.all(np.diff(flow.states[6]) > 0.0)
+    assert np.all(np.diff(flow.phi) > 0.0)
 
 
 def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
