@@ -4,7 +4,7 @@ Every Hamiltonian coefficient is a ``TimeFunction``: a real-valued function
 of time whose ``jet`` gives its value and first two derivatives in one call,
 with ``value``, ``derivative`` and ``second_derivative`` derived from it. The
 closed-form kinds carry exact derivatives; the tabulated kind differentiates
-its interpolant.
+its piecewise-polynomial interpolant. numpy is all they need.
 """
 
 from __future__ import annotations
@@ -184,20 +184,50 @@ class Polynomial(TimeFunction):
         return cls(parse_numbers(obj["coefficients"], "coefficients"))
 
 
+def _cubic_pieces(h, d, v):
+    """Each piece's coefficients in t - grid[k], highest power first, of the
+    not-a-knot cubic spline through values v with knot spacings h and secant
+    slopes d (de Boor, A Practical Guide to Splines, ch. IV): knot slopes by a
+    Thomas sweep on scipy's CubicSpline system, pieces formed as it forms them."""
+
+    def end_row(h, d):
+        # (diagonal, off-diagonal, right side) of the first row, the last on
+        # the reversed table; two knots give the line, three the parabola
+        if h.size < 3:
+            return 1.0, h.size - 1.0, h.size * d[0]
+        span = h[0] + h[1]
+        return h[1], span, ((h[0] + 2.0 * span) * h[1] * d[0] + h[0] ** 2 * d[1]) / span
+
+    # rows of sub * s[i-1] + diag * s[i] + sup * s[i+1] = rhs
+    rows = np.zeros((4, h.size + 1))
+    rows[:, 1:-1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1], 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    rows[1:, 0] = end_row(h, d)
+    rows[[1, 0, 3], -1] = end_row(h[::-1], d[::-1])
+    sub, diag, sup, rhs = rows.tolist()
+    for i in range(h.size + 1):  # sub[0] = 0: row 0 reads nothing at index -1
+        pivot = diag[i] - sub[i] * sup[i - 1]
+        sup[i] /= pivot
+        rhs[i] = (rhs[i] - sub[i] * rhs[i - 1]) / pivot
+    for i in range(h.size - 1, -1, -1):
+        rhs[i] -= sup[i] * rhs[i + 1]
+    s = np.array(rhs)
+    e = (s[:-1] + s[1:] - 2.0 * d) / h
+    return e / h, (d - s[:-1]) / h - e, s[:-1], v[:-1]
+
+
 @dataclass(frozen=True)
 class Tabulated(TimeFunction):
-    """Interpolates (grid, values) samples. order=3 uses scipy's CubicSpline,
-    whose analytic derivatives serve as the function's derivatives; it is
-    the only use of scipy in the package, imported when such a table is
-    built. order=1 is piecewise linear with piecewise-constant first
-    derivative and needs numpy alone."""
+    """Interpolates (grid, values) samples, order=3 by the not-a-knot cubic
+    spline and order=1 piecewise linearly, each piece a polynomial in
+    t - grid[k] whose analytic derivatives are the function's; the end pieces
+    extend past the grid."""
 
     grid: tuple
     values: tuple
     order: int = 3
-    # order 3: scipy's CubicSpline, imported when such a table is built;
-    # order 1: the (grid, values, slopes) arrays, numpy alone
-    _fit: object = field(default=None, compare=False, repr=False)
+    # the knots, and per piece (a column) its coefficients, highest power first
+    _knots: np.ndarray = field(default=None, compare=False, repr=False)
+    _pieces: np.ndarray = field(default=None, compare=False, repr=False)
 
     kind = "tabulated"
 
@@ -206,20 +236,20 @@ class Tabulated(TimeFunction):
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape or g.size < 2:
             raise ConfigError("tabulated needs matching 1-d grid/values with >= 2 points")
+        for name, a in (("grid", g), ("values", v)):
+            if not np.all(np.isfinite(a)):
+                raise ConfigError(f"tabulated {name} must be finite numbers")
         if not np.all(np.diff(g) > 0):
             raise ConfigError("tabulated time grid must be strictly increasing")
         if self.order not in (1, 3):
             raise ConfigError(f"tabulated interpolation order must be 1 or 3, got {self.order}")
         object.__setattr__(self, "grid", tuple(g))
         object.__setattr__(self, "values", tuple(v))
-        if self.order == 3:
-            # imported here, not at module level: loading scipy takes about
-            # as long as a whole closed-form CLI run, and nothing else uses it
-            from scipy.interpolate import CubicSpline
-            fit = CubicSpline(g, v)
-        else:
-            fit = (g, v, np.diff(v) / np.diff(g))
-        object.__setattr__(self, "_fit", fit)
+        h = np.diff(g)
+        d = np.diff(v) / h
+        pieces = _cubic_pieces(h, d, v) if self.order == 3 else (d, v[:-1])
+        object.__setattr__(self, "_knots", g)
+        object.__setattr__(self, "_pieces", np.array(pieces))
 
     @property
     def kinks(self):
@@ -232,12 +262,16 @@ class Tabulated(TimeFunction):
 
     def jet(self, t):
         t = np.asarray(t, dtype=float)
-        if self.order == 3:
-            # the spline returns 0-d arrays for a 0-d t; [()] makes them scalars
-            return tuple(self._fit(t, nu)[()] for nu in range(3))
-        g, v, slopes = self._fit
-        idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(slopes) - 1)
-        return np.interp(t, g, v), slopes[idx], np.zeros(t.shape)[()]
+        k = np.searchsorted(self._knots[1:-1], t, side="right")
+        x = t - self._knots[k]
+        # Horner's rule on the piece of each time (an end piece past the grid)
+        value, *rest = self._pieces.take(k, axis=1)
+        first = second = 0.0
+        for c in rest:
+            second = second * x + first
+            first = first * x + value
+            value = value * x + c
+        return value, first, 2.0 * second
 
     def to_dict(self):
         return {"kind": "tabulated", "grid": list(self.grid),

@@ -74,7 +74,7 @@ def test_evolve_from_config_file(tmp_path):
     cfg.write_text(json.dumps({"m": 1.0, "omega": 1.0, "horizon": 2.0}))
     assert main(["evolve", "--config", str(cfg), "--samples", "20",
                  "--out", str(tmp_path)]) == 0
-    # an order-3 (default-order) table: the one path that builds a CubicSpline
+    # an order-3 (default-order) table: the one path that builds the cubic spline
     knots = list(range(11))
     cfg.write_text(json.dumps({
         "m": 1.0,
@@ -91,29 +91,25 @@ def test_evolve_from_config_file(tmp_path):
 # Run in a fresh interpreter: the test process has scipy and numpy.ma loaded
 # already.
 _SCIPY_PROBE = """
-import json, sys, tempfile
-import numpy as np
+import json, math, sys, tempfile
+from pathlib import Path
 from tdqho.cli import main
-from tdqho.timefunc import Tabulated
 ma = ["numpy.ma" in sys.modules]
-
-def scipy_modules():
-    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
-
 rc = [main(["validate", "--scenario", "driven"])]
 with tempfile.TemporaryDirectory() as out:
     rc.append(main(["evolve", "--scenario", "driven", "--samples", "300",
                     "--density", "5", "--out", out]))
-ma.append("numpy.ma" in sys.modules)
-before = scipy_modules()
-g = np.array([0.0, 0.7, 1.5, 2.1, 3.0])
-v = np.array([1.0, 1.2, 0.9, 1.1, 1.05])
-f = Tabulated(tuple(g), tuple(v))
-loaded = "scipy.interpolate" in sys.modules
-from scipy.interpolate import CubicSpline
-t = np.linspace(-0.2, 3.2, 41)
-same = [a.tobytes() == CubicSpline(g, v)(t, nu).tobytes() for nu, a in enumerate(f.jet(t))]
-print(json.dumps({"rc": rc, "ma": ma, "before": before, "loaded": loaded, "same": same}))
+    ma.append("numpy.ma" in sys.modules)
+    # an order-3 (default-order) table: the cubic spline is the package's own
+    cfg = Path(out) / "model.json"
+    knots = list(range(11))
+    cfg.write_text(json.dumps({
+        "m": 1.0, "horizon": 10.0,
+        "omega": {"kind": "tabulated", "grid": knots,
+                  "values": [1.0 + 0.05 * math.cos(0.7 * k) for k in knots]}}))
+    rc.append(main(["evolve", "--config", str(cfg), "--samples", "50", "--out", out]))
+scipy = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+print(json.dumps({"rc": rc, "ma": ma, "scipy": scipy}))
 """
 
 
@@ -132,13 +128,11 @@ def test_closed_form_runs_load_no_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe["rc"] == [0, 0]
+    assert probe["rc"] == [0, 0, 0]
     # neither the import nor an evolve run (global phase included) loads numpy.ma
     assert probe["ma"] == [False, False]
-    assert probe["before"] == []
-    # an order-3 table loads scipy, and its jets are CubicSpline's bit for bit
-    assert probe["loaded"]
-    assert probe["same"] == [True, True, True]
+    # no run loads scipy, an order-3 table's included
+    assert probe["scipy"] == []
 
 
 def test_density_output(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from tdqho.errors import ConfigError
 from tdqho.timefunc import (Constant, Cosine, Exponential, Polynomial,
@@ -84,9 +85,48 @@ def test_tabulated_linear_interpolates():
     assert fn.derivative(1.5) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("t", [-0.5, 2.5])
+def test_tabulated_extrapolates_its_end_pieces(t, order):
+    # past the grid the value moves as the derivative says, for both orders
+    fn = Tabulated((0.0, 1.0, 2.0), (0.0, 2.0, 3.0), order=order)
+    assert fn.derivative(t) == pytest.approx(fd_derivative(fn, t), abs=1e-8)
+    if order == 1:
+        assert fn.jet(t) == {-0.5: (-1.0, 2.0, 0.0), 2.5: (3.5, 1.0, 0.0)}[t]
+
+
+@pytest.mark.parametrize("knots", [2, 3, 4, 5, 11, 41, 4001])
+def test_tabulated_cubic_jets_match_scipy_spline(knots):
+    # the package's not-a-knot spline against scipy's on a non-uniform table,
+    # at the knots, between them and 0.2 past each end. The largest deviation
+    # measured 7.9e-15 of the largest |jet| (5 knots, second derivative, where
+    # scipy is 7.6e-15 off the spline solved in exact rationals and this one
+    # 7.3e-16); the bound is 5e-14
+    rng = np.random.default_rng(knots)
+    grid = np.cumsum(rng.uniform(0.1, 1.0, knots))
+    values = rng.normal(size=knots)
+    t = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [grid[0] - 0.2, grid[-1] + 0.2]])
+    reference = CubicSpline(grid, values)
+    for nu, jet in enumerate(Tabulated(tuple(grid), tuple(values)).jet(t)):
+        expected = reference(t, nu)
+        np.testing.assert_allclose(jet, expected, rtol=0, atol=5e-14 * np.abs(expected).max())
+
+
 def test_tabulated_requires_increasing_grid():
     with pytest.raises(ConfigError):
         Tabulated((0.0, 1.0, 1.0), (0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("grid, values, field", [
+    ((0.0, math.nan, 2.0), (1.0, 2.0, 3.0), "grid"),
+    ((0.0, 1.0, math.inf), (1.0, 2.0, 3.0), "grid"),
+    ((0.0, 1.0, 2.0), (math.nan, 1.0, 2.0), "values"),
+    ((0.0, 1.0, 2.0), (1.0, -math.inf, 2.0), "values"),
+], ids=["grid-nan", "grid-inf", "values-nan", "values-inf"])
+def test_tabulated_rejects_non_finite_numbers(grid, values, field, order):
+    with pytest.raises(ConfigError, match=f"^tabulated {field} must be finite"):
+        Tabulated(grid, values, order)
 
 
 def test_tabulated_domain_check():
