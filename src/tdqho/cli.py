@@ -6,8 +6,9 @@ pipeline, ``oracle`` runs the Fock-basis propagator, ``compare`` joins the
 two (or the exact and rotating-wave closed forms), and ``sweep`` scans one
 scalar parameter point by point.
 
-All numeric output is CSV with 17-significant-digit formatting, so
-re-running an identical configuration reproduces files byte for byte.
+All numeric output is CSV whose cells are exactly Python's '%.17g', made in
+numpy by csvtext, so re-running an identical configuration reproduces
+files byte for byte.
 Exit codes: 0 success, 2 configuration error, 3 validity error,
 4 comparison failure, 5 unreliable oracle run.
 """
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from . import pipeline, staticdiag
+from . import csvtext, pipeline, staticdiag
 from .errors import (ConfigError, DomainError, IntegrationError,
                      SingularityError, ValidityError)
 from .model import (MomentState, QuadraticParams, coherent_moments,
@@ -44,32 +45,40 @@ MOMENT_COLUMNS = ("t", "mean_x", "mean_p", "sigma_x", "sigma_p", "cov_xp",
                   "uncertainty_product", "A", "B", "D", "E", "rho", "Phi",
                   "beta_x", "beta_p", "global_phase")
 COMPARE_SERIES = ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")
-DENSITY_BLOCK_ROWS = 25
+CSV_BLOCK_CELLS = 1 << 13     # cells per block of CSV text: about 2 MB of temporaries
+
+
+def _cell_columns(rows):
+    """The csvtext cells of each column of rows; a column whose first cell
+    is a str holds its text, NUL-padded to its longest."""
+    if isinstance(rows, np.ndarray) or not any(isinstance(c, str) for c in rows[0]):
+        rows = np.asarray(rows, dtype=np.float64)
+        return list(csvtext.cells(rows).reshape(*rows.shape, -1).swapaxes(0, 1))
+    return [np.array([str(c).encode() for c in col]).view(np.uint8).reshape(len(col), -1)
+            if isinstance(col[0], str) else csvtext.cells(col) for col in zip(*rows)]
 
 
 def write_csv(path, columns, rows):
-    """Write a CSV, making its directory: %.17g cells, or %s where the first row has a str."""
+    """Write a 2-d array or a list of row tuples as CSV, making its directory:
+    csvtext's '%.17g' cells, or str cells as they are, in blocks."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    fmt = ",".join("%s" if isinstance(c, str) else "%.17g" for c in rows[0]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
+    step = max(1, CSV_BLOCK_CELLS // len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for r in range(0, len(rows), step):
+            fh.write(csvtext.lines(_cell_columns(rows[r:r + step])))
 
 
 def _write_density_csv(path, times, xs, block):
     """Write block[i, j] as time-major (t, x, value) rows, the bytes of
-    write_csv: each t and each x is formatted once, and the values of
-    DENSITY_BLOCK_ROWS rows at a time go through one format string."""
-    # a row's format is t joined onto its x cells: t,x0,%.17g\n t,x1,%.17g\n ...
-    x_cells = [""] + [",%.17g,%%.17g\n" % x for x in xs.tolist()]
-    t_cells = ["%.17g" % t for t in times.tolist()]
-    with open(path, "w") as fh:
-        fh.write("t,x,value\n")
-        for r in range(0, len(t_cells), DENSITY_BLOCK_ROWS):
-            fmt = "".join(t.join(x_cells) for t in t_cells[r:r + DENSITY_BLOCK_ROWS])
-            fh.write(fmt % tuple(block[r:r + DENSITY_BLOCK_ROWS].ravel().tolist()))
+    write_csv: packed t and x cells broadcast against blocks of values."""
+    t_cells, x_cells = csvtext.packed(times), csvtext.packed(xs)
+    step = max(1, CSV_BLOCK_CELLS // len(xs))
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,value\n")
+        for r in range(0, len(times), step):
+            values = csvtext.cells(block[r:r + step]).reshape(-1, len(xs), csvtext.CELL_WIDTH)
+            fh.write(csvtext.lines([t_cells[r:r + step, None], x_cells, values]))
 
 
 # -- config assembly ---------------------------------------------------------

@@ -113,6 +113,31 @@ print(json.dumps({"rc": rc, "ma": ma, "scipy": scipy}))
 """
 
 
+_IMPORT_PROBE = """
+import json, sys, tempfile
+import tdqho.cli
+from tdqho import csvtext
+loaded = lambda: sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+probe = {"import": [loaded(), csvtext._tables.cache_info().currsize]}
+with tempfile.TemporaryDirectory() as out:
+    rc = tdqho.cli.main(["evolve", "--scenario", "driven", "--samples", "20", "--out", out])
+probe["evolve"] = [rc, loaded(), csvtext._tables.cache_info().currsize]
+print(json.dumps(probe))
+"""
+
+
+def test_cli_import_builds_no_csv_tables_and_loads_no_fractions():
+    # the ensemble benchmark times this import and never writes a CSV
+    env = dict(os.environ, PYTHONPATH=str(Path(tdqho.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["import"] == [[], 0]
+    # the first CSV builds the tables, still without fractions or decimal
+    assert probe["evolve"] == [0, [], 1]
+
+
 def test_package_exports_every_public_name_it_imports():
     missing = [name for name in tdqho.__all__ if not hasattr(tdqho, name)]
     assert missing == []
@@ -148,7 +173,10 @@ def test_density_output(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--scenario", "ck", "--samples", "8", "--density", "11"],
     ["--scenario", "driven", "--samples", "40", "--density", "9",
-     "--initial", "coherent:0.3-0.2j"]], ids=" ".join)
+     "--initial", "coherent:0.3-0.2j"],
+    # far tails: cells below 1e-4 (scientific notation) and exact zeros
+    ["--scenario", "driven", "--samples", "12", "--density", "15",
+     "--initial", "coherent:30"]], ids=" ".join)
 def test_density_csv_matches_per_cell_reference(tmp_path, argv):
     assert main(["evolve", *argv, "--out", str(tmp_path)]) == 0
     args = build_parser().parse_args(["evolve", *argv])
@@ -161,6 +189,8 @@ def test_density_csv_matches_per_cell_reference(tmp_path, argv):
         for i, t in enumerate(sol.grid)
         for x, v in zip(xs, gaussian_density(mt.state(i), xs)))
     assert (tmp_path / "density.csv").read_text() == expected
+    if "coherent:30" in argv:
+        assert ",0\n" in expected and "e-" in expected
 
 
 def test_config_and_scenario_mutually_exclusive(tmp_path):
