@@ -71,8 +71,8 @@ def write_csv(path, columns, rows):
 
 def _write_density_csv(path, times, xs, block):
     """Write block[i, j] as time-major (t, x, value) rows, the bytes of
-    write_csv: packed t and x cells broadcast against blocks of values."""
-    t_cells, x_cells = csvtext.packed(times), csvtext.packed(xs)
+    write_csv: t and x cells broadcast against blocks of value cells."""
+    t_cells, x_cells = csvtext.cells(times), csvtext.cells(xs)
     step = max(1, CSV_BLOCK_CELLS // len(xs))
     with open(path, "wb") as fh:
         fh.write(b"t,x,value\n")

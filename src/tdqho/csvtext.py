@@ -11,7 +11,9 @@ columns of cells into CSV lines. |x| 10^(16-k) is a double-double product
 Its rounded digits come from a table of 4-digit groups, plain and
 stripped. Zero, -0, nan and +-inf are fixed words. Python formats the cells
 the kernel cannot be sure of: within 1e-9 of a rounding tie (exact ties
-occur), |x| outside [1e-280, 1e280], or k off by one after one correction.
+occur), |x| outside [1e-280, 1e280], or k off by one, so that the
+significand leaves [10^16, 10^17) (floor(log10|x|) misses only within a few
+ulps of a power of ten).
 """
 
 import functools
@@ -69,9 +71,6 @@ def cells(x):
     a = np.where(fast, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
     n, frac = _scaled(a, k, powers)
-    moved = np.flatnonzero((n < _P16) | (n >= _P17))
-    k[moved] += np.where(n[moved] < _P16, -1, 1)
-    n[moved], frac[moved] = _scaled(a[moved], k[moved], powers)
     slow = fast & ((n < _P16) | (n >= _P17) | (np.abs(frac - 0.5) < 1e-9))
     slow |= ~fast & np.isfinite(x) & (x != 0.0)
     n += frac > 0.5
@@ -124,8 +123,3 @@ def lines(columns):
         buf[..., at - 1] = ord(",")
     buf[..., -1] = ord("\n")
     return buf.tobytes().translate(None, b"\0")
-
-
-def packed(x):
-    """cells(x) without NULs, left-justified: cheaper for a column lines() repeats."""
-    return np.array(lines([cells(x)]).split(b"\n")[:-1]).view(np.uint8).reshape(np.size(x), -1)

@@ -65,7 +65,7 @@ def test_any_float(values):
 
 
 def test_lines_broadcasts_columns_and_drops_padding():
-    t = csvtext.packed([0.5, 10.0])
+    t = csvtext.cells([0.5, 10.0])
     x = csvtext.cells([-1.0, 2e-7, 3.25])
     v = csvtext.cells(np.arange(6.0)).reshape(2, 3, -1)
     assert csvtext.lines([t[:, None], x, v]) == (
