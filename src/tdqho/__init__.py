@@ -2,10 +2,10 @@
 
 The package splits into model description (``model``, ``timefunc``), the
 static diagonalization layer (``staticdiag``), the dynamic pipeline built on
-an auxiliary-equation reduction (``pipeline``), closed-form benchmark
-scenarios (``scenarios``), and a truncated number-basis cross-check
-(``oracle``). ``integrators`` only keeps two names that the benchmark's
-tracer patches.
+an auxiliary-equation reduction, one ``PipelineSolution`` per solve
+(``pipeline``), closed-form scenarios (``scenarios``), and a truncated
+number-basis cross-check (``oracle``). The two names in ``integrators`` and
+``pipeline.solve_beta`` stay only because the benchmark's tracer patches them.
 """
 
 from .errors import (ConfigError, DomainError, IntegrationError,
@@ -14,9 +14,9 @@ from .model import (MomentState, MomentTrajectory, PropagatorCoefficients,
                     QuadraticParams, ValidityReport, coherent_moments,
                     effective_m5_omega5, gamma_squeeze, ground_moments, kappa,
                     kappa_dot, propagate_moments, validate)
-from .pipeline import (BetaSolution, ErmakovSolution, PipelineSolution,
-                       beta_ode_residual, coefficients, ermakov_residual,
-                       gaussian_density, solve, solve_beta, solve_ermakov)
+from .pipeline import (PipelineSolution, beta_ode_residual, coefficients,
+                       ermakov_residual, gaussian_density, solve, solve_beta,
+                       solve_ermakov)
 from .scenarios import (CKSpec, DrivenSpec, ck_coefficients, ck_ground_variances,
                         ck_moments, ck_uncertainty, driven_beta,
                         driven_coefficients, driven_moments_exact,
@@ -30,8 +30,8 @@ from .timefunc import (Constant, Cosine, Exponential, Polynomial, Tabulated,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaSolution", "CKSpec", "ConfigError", "Constant", "Cosine",
-    "DomainError", "DrivenSpec", "ErmakovSolution", "Exponential",
+    "CKSpec", "ConfigError", "Constant", "Cosine", "DomainError",
+    "DrivenSpec", "Exponential",
     "IntegrationError", "MomentState", "MomentTrajectory",
     "PipelineSolution", "Polynomial", "PropagatorCoefficients",
     "QuadraticParams", "SingularityError", "StaticDiagResult",

@@ -278,7 +278,7 @@ def cmd_evolve(args):
     rows = np.column_stack([
         sol.grid, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
         mt.cov_xp, mt.var_x * mt.var_p, c.A, c.B, c.D, c.E,
-        sol.ermakov.rho, sol.ermakov.Phi, c.beta_x_t, c.beta_p_t, sol.global_phase()])
+        sol.rho, sol.Phi, c.beta_x_t, c.beta_p_t, sol.global_phase()])
     out = config.out_dir / "moments.csv"
     write_csv(out, MOMENT_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")

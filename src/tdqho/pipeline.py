@@ -26,6 +26,10 @@ The map is built as a product of five 2x2 conjugation matrices (scaling,
 basis rotation, shear-scale, phase rotation, inverse basis rotation), which
 keeps AE - BD = 1 to machine precision by construction. Like the rest of
 the package, the solve needs numpy alone.
+
+One frozen ``PipelineSolution`` holds the solve: its samples on a grid, the
+coefficients there and ``at`` for any other time. ``solve`` validates and
+samples a uniform grid; ``solve_ermakov`` samples any 1-d grid, unvalidated.
 """
 
 from __future__ import annotations
@@ -289,7 +293,8 @@ class _AuxiliaryFlow:
         kinks = _kinks(params)
         edges = np.array(sorted({0.0, horizon, *(t for t in kinks.tolist()
                                                  if 0.0 < t < horizon)}))
-        split = np.maximum(1.0, np.ceil(np.diff(edges) * nu0 / _FIRST_ROTATION))
+        with np.errstate(over="ignore"):     # an infinite count fails the cap below
+            split = np.maximum(1.0, np.ceil(np.diff(edges) * nu0 / _FIRST_ROTATION))
         for _ in range(_MAX_REFINEMENTS + 1):
             if split.sum() > _MAX_STEPS:
                 raise IntegrationError(f"more than {_MAX_STEPS} Magnus steps",
@@ -431,104 +436,6 @@ def _scalar_or_array(t, values):
     return tuple(v[0] for v in values) if np.ndim(t) == 0 else tuple(values)
 
 
-@dataclass(frozen=True)
-class BetaSolution:
-    """Sampled displacement pair, a view of the auxiliary solution.
-
-    beta_p is recovered algebraically from (beta_x, beta_x_dot), so the
-    defining constraint beta_p = m(-beta_x_dot + 2 a_xp beta_x + a_p)
-    holds exactly on the grid.
-    """
-
-    times: np.ndarray
-    beta_x: np.ndarray
-    beta_x_dot: np.ndarray
-    beta_p: np.ndarray
-    _flow: object
-
-    def at(self, t):
-        """(beta_x, beta_x_dot, beta_p) at arbitrary t, off the series of its step."""
-        (bx, bxd, *_), kernel = self._flow.at(t)
-        m, _, _, _, _, _, axp, _, ap, *_ = kernel
-        return _scalar_or_array(t, (bx, bxd, _beta_p(m, axp, ap, bx, bxd)))
-
-    def constraint_residual(self):
-        """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid."""
-        p = self._flow.oscillator.params
-        ts = self.times
-        predicted = p.m.value(ts) * (-self.beta_x_dot
-                                     + 2.0 * p.alpha_xp.value(ts) * self.beta_x
-                                     + p.alpha_p.value(ts))
-        return np.abs(self.beta_p - predicted)
-
-
-@dataclass(frozen=True)
-class ErmakovSolution:
-    """Sampled Ermakov scale rho with the two running phase integrals:
-    Phi = int Omega and Lambda = int (a_0 + ell). A view of the auxiliary
-    solution; Lambda, from the displacement alone, is one per-step series
-    built on first use over all steps and read at any time after."""
-
-    times: np.ndarray
-    rho: np.ndarray
-    rho_dot: np.ndarray
-    Phi: np.ndarray
-    _flow: object
-
-    def at(self, t):
-        """(rho, rho_dot, Phi, Lambda) at arbitrary t, off the series of its
-        step: the auxiliary states' for the first three, the phase series' for Lambda."""
-        states, _ = self._flow.at(t)
-        return _scalar_or_array(t, (*states[2:], self._flow.phase_at(t)))
-
-    @functools.cached_property
-    def Lambda(self):
-        return self._flow.phase_at(self.times)
-
-
-def _solve_auxiliary(params, grid):
-    """Solve the displacement pair and the Ermakov partner on [0, T] and
-    sample them on the 1-d grid, extended by 0 and T (a DomainError past
-    them or for another shape).
-
-    The start comes from the kernel at t = 0 (see _AuxiliaryFlow). A
-    ValidityError names the time and the constraint wherever w + kappa or
-    w^2 - kappa^2 stops being positive: first on the grid, then at the Gauss
-    nodes and the edges of the steps. Returns
-    (BetaSolution, ErmakovSolution) sharing one solution, and the
-    effective-oscillator tuple on the grid.
-    """
-    if np.ndim(grid) != 1:
-        raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
-    grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
-    # the range before the kernel, which past T could fail or overflow first;
-    # then drop repeats as np.union1d would, without the numpy.ma it imports
-    _require_in_horizon(grid, params.horizon)
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    oscillator = _EffectiveOscillator(params)
-    kernel = oscillator.at(grid)
-    m, _, _, _, _, _, axp, _, ap, *_ = kernel
-    flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[0] for x in kernel))
-    (bx, bxd, rho, rho_dot, phi), _ = flow.at(grid, kernel)
-    beta = BetaSolution(times=grid, beta_x=bx, beta_x_dot=bxd,
-                        beta_p=_beta_p(m, axp, ap, bx, bxd), _flow=flow)
-    ermakov = ErmakovSolution(times=grid, rho=rho, rho_dot=rho_dot, Phi=phi, _flow=flow)
-    return beta, ermakov, kernel
-
-
-def solve_beta(params, grid):
-    """Displacement pair on [0, T]: the BetaSolution half of the auxiliary
-    solve."""
-    return _solve_auxiliary(params, grid)[0]
-
-
-def solve_ermakov(params, grid):
-    """Ermakov scale, Phi and Lambda on [0, T]: the ErmakovSolution half of
-    the auxiliary solve, which also solves the displacement pair that Lambda
-    needs."""
-    return _solve_auxiliary(params, grid)[1]
-
-
 # -- propagator coefficients ------------------------------------------------
 
 
@@ -564,11 +471,15 @@ def _assemble(flow, kernel, states, t):
         *flow.beta_0)
 
 
-def coefficients(params, beta, ermakov, t):
+def coefficients(params, sol, _, t):
     """Propagator coefficients at time(s) t, off the series of their steps
-    of the auxiliary solution: scalars for a scalar t, else arrays."""
-    states, kernel = beta._flow.at(t)
-    return _assemble(beta._flow, kernel, states, t)
+    of the auxiliary solution ``sol``: scalars for a scalar t, else arrays.
+
+    ``params`` and the third argument are not read. They keep t at index 3,
+    where perfbench/tracing.py reads its point count, until the tracer reads
+    a run record instead (ROADMAP item 5)."""
+    states, kernel = sol._flow.at(t)
+    return _assemble(sol._flow, kernel, states, t)
 
 
 # -- moments ----------------------------------------------------------------
@@ -596,21 +507,47 @@ def gaussian_density(state, x_grid):
         / np.sqrt(2.0 * math.pi * var_x)
 
 
-# -- one-call pipeline -------------------------------------------------------
+# -- one solution -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PipelineSolution:
-    """Everything one run produces, sampled on a shared grid."""
+    """One parameter set's auxiliary solution, sampled on its grid.
+
+    ``rho``, ``rho_dot`` and ``Phi`` = int Omega are the Ermakov samples, and
+    ``coeffs`` the propagator coefficients there, whose ``beta_x_t`` and
+    ``beta_p_t`` are the displacement pair: beta_p comes algebraically from
+    (beta_x, beta_x_dot), so beta_p = m(-beta_x_dot + 2 a_xp beta_x + a_p)
+    holds exactly on the grid. ``at`` reads all of them at any time of [0, T].
+    """
 
     params: object
     grid: np.ndarray
-    beta: BetaSolution
-    ermakov: ErmakovSolution
+    rho: np.ndarray
+    rho_dot: np.ndarray
+    Phi: np.ndarray
     coeffs: PropagatorCoefficients
+    _flow: object
+
+    def at(self, t):
+        """(beta_x, beta_x_dot, beta_p, rho, rho_dot, Phi, Lambda) at t, off
+        the series of its step; Lambda's are built on first use for all steps."""
+        (bx, bxd, *ermakov), kernel = self._flow.at(t)
+        m, _, _, _, _, _, axp, _, ap, *_ = kernel
+        return _scalar_or_array(t, (bx, bxd, _beta_p(m, axp, ap, bx, bxd), *ermakov,
+                                    self._flow.phase_at(t)))
+
+    def constraint_residual(self):
+        """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid, with
+        beta_p the coefficients' and (beta_x, beta_x_dot) the flow's."""
+        p, ts = self.params, self.grid
+        (bx, bxd, *_), _ = self._flow.at(ts)
+        predicted = p.m.value(ts) * (-bxd + 2.0 * p.alpha_xp.value(ts) * bx
+                                     + p.alpha_p.value(ts))
+        return np.abs(self.coeffs.beta_p_t - predicted)
 
     def coefficients_at(self, t):
-        return coefficients(self.params, self.beta, self.ermakov, t)
+        return coefficients(self.params, self, None, t)
 
     def moments(self, initial):
         return propagate_moments(initial, self.coeffs)
@@ -621,22 +558,45 @@ class PipelineSolution:
     def global_phase(self, t=None):
         """Accumulated scalar phase -Lambda(t)/hbar, on the grid by default."""
         t = self.grid if t is None else t
-        return _scalar_or_array(t, (-self.ermakov._flow.phase_at(t) / self.params.hbar,))[0]
+        return _scalar_or_array(t, (-self._flow.phase_at(t) / self.params.hbar,))[0]
+
+
+def solve_ermakov(params, grid):
+    """The auxiliary solve as a PipelineSolution sampled on the 1-d grid,
+    extended by 0 and T (a DomainError past them or for another shape).
+
+    The start comes from the kernel at t = 0 (see _AuxiliaryFlow). With no
+    ``validate`` scan, a ValidityError names the time and the constraint where
+    w + kappa or w^2 - kappa^2 stops being positive: first on the grid, then
+    at the Gauss nodes and the edges of the steps."""
+    if np.ndim(grid) != 1:
+        raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
+    grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
+    # the range before the kernel, which past T could fail or overflow first;
+    # then drop repeats as np.union1d would, without the numpy.ma it imports
+    _require_in_horizon(grid, params.horizon)
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    oscillator = _EffectiveOscillator(params)
+    kernel = oscillator.at(grid)
+    flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[0] for x in kernel))
+    states, _ = flow.at(grid, kernel)
+    # from the solve's own samples and kernel tuple: no second pass on the grid
+    return PipelineSolution(params, grid, *states[2:], _assemble(flow, kernel, states, grid), flow)
+
+
+# one grid solve under two names, kept only because perfbench/tracing.py
+# patches both until it reads a run record (ROADMAP item 5)
+solve_beta = solve_ermakov
 
 
 def solve(params, n_samples=PIPELINE_SAMPLES):
-    """Run the full chain on a uniform grid and return a PipelineSolution."""
+    """Validate the parameters and run the grid solve on n_samples uniform
+    times of [0, T]."""
     if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool) \
             or n_samples < 2:
         raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     validate(params).raise_if_invalid()
-    grid = np.linspace(0.0, params.horizon, n_samples)
-    beta, ermakov, kernel = _solve_auxiliary(params, grid)
-    # from the solve's own samples and kernel tuple: no second pass on the grid
-    coeffs = _assemble(beta._flow, kernel, (beta.beta_x, beta.beta_x_dot, ermakov.rho,
-                                            ermakov.rho_dot, ermakov.Phi), grid)
-    return PipelineSolution(params=params, grid=grid, beta=beta,
-                            ermakov=ermakov, coeffs=coeffs)
+    return solve_ermakov(params, np.linspace(0.0, params.horizon, n_samples))
 
 
 # -- independent residual checks --------------------------------------------
@@ -664,21 +624,21 @@ def _five_point_residual(flow, rows, residual):
     return float(np.abs(residual(kernel[:, 2], dd, *states[rows, 2])).max())
 
 
-def ermakov_residual(ermakov):
+def ermakov_residual(sol):
     """Max Ermakov-equation residual, with the second derivative taken by a
     five-point central difference of the integrated rho_dot channel."""
     def residual(kernel, rho_dd, rho, rho_dot):
         *_, m5, m5_log_dot, w5sq = kernel
         return rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
 
-    return _five_point_residual(ermakov._flow, slice(2, 4), residual)
+    return _five_point_residual(sol._flow, slice(2, 4), residual)
 
 
-def beta_ode_residual(beta):
+def beta_ode_residual(sol):
     """Max second-order displacement-equation residual via a five-point
     central difference of the integrated beta_x_dot channel."""
     def residual(kernel, bxdd, bx, bxd):
         mlog, coeff, forcing = _displacement_terms(kernel)
         return bxdd + mlog * bxd - coeff * bx - forcing
 
-    return _five_point_residual(beta._flow, slice(0, 2), residual)
+    return _five_point_residual(sol._flow, slice(0, 2), residual)

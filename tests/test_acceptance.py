@@ -214,7 +214,7 @@ def test_criterion_6_static_dynamic_frequency_agreement():
     sol = solve(params, n_samples=2000)
 
     # accumulated oscillation phase grows at exactly the static frequency
-    phi_rate = sol.ermakov.Phi[-1] / sol.grid[-1]
+    phi_rate = sol.Phi[-1] / sol.grid[-1]
     assert abs(phi_rate - omega_static) < 1e-8 * omega_static
 
     # the map is periodic with the static period: identity after each cycle
@@ -254,9 +254,9 @@ def test_criterion_7_residuals_on_scenarios_and_random_draws():
     cases += [_mixed_random_params(rng) for _ in range(5)]
     for params in cases:
         sol = solve(params, n_samples=400)
-        assert np.max(ermakov_residual(sol.ermakov)) < 1e-8
-        assert np.max(beta_ode_residual(sol.beta)) < 1e-9
-        assert np.max(sol.beta.constraint_residual()) == 0.0
+        assert np.max(ermakov_residual(sol)) < 1e-8
+        assert np.max(beta_ode_residual(sol)) < 1e-9
+        assert np.max(sol.constraint_residual()) == 0.0
 
 
 # -- criterion 8: oracle equivalence on fully time-dependent sets --------------

@@ -62,14 +62,14 @@ def _check_against_heisenberg(params, n_samples):
     sol = solve(params, n_samples=n_samples)
     ts = sol.grid
     (a, b, d, e), (x, p), lam = heisenberg_flow(
-        params, ts, (sol.beta.beta_x[0], sol.beta.beta_p[0]))
+        params, ts, (sol.coeffs.beta_x_t[0], sol.coeffs.beta_p_t[0]))
     c = sol.coeffs
     for name, got, ref in zip("ABDE", (c.A, c.B, c.D, c.E), (a, b, d, e)):
         assert np.max(np.abs(got - ref)) < 1e-8, name
     mt = sol.moments_at(MomentState(0.0, *START, 1.0, 1.0, 0.0), ts)
     assert np.max(np.abs(mt.mean_x - x)) < 1e-8
     assert np.max(np.abs(mt.mean_p - p)) < 1e-8
-    assert np.max(np.abs(sol.ermakov.Lambda - lam)) < 1e-8
+    assert np.max(np.abs(sol.at(sol.grid)[-1] - lam)) < 1e-8
     return sol
 
 
@@ -97,7 +97,7 @@ def test_refined_steps_match_heisenberg_flow():
         "m": 1.0, "omega": {"kind": "exponential", "prefactor": 1.0, "rate": 0.25},
         "alpha_x": {"kind": "cosine", "amplitude": 0.2, "angular_frequency": 2.0},
         "horizon": 10.0})
-    steps = np.diff(_check_against_heisenberg(params, 400).beta._flow.edges)
+    steps = np.diff(_check_against_heisenberg(params, 400)._flow.edges)
     assert steps[-1] < steps[0] / 2.0
 
 
@@ -106,8 +106,8 @@ def test_phase_increases_strictly_on_criterion_5_sets():
     # less than pi; Phi' = 1/(m5 rho^2) > 0
     for params in _criterion_5_sets(50):
         sol = solve(params, n_samples=2000)
-        assert np.all(np.diff(sol.ermakov.Phi) > 0.0)
-        assert np.all(np.diff(sol.beta._flow.phi) > 0.0)
+        assert np.all(np.diff(sol.Phi) > 0.0)
+        assert np.all(np.diff(sol._flow.phi) > 0.0)
 
 
 ORDER_1_PROFILES = {
@@ -128,7 +128,7 @@ def test_order_1_tables_match_heisenberg_flow(key):
         "m": 1.0, "omega": 1.1, "horizon": 10.0,
         key: {"kind": "tabulated", "grid": list(knots),
               "values": list(ORDER_1_PROFILES[key](knots)), "order": 1}})
-    edges = _check_against_heisenberg(params, 400).beta._flow.edges
+    edges = _check_against_heisenberg(params, 400)._flow.edges
     assert np.isin(knots, edges).all()
 
 
@@ -176,7 +176,7 @@ def test_rough_order_3_tables_match_heisenberg_flow(key, n_knots):
 @pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_series_read_the_edge_states_and_join_at_the_edges(params):
-    flow = solve(params, n_samples=9).beta._flow
+    flow = solve(params, n_samples=9)._flow
     (bx, bxd, rho, rho_dot, phi), kernel = flow.at(flow.edges)
     (bx_e, u1, u2, y_e, q1, q2), phi_e = flow.states, flow.phi
     m, m5 = kernel[0], kernel[14]
@@ -195,7 +195,7 @@ def test_series_read_the_edge_states_and_join_at_the_edges(params):
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_phase_series_is_built_on_first_read_and_joins_at_the_edges(params):
     sol = solve(params, n_samples=9)
-    flow = sol.beta._flow
+    flow = sol._flow
     init = MomentState(0.0, *START, 1.0, 1.0, 0.0)
     q = np.linspace(0.0, params.horizon, 7)
     sol.moments(init), sol.moments_at(init, q), sol.coefficients_at(q)

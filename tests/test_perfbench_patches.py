@@ -1,10 +1,16 @@
 """The names that ``perfbench/tracing.py`` patches must keep existing.
 
 The tracer wraps package attributes by name, placeholders kept only for it
-included; deleting one breaks every traced benchmark run.
+included, and reads some of their arguments by position; deleting a name or
+moving such an argument breaks every traced benchmark run.
 """
 
 from pathlib import Path
+
+import numpy as np
+
+import tdqho
+import tdqho.pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,3 +31,24 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
         # the tracer's wrappers set __wrapped__; package code does not
         assert not hasattr(original, "__wrapped__"), attr
         assert vars(owner)[attr] is original, attr
+
+
+def test_tracer_counts_query_times_at_argument_3(monkeypatch):
+    # the tracer counts pipeline.coefficients_points from args[3] of
+    # pipeline.coefficients, which coefficients_at must reach by module name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    params = tdqho.QuadraticParams.from_dict({"m": 1.0, "omega": 1.0, "horizon": 4.0})
+    tracer = Tracer()
+    undo = tracer.patch()
+    try:
+        tracer.enabled = True
+        sol = tdqho.pipeline.solve(params, n_samples=50)
+        sol.coefficients_at(np.linspace(0.0, 4.0, 256))
+        tracer.enabled = False
+        metrics, spans = tracer.layer_metrics()
+    finally:
+        Tracer.unpatch(undo)
+    assert metrics["pipeline.coefficients_points"] == 256
+    assert spans["pipeline.solve"]["spans"] == 1

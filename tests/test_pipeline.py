@@ -78,8 +78,8 @@ def test_unit_determinant(generic_solution):
 
 def test_standard_phase_is_elapsed_time(standard_solution):
     s = standard_solution
-    assert np.max(np.abs(s.ermakov.Phi - s.grid)) < 1e-12
-    assert np.max(np.abs(s.ermakov.rho - 1.0)) < 1e-13
+    assert np.max(np.abs(s.Phi - s.grid)) < 1e-12
+    assert np.max(np.abs(s.rho - 1.0)) < 1e-13
 
 
 def test_coherent_motion_on_standard_oscillator(standard_solution):
@@ -107,7 +107,7 @@ def test_constant_energy_offset_only_shifts_phase():
         # an explicit grid and the default both read hbar off the solution
         for phase in (s.global_phase(s.grid), s.global_phase()):
             assert np.max(np.abs(phase + 0.3 * s.grid / hbar)) < 1e-12
-        assert np.max(np.abs(s.ermakov.Lambda - 0.3 * s.grid)) < 1e-12
+        assert np.max(np.abs(s.at(s.grid)[-1] - 0.3 * s.grid)) < 1e-12
         mt = s.moments(ground_moments(1.0, 1.0, hbar))
         assert np.max(np.abs(mt.mean_x)) < 1e-13
 
@@ -129,7 +129,7 @@ def test_lambda_matches_driven_closed_form(spec):
               for a, b in zip(sol.grid[:-1], sol.grid[1:])]
     expected = np.concatenate(([0.0], np.cumsum(pieces)))
     assert np.max(np.abs(expected)) > 1.0
-    assert np.max(np.abs(sol.ermakov.Lambda - expected)) < 1e-8
+    assert np.max(np.abs(sol.at(sol.grid)[-1] - expected)) < 1e-8
     assert np.max(np.abs(sol.global_phase() + expected / spec.hbar)) < 1e-8
     # off the grid: the grid value plus the rest of the sample interval
     q = np.random.default_rng(5).uniform(0.0, sol.grid[-1], 64)
@@ -148,7 +148,7 @@ def test_lambda_of_a_quartic_energy_offset_is_its_antiderivative():
     sol = solve(p, n_samples=2000)
     q = np.random.default_rng(11).uniform(0.0, 10.0, 256)
     antiderivative = np.polynomial.polynomial.polyint(coefficients)
-    for t, lam in ((sol.grid, sol.ermakov.Lambda), (q, sol.ermakov.at(q)[-1])):
+    for t, lam in ((sol.grid, sol.at(sol.grid)[-1]), (q, sol.at(q)[-1])):
         exact = np.polynomial.polynomial.polyval(t, antiderivative)
         assert np.max(np.abs(lam - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
 
@@ -157,22 +157,22 @@ def test_lambda_of_a_quartic_energy_offset_is_its_antiderivative():
 
 
 def test_ermakov_residual_generic(generic_solution):
-    res = ermakov_residual(generic_solution.ermakov)
+    res = ermakov_residual(generic_solution)
     assert np.max(res) < 1e-8
 
 
 def test_beta_residual_generic(generic_solution):
-    res = beta_ode_residual(generic_solution.beta)
+    res = beta_ode_residual(generic_solution)
     assert np.max(res) < 1e-9
 
 
 def test_beta_constraint_residual_is_exact(generic_solution):
-    assert np.max(generic_solution.beta.constraint_residual()) == 0.0
+    assert np.max(generic_solution.constraint_residual()) == 0.0
 
 
 def test_residuals_on_standard_oscillator(standard_solution):
-    assert np.max(ermakov_residual(standard_solution.ermakov)) < 1e-8
-    assert np.max(beta_ode_residual(standard_solution.beta)) < 1e-9
+    assert np.max(ermakov_residual(standard_solution)) < 1e-8
+    assert np.max(beta_ode_residual(standard_solution)) < 1e-9
 
 
 @pytest.mark.parametrize("key, base", [("omega", 1.1), ("m", 1.0), ("alpha_x", 0.0)])
@@ -184,8 +184,8 @@ def test_residuals_skip_stencils_across_order_1_knots(key, base):
              "values": list(base + 0.08 * np.cos(1.3 * knots + 0.4))}
     p = standard_params(horizon=10.0, **{key: table})
     sol = solve(p, n_samples=400)
-    assert ermakov_residual(sol.ermakov) < 1e-8
-    assert beta_ode_residual(sol.beta) < 1e-9
+    assert ermakov_residual(sol) < 1e-8
+    assert beta_ode_residual(sol) < 1e-9
 
 
 def test_residuals_are_nan_when_every_stencil_crosses_a_knot():
@@ -195,8 +195,8 @@ def test_residuals_are_nan_when_every_stencil_crosses_a_knot():
         "kind": "tabulated", "grid": list(knots), "order": 1,
         "values": list(0.08 * np.cos(1.3 * knots))})
     sol = solve(p, n_samples=100)
-    assert math.isnan(ermakov_residual(sol.ermakov))
-    assert math.isnan(beta_ode_residual(sol.beta))
+    assert math.isnan(ermakov_residual(sol))
+    assert math.isnan(beta_ode_residual(sol))
 
 
 # -- generic case against direct moment integration ---------------------------
@@ -250,7 +250,7 @@ def test_uncertainty_product_preserved_for_pure_state(generic_solution):
 
 
 def lewis_invariant(params, sol, traj_times, x, p):
-    rho, rho_dot, _, _ = sol.ermakov.at(traj_times)
+    _, _, _, rho, rho_dot, _, _ = sol.at(traj_times)
     m5 = np.array([effective_m5_omega5(params, float(t))[0] for t in traj_times])
     return 0.5 * ((rho * p - m5 * rho_dot * x) ** 2 + (x / rho) ** 2)
 
@@ -289,7 +289,7 @@ def _check_energy_quadrature(p, exact):
     # times off it against its exact integral
     sol = solve(p, n_samples=300)
     q = np.random.default_rng(5).uniform(0.0, p.horizon, 256)
-    for t, lam in ((sol.grid, sol.ermakov.Lambda), (q, sol.ermakov.at(q)[-1])):
+    for t, lam in ((sol.grid, sol.at(sol.grid)[-1]), (q, sol.at(q)[-1])):
         assert np.max(np.abs(lam - exact(t))) < 1e-12
 
 
@@ -391,7 +391,7 @@ def test_queries_outside_the_horizon_are_domain_errors(t, named):
     sol = solve(p, n_samples=50)
     init = ground_moments(1.0, 1.2, 1.0)
     for query in (sol.coefficients_at, lambda t: sol.moments_at(init, t),
-                  sol.beta.at, sol.ermakov.at, sol.global_phase):
+                  sol.at, sol.global_phase):
         with pytest.raises(DomainError, match=re.escape(f"t={named} is outside [0, 10.0]")):
             query(t)
     with pytest.raises(DomainError, match=re.escape(f"t={named} is outside [0, 10.0]")):
@@ -530,11 +530,23 @@ def test_auxiliary_rhs_checks_effective_frequency_between_grid_points():
 def test_auxiliary_solve_starts_at_zero_on_any_grid():
     # rho(0) comes from m5 and w5^2 at t = 0, also when the grid starts later
     p = generic_params()
-    full = solve(p).ermakov
+    full = solve(p)
     late = solve_ermakov(p, grid=np.linspace(1.0, 5.0, 9))
-    assert late.times[0] == 0.0 and late.times[-1] == p.horizon
+    assert late.grid[0] == 0.0 and late.grid[-1] == p.horizon
     assert late.rho[0] == full.rho[0]
     assert late.at(3.0) == full.at(3.0)
+    # solve is the grid solve on a uniform grid after validate, bit for bit,
+    # and solve_beta is the same function
+    grid = np.linspace(0.0, p.horizon, 2000)
+    on_grid = solve_ermakov(p, grid)
+    assert solve_beta is solve_ermakov
+    for name in ("t", "A", "B", "D", "E", "beta_x_t", "beta_p_t", "beta_x_0", "beta_p_0"):
+        assert np.array_equal(getattr(on_grid.coeffs, name), getattr(full.coeffs, name)), name
+    for name in ("grid", "rho", "rho_dot", "Phi"):
+        assert np.array_equal(getattr(on_grid, name), getattr(full, name)), name
+    assert np.array_equal(on_grid.global_phase(), full.global_phase())
+    # a scalar time gives element 0 of the same query as a one-element array
+    assert full.at(3.0) == tuple(v[0] for v in full.at([3.0]))
 
 
 def test_shifted_frequency_failure_is_named_alike_everywhere():
@@ -613,6 +625,15 @@ def test_more_steps_than_the_cap_is_integration_error(monkeypatch):
         solve(OMEGA_RAMP)
 
 
+def test_step_count_past_float_range_is_integration_error():
+    # horizon * omega / _FIRST_ROTATION overflows to an infinite count: the
+    # cap names it at t = 0, with no overflow warning on the way
+    p = standard_params(horizon=1e308)
+    with pytest.raises(IntegrationError, match="more than 1048576 Magnus steps") as info:
+        solve(p, n_samples=3)
+    assert info.value.t == 0.0
+
+
 def _turn_and_defect(flow):
     """Per accepted step, the Ermakov row's turn and the series' error
     estimate, recomputed from the step edges."""
@@ -625,7 +646,7 @@ def _turn_and_defect(flow):
 @pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_accepted_steps_keep_the_turn_and_defect_bounds(params):
-    turn, defect = _turn_and_defect(solve(params, n_samples=9).beta._flow)
+    turn, defect = _turn_and_defect(solve(params, n_samples=9)._flow)
     assert np.max(turn) <= pipeline._MAX_ROTATION
     assert np.max(defect) <= pipeline.MAGNUS_TOL
 
@@ -635,7 +656,7 @@ def test_turn_bound_alone_keeps_the_phase_unwrapped(monkeypatch):
     # bound splits them, as far as np.unwrap of Phi needs
     monkeypatch.setattr(pipeline, "_FIRST_ROTATION", 2.0)
     monkeypatch.setattr(pipeline, "MAGNUS_TOL", math.inf)
-    flow = solve(OMEGA_RAMP, n_samples=9).beta._flow
+    flow = solve(OMEGA_RAMP, n_samples=9)._flow
     turn, _ = _turn_and_defect(flow)
     assert 0.25 < np.max(turn) <= pipeline._MAX_ROTATION
     assert np.all(np.diff(flow.phi) > 0.0)
@@ -657,7 +678,7 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     # validate takes m, omega and alpha_xp on its grid; the kernel all six,
     # once on the grid, once on the Gauss nodes of the steps and once on the
     # step edges for the series that the 2000 samples are read off
-    steps = sol.beta._flow.edges.size - 1
+    steps = sol._flow.edges.size - 1
     assert sorted(sizes) == sorted([2000] * 6 + [3 * steps] * 6 + [steps + 1] * 6 + [4096] * 3)
     # the only scalar jets are m(0) and omega(0) for eta0; the other t = 0
     # values come from the kernel on the grid
