@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-import tdqho
 import tdqho.pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
