@@ -1,19 +1,19 @@
 """Closed-form moment propagation for quadratic time-dependent oscillators.
 
-The package splits into model description (``model``, ``timefunc``), the
-static diagonalization layer (``staticdiag``), the dynamic pipeline built on
-an auxiliary-equation reduction, one ``PipelineSolution`` per solve
-(``pipeline``), closed-form scenarios (``scenarios``), and a truncated
-number-basis cross-check (``oracle``). The two names in ``integrators`` and
+The package splits into model description with the one
+``EffectiveOscillator`` record of kappa, m5 and w5^2 (``model``,
+``timefunc``), the static diagonalization layer (``staticdiag``), the
+dynamic pipeline built on an auxiliary-equation reduction, one
+``PipelineSolution`` per solve (``pipeline``), closed-form scenarios
+(``scenarios``), and a truncated number-basis cross-check (``oracle``). The two names in ``integrators`` and
 ``pipeline.solve_beta`` stay only because the benchmark's tracer patches them.
 """
 
 from .errors import (ConfigError, DomainError, IntegrationError,
                      SingularityError, TdqhoError, ValidityError)
-from .model import (MomentState, MomentTrajectory, PropagatorCoefficients,
-                    QuadraticParams, ValidityReport, coherent_moments,
-                    effective_m5_omega5, gamma_squeeze, ground_moments, kappa,
-                    kappa_dot, propagate_moments, validate)
+from .model import (EffectiveOscillator, MomentState, MomentTrajectory,
+                    PropagatorCoefficients, QuadraticParams, ValidityReport,
+                    coherent_moments, ground_moments, propagate_moments, validate)
 from .pipeline import (PipelineSolution, beta_ode_residual, coefficients,
                        ermakov_residual, gaussian_density, solve, solve_beta,
                        solve_ermakov)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CKSpec", "ConfigError", "Constant", "Cosine", "DomainError",
-    "DrivenSpec", "Exponential",
+    "DrivenSpec", "EffectiveOscillator", "Exponential",
     "IntegrationError", "MomentState", "MomentTrajectory",
     "PipelineSolution", "Polynomial", "PropagatorCoefficients",
     "QuadraticParams", "SingularityError", "StaticDiagResult",
@@ -41,8 +41,7 @@ __all__ = [
     "ck_moments", "ck_uncertainty", "coefficients", "coherent_moments",
     "diag_branch_theta_p_zero", "diag_branch_theta_x_zero", "driven_beta",
     "driven_coefficients", "driven_moments_exact", "driven_moments_rwa",
-    "effective_m5_omega5", "effective_mass_frequency", "ermakov_residual",
-    "gamma_squeeze", "gaussian_density", "ground_moments",
-    "kappa", "kappa_dot", "propagate_moments", "solve", "solve_beta",
-    "solve_ermakov", "static_translation", "validate",
+    "effective_mass_frequency", "ermakov_residual",
+    "gaussian_density", "ground_moments", "propagate_moments", "solve",
+    "solve_beta", "solve_ermakov", "static_translation", "validate",
 ]

@@ -30,8 +30,8 @@ from . import oracle as oracle_mod
 from . import csvtext, pipeline, staticdiag
 from .errors import (ConfigError, DomainError, IntegrationError,
                      SingularityError, ValidityError)
-from .model import (MomentState, QuadraticParams, coherent_moments,
-                    ground_moments, validate)
+from .model import (DEFAULT_VALIDATION_GRID, MomentState, QuadraticParams,
+                    coherent_moments, ground_moments, validate)
 from .scenarios import (CKSpec, DrivenSpec, driven_moments_exact,
                         driven_moments_rwa)
 
@@ -198,14 +198,17 @@ def _oracle_summary(run):
             f"in {run.steps} steps")
 
 
+def _moment_columns(mt):
+    """The seven moment columns that open MOMENT_COLUMNS, from a
+    MomentTrajectory: t, the means, the sigmas, cov_xp and var_x var_p."""
+    return [mt.times, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
+            mt.cov_xp, mt.var_x * mt.var_p]
+
+
 def _oracle_rows(run):
-    mt = run.moments
     nan = np.full_like(run.times, np.nan)
-    return np.column_stack([
-        run.times, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
-        mt.cov_xp, mt.var_x * mt.var_p,
-        nan, nan, nan, nan, nan, nan, nan, nan, nan,
-        run.norms, run.top_populations])
+    return np.column_stack([*_moment_columns(run.moments), *[nan] * 9,
+                            run.norms, run.top_populations])
 
 
 # -- comparison --------------------------------------------------------------
@@ -245,7 +248,7 @@ def cmd_validate(args):
     params, _ = _model(args)
     report = validate(params)
     if report.ok:
-        print(f"ok: all validity constraints hold on a {report.grid_points}-point grid")
+        print(f"ok: all validity constraints hold on a {DEFAULT_VALIDATION_GRID}-point grid")
         return EXIT_OK
     for constraint, t, value in report.failures:
         print(f"violated: {constraint} at t={t:.6g} (value {value:.6e})")
@@ -275,10 +278,8 @@ def cmd_evolve(args):
     config = build_run_config(args)
     sol, mt = _pipeline_moments(config)
     c = sol.coeffs
-    rows = np.column_stack([
-        sol.grid, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
-        mt.cov_xp, mt.var_x * mt.var_p, c.A, c.B, c.D, c.E,
-        sol.rho, sol.Phi, c.beta_x_t, c.beta_p_t, sol.global_phase()])
+    rows = np.column_stack([*_moment_columns(mt), c.A, c.B, c.D, c.E, sol.rho, sol.Phi,
+                            c.beta_x_t, c.beta_p_t, sol.global_phase()])
     out = config.out_dir / "moments.csv"
     write_csv(out, MOMENT_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")

@@ -8,15 +8,17 @@ The Hamiltonian is
 with every coefficient a ``TimeFunction``. This module holds the parameter
 container, first/second moments of a state and of a trajectory, the one
 linear moment map (A, B; D, E) with its displacement shifts that the
-pipeline and the closed-form scenarios feed, the auxiliary frequency-shift
-kappa(t) and the effective single-mode quantities derived from it, plus a
-grid-based validity scan.
+pipeline and the closed-form scenarios feed, the ``EffectiveOscillator``,
+whose ``at(t)`` returns one named record of the coefficients' jets, the
+frequency shift kappa(t) and the effective single-mode quantities derived
+from it, plus a grid-based validity scan.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -242,22 +244,29 @@ def _kappa(m_log_dot, w_log_dot, axp):
     return 0.5 * (m_log_dot + w_log_dot) + 2.0 * axp
 
 
-class _EffectiveOscillator:
-    """The effective oscillator, with eta0 = m(0) w(0). ``at(t)``, scalar or
-    array t, takes one jet of each coefficient and returns the plain tuple
-    (m, m', m'', w, w', w'', a_xp, a_xp', a_p, a_p', a_x, a_0, kappa, kappa',
-    m5, d ln m5/dt, w5^2), or raises ValidityError at the least t where
-    w + kappa or w5^2 = w^2 - kappa^2 is not positive. ``at_with_rates(t)``
-    also returns (a_x', a_p'', a_xp'') from the same jets."""
+EffectiveQuantities = namedtuple("EffectiveQuantities", (
+    "m", "m_dot", "m_ddot", "omega", "omega_dot", "omega_ddot",
+    "alpha_xp", "alpha_xp_dot", "alpha_p", "alpha_p_dot", "alpha_x", "alpha_0",
+    "kappa", "kappa_dot", "m5", "m5_log_dot", "omega5_sq",
+    "alpha_x_dot", "alpha_p_ddot", "alpha_xp_ddot"))
+EffectiveQuantities.__doc__ = """The coefficients' jets at time(s) t and the
+effective single-mode quantities derived from them: the frequency shift
+kappa = (m'/m + w'/w)/2 + 2 a_xp and its rate, the mass
+m5 = m(0) w(0) / (w + kappa), d ln m5/dt = -(w' + kappa') / (w + kappa) and
+the squared frequency omega5_sq = w^2 - kappa^2."""
+
+
+class EffectiveOscillator:
+    """The effective oscillator of one parameter set, with
+    eta0 = m(0) w(0). ``at(t)``, scalar or array t, takes one jet of each
+    coefficient and returns its EffectiveQuantities, or raises ValidityError
+    at the least t where w + kappa or w^2 - kappa^2 is not positive."""
 
     def __init__(self, params):
         self.params = params
         self.eta0 = params.m.value(0.0) * params.omega.value(0.0)
 
     def at(self, t):
-        return self.at_with_rates(t)[0]
-
-    def at_with_rates(self, t):
         p = self.params
         m, md, mdd = p.m.jet(t)
         w, wd, wdd = p.omega.jet(t)
@@ -272,42 +281,9 @@ class _EffectiveOscillator:
         _require_positive(denom, t, _SHIFTED_FREQUENCY)
         _require_positive(w5sq, t, _EFFECTIVE_FREQUENCY)
         kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
-        return ((m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
-                 kap, kap_dot, self.eta0 / denom, -(wd + kap_dot) / denom, w5sq),
-                (axd, apdd, axpdd))
-
-
-def kappa(params, t):
-    """Frequency shift kappa = (m'/m + w'/w)/2 + 2*a_xp."""
-    m, md, _ = params.m.jet(t)
-    w, wd, _ = params.omega.jet(t)
-    return _kappa(md / m, wd / w, params.alpha_xp.jet(t)[0])
-
-
-def kappa_dot(params, t):
-    """Time derivative of kappa, using analytic second derivatives."""
-    *_, k_dot, _, _, _ = _EffectiveOscillator(params).at(t)
-    return k_dot
-
-
-def effective_m5_omega5(params, t):
-    """Effective mass and squared frequency after the time-dependent part of
-    the diagonalization chain: m5 = m(0) w(0) / (w + kappa), w5^2 = w^2 - kappa^2.
-    Returns (m5, omega5_sq); raises ValidityError where either is not positive."""
-    *_, m5, _, w5sq = _EffectiveOscillator(params).at(t)
-    return m5, w5sq
-
-
-def m5_log_derivative(params, t):
-    """d/dt ln m5 = -(w' + kappa') / (w + kappa)."""
-    *_, m5_log_dot, _ = _EffectiveOscillator(params).at(t)
-    return m5_log_dot
-
-
-def gamma_squeeze(params, t):
-    """Scaling gamma(t) = sqrt(m(0) w(0) / (m(t) w(t)))."""
-    eta0 = _EffectiveOscillator(params).eta0
-    return np.sqrt(eta0 / (params.m.value(t) * params.omega.value(t)))
+        return EffectiveQuantities(m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
+                                   kap, kap_dot, self.eta0 / denom,
+                                   -(wd + kap_dot) / denom, w5sq, axd, apdd, axpdd)
 
 
 # -- validity scan ---------------------------------------------------------
@@ -317,7 +293,6 @@ def gamma_squeeze(params, t):
 class ValidityReport:
     ok: bool
     failures: tuple = field(default_factory=tuple)  # (constraint, t, value)
-    grid_points: int = DEFAULT_VALIDATION_GRID
 
     def raise_if_invalid(self):
         """Raise the failure at the earliest time (the first listed on a tie)."""

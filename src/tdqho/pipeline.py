@@ -44,8 +44,8 @@ from numpy.polynomial import polynomial as P
 from .errors import DomainError, IntegrationError, ValidityError
 # not used here; perfbench/tracing.py patches this name
 from .integrators import integrate_adaptive  # noqa: F401
-from .model import (_COEFF_KEYS, MomentTrajectory, PropagatorCoefficients,
-                    _EffectiveOscillator, propagate_moments, validate)
+from .model import (_COEFF_KEYS, EffectiveOscillator, MomentTrajectory,
+                    PropagatorCoefficients, propagate_moments, validate)
 from .staticdiag import StaticParams, _energy_offset, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -76,8 +76,9 @@ _PHASE_SERIES = np.array([P.polyint(P.polyfromroots(np.delete(_PHASE_NODES, i)))
                           for i, x in enumerate(_PHASE_NODES)]).T
 
 
-def _beta_p(m, axp, ap, bx, bxd):
-    return m * (-bxd + 2.0 * axp * bx + ap)
+def _beta_p(k, bx, bxd):
+    """beta_p from (beta_x, beta_x_dot) and the EffectiveQuantities k."""
+    return k.m * (-bxd + 2.0 * k.alpha_xp * bx + k.alpha_p)
 
 
 def _require_finite(values, t, what):
@@ -102,23 +103,24 @@ def _kinks(params):
     return np.sort([t for key in _COEFF_KEYS for t in getattr(params, key).kinks])
 
 
-def _displacement_terms(kernel):
+def _displacement_terms(k):
     """(m'/m, coeff, forcing) of the displacement equation
-    beta_x'' + (m'/m) beta_x' = coeff beta_x + forcing."""
-    m, md, _, w, _, _, axp, axpd, ap, apd, ax, *_ = kernel
-    mlog = md / m
-    return (mlog, 2.0 * axpd - w * w + 4.0 * axp * axp + 2.0 * axp * mlog,
-            apd - ax / m + 2.0 * ap * axp + ap * mlog)
+    beta_x'' + (m'/m) beta_x' = coeff beta_x + forcing, from the
+    EffectiveQuantities k."""
+    m, w, axp, ap = k.m, k.omega, k.alpha_xp, k.alpha_p
+    mlog = k.m_dot / m
+    return (mlog, 2.0 * k.alpha_xp_dot - w * w + 4.0 * axp * axp + 2.0 * axp * mlog,
+            k.alpha_p_dot - k.alpha_x / m + 2.0 * ap * axp + ap * mlog)
 
 
-def _generators(kernel):
+def _generators(k):
     """Per time, the generators of row 0, the displacement pair
     (beta_x, m beta_x') with d/dt = [[0, 1/m], [m coeff, 0]] and forcing
     (0, m forcing), and of row 1, the Ermakov partner (u, m5 u') with
     d/dt = [[0, 1/m5], [-m5 w5^2, 0]], as (b, c, g): upper, lower and forcing."""
-    m, m5, w5sq = kernel[0], kernel[14], kernel[16]
-    _, coeff, forcing = _displacement_terms(kernel)
-    return (np.stack((1.0 / m, 1.0 / m5)), np.stack((m * coeff, -m5 * w5sq)),
+    m, m5 = k.m, k.m5
+    _, coeff, forcing = _displacement_terms(k)
+    return (np.stack((1.0 / m, 1.0 / m5)), np.stack((m * coeff, -m5 * k.omega5_sq)),
             np.stack((m * forcing, 0.0 * m)))
 
 
@@ -219,22 +221,22 @@ def _field(b, c, g, y):
     return np.concatenate((b[0] * y[3:4], b[1] * y[4:6], c[0] * y[:1] + g, c[1] * y[1:3]))
 
 
-def _slopes(kernel, rates, y):
-    """(y', y'') of the linear states y from the effective-oscillator tuple
-    and (a_x', a_p'', a_xp'') at their times: y' = G y + F and
-    y'' = G' y + F' + G y', with G' and F' from _generators differentiated
-    in closed form."""
-    m, md, mdd, w, wd, _, axp, axpd, ap, apd, _, _, kap, kapd, m5, m5log, w5sq = kernel
-    axd, apdd, axpdd = rates
-    b, c, g = _generators(kernel)
+def _slopes(k, y):
+    """(y', y'') of the linear states y from the EffectiveQuantities k at
+    their times: y' = G y + F and y'' = G' y + F' + G y', with G' and F'
+    from _generators differentiated in closed form."""
+    m, md, mdd, w, wd = k.m, k.m_dot, k.m_ddot, k.omega, k.omega_dot
+    axp, axpd, ap, apd, m5, m5log = (k.alpha_xp, k.alpha_xp_dot, k.alpha_p,
+                                     k.alpha_p_dot, k.m5, k.m5_log_dot)
+    b, c, g = _generators(k)
     dy = _field(b, c, g[0], y)
     return dy, _field(
         (-md / (m * m), -m5log / m5),
-        (2.0 * m * axpdd + 4.0 * md * axpd - md * w * w - 2.0 * m * w * wd
+        (2.0 * m * k.alpha_xp_ddot + 4.0 * md * axpd - md * w * w - 2.0 * m * w * wd
          + 4.0 * md * axp * axp + 8.0 * m * axp * axpd + 2.0 * axp * mdd,
-         -m5 * (m5log * w5sq + 2.0 * (w * wd - kap * kapd))),
-        m * apdd + 2.0 * md * apd - axd + 2.0 * md * ap * axp + 2.0 * m * apd * axp
-        + 2.0 * m * ap * axpd + ap * mdd, y) + _field(b, c, 0.0, dy)
+         -m5 * (m5log * k.omega5_sq + 2.0 * (w * wd - k.kappa * k.kappa_dot))),
+        m * k.alpha_p_ddot + 2.0 * md * apd - k.alpha_x_dot + 2.0 * md * ap * axp
+        + 2.0 * m * apd * axp + 2.0 * m * ap * axpd + ap * mdd, y) + _field(b, c, 0.0, dy)
 
 
 def _hermite(y0, v0, a0, y1, v1, a1, out):
@@ -255,10 +257,10 @@ class _AuxiliaryFlow:
     (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
     sec. II.6); Lambda has a second series per step, built on first use.
 
-    The start is read off the effective-oscillator tuple at t = 0
-    (``kernel0``): the displacement pair from the translation of the frozen
-    t = 0 Hamiltonian, a SingularityError if omega(0)^2 = 4 a_xp(0)^2, and
-    rho at the adiabatic 1/sqrt(m5 w5) with rho_dot = 0.
+    The start is read off the EffectiveQuantities at t = 0 (``k0``): the
+    displacement pair from the translation of the frozen t = 0 Hamiltonian,
+    a SingularityError if omega(0)^2 = 4 a_xp(0)^2, and rho at the adiabatic
+    1/sqrt(m5 w5) with rho_dot = 0.
 
     The first steps advance the t = 0 effective phase by _FIRST_ROTATION,
     uniform between the kinks of the coefficients (the knots of order-1
@@ -277,17 +279,17 @@ class _AuxiliaryFlow:
     state is an IntegrationError at the earliest time it appears.
     """
 
-    def __init__(self, oscillator, horizon, kernel0):
+    def __init__(self, oscillator, horizon, k0):
         self.oscillator = oscillator
         params = oscillator.params
-        m, _, _, w, _, _, axp, _, ap, _, ax, a0, *_, m5, _, w5sq = kernel0
-        bx0, bp0 = static_translation(StaticParams(m, w, ax, ap, axp, a0, params.hbar))
-        bxd0 = 2.0 * axp * bx0 + ap - bp0 / m
+        bx0, bp0 = static_translation(StaticParams(k0.m, k0.omega, k0.alpha_x, k0.alpha_p,
+                                                   k0.alpha_xp, k0.alpha_0, params.hbar))
+        bxd0 = 2.0 * k0.alpha_xp * bx0 + k0.alpha_p - bp0 / k0.m
         # (beta_x, beta_p) at 0, with beta_p from the same formula as at any t
-        self.beta_0 = bx0, _beta_p(m, axp, ap, bx0, bxd0)
-        nu0 = math.sqrt(w5sq)
-        self.rho0 = 1.0 / math.sqrt(m5 * nu0)
-        start = bx0, m * bxd0
+        self.beta_0 = bx0, _beta_p(k0, bx0, bxd0)
+        nu0 = math.sqrt(k0.omega5_sq)
+        self.rho0 = 1.0 / math.sqrt(k0.m5 * nu0)
+        start = bx0, k0.m * bxd0
         # the first steps split [0, T] uniformly between kinks; each later
         # round splits the steps that turn too far or whose series' defect is too large
         kinks = _kinks(params)
@@ -354,7 +356,7 @@ class _AuxiliaryFlow:
         kinked = np.flatnonzero(np.isin(edges[1:], kinks)) + 1
         t = np.concatenate((edges, np.nextafter(edges[kinked], -np.inf)))
         cols = np.concatenate((np.arange(n + 1), kinked))
-        dy, ddy = _slopes(*self.oscillator.at_with_rates(t), np.take(y, cols, axis=1))
+        dy, ddy = _slopes(self.oscillator.at(t), np.take(y, cols, axis=1))
         _require_finite((dy, ddy), t, "auxiliary state derivative")
         right = np.arange(1, n + 1)
         right[kinked - 1] = np.arange(n + 1, n + 1 + kinked.size)
@@ -387,8 +389,9 @@ class _AuxiliaryFlow:
         # beta_x and m beta_x' there, off the flow's series by a constant s^j table
         bx, y = np.einsum("nj,jik->ink", _PHASE_NODES[:, None] ** np.arange(6),
                           self.series[:, [0, 3], :-1]).reshape(2, -1)
-        m, _, _, w, _, _, axp, _, ap, _, ax, a0 = self.oscillator.at(nodes)[:12]
-        f = a0 + _energy_offset(m, w, ax, ap, axp, bx, _beta_p(m, axp, ap, bx, y / m))
+        k = self.oscillator.at(nodes)
+        f = k.alpha_0 + _energy_offset(k.m, k.omega, k.alpha_x, k.alpha_p, k.alpha_xp,
+                                       bx, _beta_p(k, bx, y / k.m))
         series = h * np.einsum("ij,jk->ik", _PHASE_SERIES, f.reshape(5, -1))
         edge = np.pad(np.cumsum(series.sum(axis=0)), (1, 0))
         _require_finite((f, np.tile(edge[1:], 5)), nodes, "auxiliary state")
@@ -406,8 +409,8 @@ class _AuxiliaryFlow:
 
     def at(self, t, kernel=None):
         """[beta_x, beta_x_dot, rho, rho_dot, Phi] at the times t as a 1-d
-        array, from the series of their steps, and the effective-oscillator
-        tuple there (evaluated unless given); Lambda is phase_at's."""
+        array, from the series of their steps, and the EffectiveQuantities
+        there (evaluated unless given); Lambda is phase_at's."""
         t, k, s = self._locate(t)
         kernel = self.oscillator.at(t) if kernel is None else kernel
         # np.take: a fancy index on the last axis returns the transposed layout
@@ -418,9 +421,8 @@ class _AuxiliaryFlow:
         bx, u1, u2, y, q1, q2 = linear
         u10, u20 = self.states[1:3, k]
         phi0 = self.phi[k]
-        m, m5 = kernel[0], kernel[14]
         rho = np.hypot(u1, u2)
-        out = [bx, y / m, rho, (u1 * q1 + u2 * q2) / (m5 * rho),
+        out = [bx, y / kernel.m, rho, (u1 * q1 + u2 * q2) / (kernel.m5 * rho),
                phi0 + np.arctan2(u10 * u2 - u20 * u1, u10 * u1 + u20 * u2)]
         _require_finite(out, t, "auxiliary state")
         return out, kernel
@@ -445,7 +447,7 @@ def _rot(c, s, metric):
 
 def _assemble(flow, kernel, states, t):
     """Propagator coefficients at time(s) t, scalars for a scalar t, from the
-    effective-oscillator tuple and the states (beta_x, beta_x_dot, rho,
+    EffectiveQuantities and the states (beta_x, beta_x_dot, rho,
     rho_dot, Phi) at the 1-d times of t, and the flow's values at 0.
 
     Product, by einsum on stacked 2x2 matrices from the right, of scaling
@@ -455,19 +457,18 @@ def _assemble(flow, kernel, states, t):
     """
     eta0, rho0 = flow.oscillator.eta0, flow.rho0
     bx_t, bxd_t, rho, rho_dot, phi = states
-    m, _, _, w, _, _, axp, _, ap, *_, m5, _, _ = kernel
-    g = np.sqrt(eta0 / (m * w))
+    g = np.sqrt(eta0 / (kernel.m * kernel.omega))
     zero = np.zeros_like(g)
     a_d = np.array([[g, zero], [zero, 1.0 / g]])
     a_e = _rot(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0), eta0)
-    a_f = np.array([[rho / rho0, zero], [m5 * rho_dot / rho0, rho0 / rho]])
+    a_f = np.array([[rho / rho0, zero], [kernel.m5 * rho_dot / rho0, rho0 / rho]])
     a_7 = _rot(np.cos(phi), np.sin(phi), 1.0 / rho0 ** 2)
     a_e_inv = _rot(math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0), eta0)
 
     (a, b), (d, e) = _mul(a_d, _mul(a_e, _mul(a_f, _mul(a_7, a_e_inv))))
     ts = np.array(t, dtype=float, ndmin=1)
     return PropagatorCoefficients(
-        *_scalar_or_array(t, (ts, a, b, d, e, bx_t, _beta_p(m, axp, ap, bx_t, bxd_t))),
+        *_scalar_or_array(t, (ts, a, b, d, e, bx_t, _beta_p(kernel, bx_t, bxd_t))),
         *flow.beta_0)
 
 
@@ -533,8 +534,7 @@ class PipelineSolution:
         """(beta_x, beta_x_dot, beta_p, rho, rho_dot, Phi, Lambda) at t, off
         the series of its step; Lambda's are built on first use for all steps."""
         (bx, bxd, *ermakov), kernel = self._flow.at(t)
-        m, _, _, _, _, _, axp, _, ap, *_ = kernel
-        return _scalar_or_array(t, (bx, bxd, _beta_p(m, axp, ap, bx, bxd), *ermakov,
+        return _scalar_or_array(t, (bx, bxd, _beta_p(kernel, bx, bxd), *ermakov,
                                     self._flow.phase_at(t)))
 
     def constraint_residual(self):
@@ -576,11 +576,11 @@ def solve_ermakov(params, grid):
     # then drop repeats as np.union1d would, without the numpy.ma it imports
     _require_in_horizon(grid, params.horizon)
     grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    oscillator = _EffectiveOscillator(params)
+    oscillator = EffectiveOscillator(params)
     kernel = oscillator.at(grid)
-    flow = _AuxiliaryFlow(oscillator, params.horizon, tuple(x[0] for x in kernel))
+    flow = _AuxiliaryFlow(oscillator, params.horizon, kernel._make(x[0] for x in kernel))
     states, _ = flow.at(grid, kernel)
-    # from the solve's own samples and kernel tuple: no second pass on the grid
+    # from the solve's own samples and kernel: no second pass on the grid
     return PipelineSolution(params, grid, *states[2:], _assemble(flow, kernel, states, grid), flow)
 
 
@@ -604,8 +604,8 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
 
 def _five_point_residual(flow, rows, residual):
     """Max |residual(kernel, y'', *states[rows])| over stencil times tt in
-    [2h, T - 2h], h = T/4096, with the flow's states and effective-oscillator
-    tuple at tt, where y'' is the five-point central difference of the last
+    [2h, T - 2h], h = T/4096, with the flow's states and EffectiveQuantities
+    at tt, where y'' is the five-point central difference of the last
     of the rows. Times whose span [tt - 2h, tt + 2h] holds a kink of the
     flow's coefficients (a knot of an order-1 table, where second derivatives
     jump) are left out; NaN if none is left."""
@@ -618,18 +618,19 @@ def _five_point_residual(flow, rows, residual):
         return math.nan
     # one pass over the stencil times tt + 2h, tt + h, tt, tt - h, tt - 2h
     states, kernel = flow.at((tt + np.arange(2.0, -3.0, -1.0)[:, None] * h).ravel())
-    states, kernel = (np.reshape(a, (-1, 5, tt.size)) for a in (states, kernel))
+    states = np.reshape(states, (-1, 5, tt.size))
     y2, y1, _, y_1, y_2 = states[rows.stop - 1]
     dd = (-y2 + 8.0 * y1 - 8.0 * y_1 + y_2) / (12.0 * h)
-    return float(np.abs(residual(kernel[:, 2], dd, *states[rows, 2])).max())
+    centre = kernel._make(np.reshape(x, (5, -1))[2] for x in kernel)
+    return float(np.abs(residual(centre, dd, *states[rows, 2])).max())
 
 
 def ermakov_residual(sol):
     """Max Ermakov-equation residual, with the second derivative taken by a
     five-point central difference of the integrated rho_dot channel."""
-    def residual(kernel, rho_dd, rho, rho_dot):
-        *_, m5, m5_log_dot, w5sq = kernel
-        return rho_dd + m5_log_dot * rho_dot + w5sq * rho - 1.0 / (m5 * m5 * rho ** 3)
+    def residual(k, rho_dd, rho, rho_dot):
+        return (rho_dd + k.m5_log_dot * rho_dot + k.omega5_sq * rho
+                - 1.0 / (k.m5 * k.m5 * rho ** 3))
 
     return _five_point_residual(sol._flow, slice(2, 4), residual)
 

@@ -660,3 +660,84 @@ def test_sweep_failure_names_constraint_and_time(tmp_path, monkeypatch):
             (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
     assert [len(r) for r in rows] == [6, 6]
     assert {r[1] for r in rows} == {"error: ValidityError: var_x > 0; var_p > 0 at t=1.25"}
+
+
+
+# -- documented error exits ------------------------------------------------------
+
+
+def _tabulated_omega(grid, values, **kw):
+    return {"m": 1, "horizon": 1,
+            "omega": {"kind": "tabulated", "grid": grid, "values": values, **kw}}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["static-diag"], None, "static-diag requires --config with static parameters"),
+    (["static-diag", "--config", "{missing}"], None, "cannot read config: "),
+    (["static-diag", "--config", "{cfg}"], '{"m": 1', "config is not valid JSON: "),
+    (["static-diag", "--config", "{cfg}"], [1], "static params must be an object"),
+    (["static-diag", "--config", "{cfg}"], {"m": 1, "omega": 1, "hbar": 0},
+     "hbar must be positive, got 0.0"),
+    (["evolve", "--scenario", "driven", "--initial", "coherent:abc"], None,
+     "bad coherent amplitude in 'coherent:abc'"),
+    (["evolve", "--scenario", "driven", "--initial", "moments:1,2"], None,
+     "moments initial state needs x,p,var_x,var_p,cov_xp"),
+    (["evolve", "--scenario", "driven", "--initial", "moments:1,2,a,4,5"], None,
+     "bad number in 'moments:1,2,a,4,5'"),
+    (["evolve", "--scenario", "driven", "--initial", "moments:0,0,nan,1,0"], None,
+     "initial moments are unphysical: non-finite moment"),
+    (["compare", "--rwa", "--scenario", "ck"], None,
+     "--rwa comparison needs --scenario driven"),
+    (["compare", "--rwa", "--scenario", "driven", "--initial", "moments:0,0,0.5,0.5,0"],
+     None, "--rwa comparison needs a ground or coherent start"),
+    (["sweep", "--scenario", "driven", "--sweep", "omega-d:a:1:3"], None,
+     "sweep bounds must be numbers and count an integer"),
+    (["sweep", "--scenario", "driven", "--sweep", "omega-d:0:1:0"], None,
+     "sweep count must be at least 1"),
+    (["evolve", "--config", "{cfg}"], [], "config root must be an object"),
+    (["evolve", "--config", "{cfg}"],
+     {"m": {"kind": "polynomial", "coefficients": []}, "omega": 1, "horizon": 1},
+     "m: polynomial needs at least one coefficient"),
+    (["evolve", "--config", "{cfg}"], _tabulated_omega([0, 1, 2], [1, 1]),
+     "omega: tabulated needs matching 1-d grid/values with >= 2 points"),
+    (["evolve", "--config", "{cfg}"], _tabulated_omega([0, 1, 2], [1, 1, 1], order=2),
+     "omega: tabulated interpolation order must be 1 or 3, got 2"),
+    (["evolve", "--scenario", "driven", "--m", "-1"], None, "m, omega, hbar must be positive"),
+    (["evolve", "--scenario", "ck", "--m", "0"], None, "m, omega, hbar must be positive"),
+], ids=["static-diag-no-config", "static-diag-unreadable", "static-diag-bad-json",
+        "static-diag-list-root", "static-diag-zero-hbar", "coherent-not-a-number",
+        "moments-too-few", "moments-not-a-number", "moments-nan", "rwa-ck",
+        "rwa-moments", "sweep-bound-not-a-number", "sweep-count-0", "empty-list-root",
+        "empty-polynomial", "tabulated-length-mismatch", "tabulated-order-2",
+        "driven-negative-m", "ck-zero-m"])
+def test_documented_config_error_exits_2(tmp_path, capsys, argv, config, message):
+    # a message that ends in ": " goes on with the path's or the parser's detail
+    cfg = tmp_path / "config.json"
+    if config is not None:
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = [a.format(cfg=cfg, missing=tmp_path / "missing.json") for a in argv]
+    if argv[0] != "static-diag":
+        argv += ["--samples", "5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert message.endswith(": ") or err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_negative_mass_at_zero_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"m": -1, "omega": 1, "horizon": 1}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == ("validity error: m(0) = -1 and omega(0) = 1 "
+                                       "must both be positive at t=0\n")
+
+
+def test_oracle_truncation_alarm_exits_5(tmp_path, capsys):
+    assert main(["oracle", "--scenario", "ck", "--gamma", "-0.25", "--samples", "50",
+                 "--out", str(tmp_path)]) == 5
+    out = capsys.readouterr().out
+    assert out.endswith("warning: truncation alarm, run is unreliable; "
+                        "increase --oracle-n\n")
+    assert (tmp_path / "oracle.csv").is_file()

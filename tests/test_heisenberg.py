@@ -179,7 +179,7 @@ def test_series_read_the_edge_states_and_join_at_the_edges(params):
     flow = solve(params, n_samples=9)._flow
     (bx, bxd, rho, rho_dot, phi), kernel = flow.at(flow.edges)
     (bx_e, u1, u2, y_e, q1, q2), phi_e = flow.states, flow.phi
-    m, m5 = kernel[0], kernel[14]
+    m, m5 = kernel.m, kernel.m5
     # every edge is s = 0 of its own series, T of a constant one
     for got, ref in ((bx, bx_e), (bxd, y_e / m), (rho, np.hypot(u1, u2)),
                      (rho_dot, (u1 * q1 + u2 * q2) / (m5 * np.hypot(u1, u2))),

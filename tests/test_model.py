@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdqho.errors import ConfigError, DomainError, ValidityError
-from tdqho.model import (UNCERTAINTY_SLACK, MomentState, MomentTrajectory,
+from tdqho.model import (DEFAULT_VALIDATION_GRID, UNCERTAINTY_SLACK,
+                         EffectiveOscillator, MomentState, MomentTrajectory,
                          PropagatorCoefficients, QuadraticParams,
-                         _EffectiveOscillator, coherent_moments,
-                         effective_m5_omega5, gamma_squeeze,
-                         ground_moments, kappa, kappa_dot, m5_log_derivative,
-                         moment_series, propagate_moments, validate)
+                         coherent_moments, ground_moments, moment_series,
+                         propagate_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 
 from test_acceptance import _mixed_random_params
@@ -85,10 +84,14 @@ def test_json_non_finite_number_is_config_error(text, key):
 # -- kappa and the effective oscillator --------------------------------------
 
 
+def effective(params, t):
+    return EffectiveOscillator(params).at(t)
+
+
 def test_kappa_static_is_twice_alpha_xp():
-    p = standard(alpha_xp=0.15)
-    assert kappa(p, 1.0) == pytest.approx(0.3, rel=1e-15)
-    assert kappa_dot(p, 1.0) == pytest.approx(0.0, abs=1e-15)
+    k = effective(standard(alpha_xp=0.15), 1.0)
+    assert k.kappa == pytest.approx(0.3, rel=1e-15)
+    assert k.kappa_dot == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kappa_exponential_mass():
@@ -96,8 +99,9 @@ def test_kappa_exponential_mass():
     gamma = 0.4
     p = standard(m={"kind": "exponential", "prefactor": 1.0, "rate": gamma})
     for t in (0.0, 1.0, 3.7):
-        assert kappa(p, t) == pytest.approx(gamma / 2.0, rel=1e-14)
-        assert kappa_dot(p, t) == pytest.approx(0.0, abs=1e-14)
+        k = effective(p, t)
+        assert k.kappa == pytest.approx(gamma / 2.0, rel=1e-14)
+        assert k.kappa_dot == pytest.approx(0.0, abs=1e-14)
 
 
 def test_kappa_dot_matches_finite_difference():
@@ -110,16 +114,15 @@ def test_kappa_dot_matches_finite_difference():
                            "angular_frequency": 0.4})
     h = 1e-5
     for t in (0.5, 2.0, 6.3):
-        fd = (kappa(p, t + h) - kappa(p, t - h)) / (2.0 * h)
-        assert kappa_dot(p, t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        fd = (effective(p, t + h).kappa - effective(p, t - h).kappa) / (2.0 * h)
+        assert effective(p, t).kappa_dot == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_effective_oscillator_static_limit():
-    p = standard()
-    m5, w5sq = effective_m5_omega5(p, 2.0)
-    assert m5 == pytest.approx(1.0, rel=1e-15)
-    assert w5sq == pytest.approx(1.0, rel=1e-15)
-    assert m5_log_derivative(p, 2.0) == pytest.approx(0.0, abs=1e-15)
+    k = effective(standard(), 2.0)
+    assert k.m5 == pytest.approx(1.0, rel=1e-15)
+    assert k.omega5_sq == pytest.approx(1.0, rel=1e-15)
+    assert k.m5_log_dot == pytest.approx(0.0, abs=1e-15)
 
 
 def test_effective_oscillator_exponential_mass_is_constant():
@@ -127,10 +130,10 @@ def test_effective_oscillator_exponential_mass_is_constant():
     p = standard(m={"kind": "exponential", "prefactor": 2.0, "rate": gamma})
     ref_m5 = 2.0 * 1.0 / (1.0 + gamma / 2.0)
     for t in (0.0, 1.5, 4.0):
-        m5, w5sq = effective_m5_omega5(p, t)
-        assert m5 == pytest.approx(ref_m5, rel=1e-14)
-        assert w5sq == pytest.approx(1.0 - gamma ** 2 / 4.0, rel=1e-14)
-        assert m5_log_derivative(p, t) == pytest.approx(0.0, abs=1e-14)
+        k = effective(p, t)
+        assert k.m5 == pytest.approx(ref_m5, rel=1e-14)
+        assert k.omega5_sq == pytest.approx(1.0 - gamma ** 2 / 4.0, rel=1e-14)
+        assert k.m5_log_dot == pytest.approx(0.0, abs=1e-14)
 
 
 def test_m5_log_derivative_matches_finite_difference():
@@ -140,16 +143,14 @@ def test_m5_log_derivative_matches_finite_difference():
                         "values": list(1.2 + 0.15 * np.cos(0.5 * grid))})
     h = 1e-5
     for t in (1.0, 3.0, 7.0):
-        m5p, _ = effective_m5_omega5(p, t + h)
-        m5m, _ = effective_m5_omega5(p, t - h)
-        fd = (math.log(m5p) - math.log(m5m)) / (2.0 * h)
-        assert m5_log_derivative(p, t) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        fd = (math.log(effective(p, t + h).m5) - math.log(effective(p, t - h).m5)) / (2.0 * h)
+        assert effective(p, t).m5_log_dot == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_effective_oscillator_rejects_negative_shifted_frequency():
     p = standard(alpha_xp=-0.6)  # omega + kappa = 1 - 1.2 < 0
     with pytest.raises(ValidityError):
-        effective_m5_omega5(p, 0.0)
+        effective(p, 0.0)
 
 
 def _reference_evaluators(fn, t):
@@ -170,12 +171,12 @@ def _reference_evaluators(fn, t):
 
 
 def _reference_at(params, t):
-    """The effective-oscillator tuple from separate evaluator calls."""
+    """The effective quantities from separate evaluator calls."""
     m, md, mdd = _reference_evaluators(params.m, t)
     w, wd, wdd = _reference_evaluators(params.omega, t)
-    axp, axpd, _ = _reference_evaluators(params.alpha_xp, t)
-    ap, apd, _ = _reference_evaluators(params.alpha_p, t)
-    ax = _reference_evaluators(params.alpha_x, t)[0]
+    axp, axpd, axpdd = _reference_evaluators(params.alpha_xp, t)
+    ap, apd, apdd = _reference_evaluators(params.alpha_p, t)
+    ax, axd, _ = _reference_evaluators(params.alpha_x, t)
     a0 = _reference_evaluators(params.alpha_0, t)[0]
     eta0 = _reference_evaluators(params.m, 0.0)[0] * _reference_evaluators(params.omega, 0.0)[0]
     mlog, wlog = md / m, wd / w
@@ -183,18 +184,19 @@ def _reference_at(params, t):
     kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
     denom = w + kap
     return (m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
-            kap, kap_dot, eta0 / denom, -(wd + kap_dot) / denom, w * w - kap * kap)
+            kap, kap_dot, eta0 / denom, -(wd + kap_dot) / denom, w * w - kap * kap,
+            axd, apdd, axpdd)
 
 
 def test_scalar_at_matches_per_evaluator_reference_bit_for_bit():
     rng = np.random.default_rng(7)
     for _ in range(25):
         params = _mixed_random_params(rng)
-        oscillator = _EffectiveOscillator(params)
+        oscillator = EffectiveOscillator(params)
         for t in rng.uniform(0.0, params.horizon, 4):
             for tt in (float(t), np.float64(t)):
                 got, ref = oscillator.at(tt), _reference_at(params, tt)
-                assert len(got) == len(ref) == 17
+                assert len(got) == len(ref) == 20
                 assert [np.float64(v).tobytes() for v in got] \
                     == [np.float64(v).tobytes() for v in ref]
 
@@ -202,7 +204,7 @@ def test_scalar_at_matches_per_evaluator_reference_bit_for_bit():
 def test_scalar_at_is_element_0_of_the_array_at_bit_for_bit():
     rng = np.random.default_rng(19)
     for _ in range(25):
-        oscillator = _EffectiveOscillator(_mixed_random_params(rng))
+        oscillator = EffectiveOscillator(_mixed_random_params(rng))
         for t in rng.uniform(0.0, oscillator.params.horizon, 20):
             assert [np.float64(v).tobytes() for v in oscillator.at(float(t))] \
                 == [v[0].tobytes() for v in oscillator.at(np.array([t]))]
@@ -218,13 +220,10 @@ def test_scalar_at_takes_one_jet_per_coefficient(monkeypatch):
     p = standard(m={"kind": "exponential", "prefactor": 1.2, "rate": 0.05},
                  alpha_x={"kind": "cosine", "amplitude": 0.2, "angular_frequency": 0.7},
                  alpha_xp=0.05)
-    oscillator = _EffectiveOscillator(p)
+    oscillator = EffectiveOscillator(p)
     calls.clear()
     oscillator.at(1.3)
     assert len(calls) == 6
-    calls.clear()
-    kappa(p, 1.3)
-    assert len(calls) == 3
 
 
 def test_validity_failure_names_the_least_time_in_any_order():
@@ -233,14 +232,17 @@ def test_validity_failure_names_the_least_time_in_any_order():
         "kind": "cosine", "amplitude": 0.8, "angular_frequency": math.pi / 4.0,
         "phase": math.pi / 2.0})
     with pytest.raises(ValidityError) as info:
-        _EffectiveOscillator(p).at(np.array([3.0, 2.0, 1.0]))
+        EffectiveOscillator(p).at(np.array([3.0, 2.0, 1.0]))
     assert (info.value.constraint, info.value.t) == ("omega + kappa > 0", 1.0)
     assert f"{1.0 - 1.6 * math.sin(math.pi / 4.0):.6e}" in str(info.value)
 
 
 def test_gamma_squeeze_initial_value_is_one():
-    p = standard(m={"kind": "exponential", "prefactor": 1.7, "rate": 0.1})
-    assert gamma_squeeze(p, 0.0) == pytest.approx(1.0, rel=1e-15)
+    # gamma(t) = sqrt(m(0) w(0) / (m(t) w(t))), the map's first scaling
+    oscillator = EffectiveOscillator(
+        standard(m={"kind": "exponential", "prefactor": 1.7, "rate": 0.1}))
+    k = oscillator.at(0.0)
+    assert math.sqrt(oscillator.eta0 / (k.m * k.omega)) == pytest.approx(1.0, rel=1e-15)
 
 
 # -- moment states -----------------------------------------------------------
@@ -299,7 +301,7 @@ def test_moment_state_check_rejects_negative_variance():
 def test_validate_accepts_standard_and_tracks_grid():
     report = validate(standard())
     assert report.ok
-    assert report.grid_points >= 4096
+    assert DEFAULT_VALIDATION_GRID >= 4096
     report.raise_if_invalid()
 
 

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tdqho.errors import DomainError, IntegrationError, SingularityError, ValidityError
-from tdqho.model import (MomentState, MomentTrajectory, QuadraticParams,
-                         _EffectiveOscillator, effective_m5_omega5,
-                         ground_moments, validate)
+from tdqho.model import (EffectiveOscillator, MomentState, MomentTrajectory,
+                         QuadraticParams, ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 from tdqho import pipeline
 from tdqho.pipeline import (_expm, _scan, beta_ode_residual, ermakov_residual,
@@ -251,7 +250,7 @@ def test_uncertainty_product_preserved_for_pure_state(generic_solution):
 
 def lewis_invariant(params, sol, traj_times, x, p):
     _, _, _, rho, rho_dot, _, _ = sol.at(traj_times)
-    m5 = np.array([effective_m5_omega5(params, float(t))[0] for t in traj_times])
+    m5 = np.array([EffectiveOscillator(params).at(float(t)).m5 for t in traj_times])
     return 0.5 * ((rho * p - m5 * rho_dot * x) ** 2 + (x / rho) ** 2)
 
 
@@ -261,8 +260,8 @@ def test_invariant_constant_along_effective_trajectories(generic_solution):
     params = generic_params()
 
     def rhs(t, y):
-        m5, w5sq = effective_m5_omega5(params, t)
-        return np.array([y[1] / m5, -m5 * w5sq * y[0]])
+        k = EffectiveOscillator(params).at(t)
+        return np.array([y[1] / k.m5, -k.m5 * k.omega5_sq * y[0]])
 
     ts = np.linspace(0.0, params.horizon, 160)
     for x0, p0 in ((1.0, 0.0), (0.3, -0.8), (-0.5, 0.4)):
@@ -567,15 +566,15 @@ def test_shifted_frequency_failure_is_named_alike_everywhere():
 
 
 def _m5_stub(monkeypatch, bad, after):
-    """Replace m5 by ``bad`` in every effective-oscillator tuple at times
+    """Replace m5 by ``bad`` in every effective-quantities record at times
     past ``after``."""
-    real_at = _EffectiveOscillator.at
+    real_at = EffectiveOscillator.at
 
     def at(self, t):
         out = real_at(self, t)
-        return out[:14] + (np.where(np.asarray(t) > after, bad, out[14]),) + out[15:]
+        return out._replace(m5=np.where(np.asarray(t) > after, bad, out.m5))
 
-    monkeypatch.setattr(_EffectiveOscillator, "at", at)
+    monkeypatch.setattr(EffectiveOscillator, "at", at)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
