@@ -1,19 +1,21 @@
 """Closed-form moment propagation for quadratic time-dependent oscillators.
 
 The package splits into model description with the one
-``EffectiveOscillator`` record of kappa, m5 and w5^2 (``model``,
+``EffectiveOscillator`` record of kappa, m5 and w5^2 and the one
+``MomentState`` record of moments, at a time or over a grid (``model``,
 ``timefunc``), the static diagonalization layer (``staticdiag``), the
 dynamic pipeline built on an auxiliary-equation reduction, one
-``PipelineSolution`` per solve (``pipeline``), closed-form scenarios
-(``scenarios``), and a truncated number-basis cross-check (``oracle``). The two names in ``integrators`` and
-``pipeline.solve_beta`` stay only because the benchmark's tracer patches them.
+``PipelineSolution`` class per solve (``pipeline``), closed-form scenarios
+(``scenarios``), and a truncated number-basis cross-check (``oracle``).
+The two names in ``integrators`` and ``pipeline.solve_beta`` stay only
+because the benchmark's tracer patches them.
 """
 
 from .errors import (ConfigError, DomainError, IntegrationError,
                      SingularityError, TdqhoError, ValidityError)
-from .model import (EffectiveOscillator, MomentState, MomentTrajectory,
-                    PropagatorCoefficients, QuadraticParams, ValidityReport,
-                    coherent_moments, ground_moments, propagate_moments, validate)
+from .model import (EffectiveOscillator, MomentState, PropagatorCoefficients,
+                    QuadraticParams, ValidityReport, coherent_moments,
+                    ground_moments, propagate_moments, validate)
 from .pipeline import (PipelineSolution, beta_ode_residual, coefficients,
                        ermakov_residual, gaussian_density, solve, solve_beta,
                        solve_ermakov)
@@ -32,11 +34,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CKSpec", "ConfigError", "Constant", "Cosine", "DomainError",
     "DrivenSpec", "EffectiveOscillator", "Exponential",
-    "IntegrationError", "MomentState", "MomentTrajectory",
-    "PipelineSolution", "Polynomial", "PropagatorCoefficients",
-    "QuadraticParams", "SingularityError", "StaticDiagResult",
-    "StaticParams", "Tabulated", "TdqhoError", "TimeFunction",
-    "ValidityError", "ValidityReport",
+    "IntegrationError", "MomentState", "PipelineSolution", "Polynomial",
+    "PropagatorCoefficients", "QuadraticParams", "SingularityError",
+    "StaticDiagResult", "StaticParams", "Tabulated", "TdqhoError",
+    "TimeFunction", "ValidityError", "ValidityReport",
     "beta_ode_residual", "ck_coefficients", "ck_ground_variances",
     "ck_moments", "ck_uncertainty", "coefficients", "coherent_moments",
     "diag_branch_theta_p_zero", "diag_branch_theta_x_zero", "driven_beta",

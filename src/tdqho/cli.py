@@ -199,14 +199,14 @@ def _oracle_summary(run):
 
 
 def _moment_columns(mt):
-    """The seven moment columns that open MOMENT_COLUMNS, from a
-    MomentTrajectory: t, the means, the sigmas, cov_xp and var_x var_p."""
-    return [mt.times, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
+    """The seven moment columns that open MOMENT_COLUMNS, from a MomentState
+    over a grid: t, the means, the sigmas, cov_xp and var_x var_p."""
+    return [mt.t, mt.mean_x, mt.mean_p, np.sqrt(mt.var_x), np.sqrt(mt.var_p),
             mt.cov_xp, mt.var_x * mt.var_p]
 
 
 def _oracle_rows(run):
-    nan = np.full_like(run.times, np.nan)
+    nan = np.full_like(run.moments.t, np.nan)
     return np.column_stack([*_moment_columns(run.moments), *[nan] * 9,
                             run.norms, run.top_populations])
 
@@ -277,6 +277,15 @@ def cmd_evolve(args):
         raise ConfigError(f"--density must not be negative, got {args.density}")
     config = build_run_config(args)
     sol, mt = _pipeline_moments(config)
+    if args.density > 0:
+        sx_max = math.sqrt(float(np.max(mt.var_x)))
+        lo = float(np.min(mt.mean_x)) - 5.0 * sx_max
+        hi = float(np.max(mt.mean_x)) + 5.0 * sx_max
+        # np.linspace would overflow on hi - lo, with only a warning
+        if not math.isfinite(hi - lo):
+            raise ValidityError(f"density grid from {lo!r} to {hi!r} is wider than "
+                                "the largest float")
+        xs = np.linspace(lo, hi, args.density)
     c = sol.coeffs
     rows = np.column_stack([*_moment_columns(mt), c.A, c.B, c.D, c.E, sol.rho, sol.Phi,
                             c.beta_x_t, c.beta_p_t, sol.global_phase()])
@@ -284,10 +293,6 @@ def cmd_evolve(args):
     write_csv(out, MOMENT_COLUMNS, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     if args.density > 0:
-        sx_max = math.sqrt(float(np.max(mt.var_x)))
-        lo = float(np.min(mt.mean_x)) - 5.0 * sx_max
-        hi = float(np.max(mt.mean_x)) + 5.0 * sx_max
-        xs = np.linspace(lo, hi, args.density)
         block = pipeline.gaussian_density(mt, xs)
         dens_out = config.out_dir / "density.csv"
         # write_csv has made the directory
@@ -302,7 +307,7 @@ def cmd_oracle(args):
     run = _oracle_run(config, args)
     out = config.out_dir / "oracle.csv"
     write_csv(out, MOMENT_COLUMNS + ("norm", "top_population"), _oracle_rows(run))
-    print(f"wrote {out} ({len(run.times)} rows); {_oracle_summary(run)}")
+    print(f"wrote {out} ({len(run.moments.t)} rows); {_oracle_summary(run)}")
     if not run.reliable:
         print("warning: truncation alarm, run is unreliable; increase --oracle-n")
         return EXIT_UNRELIABLE

@@ -6,12 +6,12 @@ The Hamiltonian is
          + a_x(t) x + a_p(t) p + a_xp(t) {x, p} + a_0(t)
 
 with every coefficient a ``TimeFunction``. This module holds the parameter
-container, first/second moments of a state and of a trajectory, the one
-linear moment map (A, B; D, E) with its displacement shifts that the
-pipeline and the closed-form scenarios feed, the ``EffectiveOscillator``,
-whose ``at(t)`` returns one named record of the coefficients' jets, the
-frequency shift kappa(t) and the effective single-mode quantities derived
-from it, plus a grid-based validity scan.
+container, one record of first and second moments at a time or over a
+grid, the one linear moment map (A, B; D, E) with its displacement shifts
+that the pipeline and the closed-form scenarios feed, the
+``EffectiveOscillator``, whose ``at(t)`` returns one named record of the
+coefficients' jets, the frequency shift kappa(t) and the effective
+single-mode quantities derived from it, plus a grid-based validity scan.
 """
 
 from __future__ import annotations
@@ -95,20 +95,32 @@ class QuadraticParams:
 
 @dataclass(frozen=True)
 class MomentState:
-    """First and second central moments of a state at time t."""
+    """First and second central moments at time t: floats at one time, or
+    arrays over a grid of times t (``moment_series`` builds either)."""
 
-    t: float
-    mean_x: float
-    mean_p: float
-    var_x: float
-    var_p: float
-    cov_xp: float
+    t: object
+    mean_x: object
+    mean_p: object
+    var_x: object
+    var_p: object
+    cov_xp: object
+
+    def state(self, i):
+        """The moments at the i-th time of a grid, as floats."""
+        return MomentState(float(self.t[i]), float(self.mean_x[i]),
+                           float(self.mean_p[i]), float(self.var_x[i]),
+                           float(self.var_p[i]), float(self.cov_xp[i]))
 
     def uncertainty_product(self):
+        """var_x var_p - cov_xp^2, the Robertson-Schrodinger determinant of
+        the covariance matrix, at least hbar^2/4 for a physical state. The
+        uncertainty_product column of moments.csv and oracle.csv and sweep's
+        min/max_uncertainty are var_x var_p alone."""
         return self.var_x * self.var_p - self.cov_xp ** 2
 
     def check(self, hbar=1.0):
-        """Raise ValidityError unless the moments describe a physical state."""
+        """Raise ValidityError unless the moments at one time describe a
+        physical state."""
         if not all(math.isfinite(v) for v in
                    (self.mean_x, self.mean_p, self.var_x, self.var_p, self.cov_xp)):
             raise ValidityError("non-finite moment", t=self.t)
@@ -147,30 +159,10 @@ def coherent_moments(alpha, m0, omega0, hbar=1.0, t=0.0):
 # -- moment map ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentTrajectory:
-    """Moment arrays on a common time grid."""
-
-    times: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
-    var_x: np.ndarray
-    var_p: np.ndarray
-    cov_xp: np.ndarray
-
-    def state(self, i):
-        return MomentState(float(self.times[i]), float(self.mean_x[i]),
-                           float(self.mean_p[i]), float(self.var_x[i]),
-                           float(self.var_p[i]), float(self.cov_xp[i]))
-
-    def uncertainty_product(self):
-        return self.var_x * self.var_p - self.cov_xp ** 2
-
-
 def moment_series(t, mean_x, mean_p, var_x, var_p, cov_xp):
-    """Moments at time(s) t: a MomentState for scalar t, else a
-    MomentTrajectory. Constant series are broadcast to the grid by copying,
-    not by arithmetic, so signed zeros survive."""
+    """A MomentState of floats for a scalar t, else of arrays over the grid
+    t. Constant series are broadcast to the grid by copying, not by
+    arithmetic, so signed zeros survive."""
     if np.ndim(t) == 0:
         return MomentState(float(t), float(mean_x), float(mean_p),
                            float(var_x), float(var_p), float(cov_xp))
@@ -180,8 +172,8 @@ def moment_series(t, mean_x, mean_p, var_x, var_p, cov_xp):
         v = np.asarray(v, dtype=float)
         return v if v.shape == times.shape else np.full(times.shape, v)
 
-    return MomentTrajectory(times, series(mean_x), series(mean_p),
-                            series(var_x), series(var_p), series(cov_xp))
+    return MomentState(times, series(mean_x), series(mean_p),
+                       series(var_x), series(var_p), series(cov_xp))
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ class PropagatorCoefficients:
 def propagate_moments(initial, coeffs):
     """Push first and second moments through the linear map.
 
-    Returns a MomentState for a scalar coeffs.t, else a MomentTrajectory.
+    Returns a MomentState at the time or grid coeffs.t.
     """
     a, b, d, e = coeffs.A, coeffs.B, coeffs.D, coeffs.E
     dx0 = initial.mean_x - coeffs.beta_x_0

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .model import MomentState, MomentTrajectory, moment_series
+from .model import MomentState, moment_series
 
 DEFAULT_N = 64
 MAX_N = 256
@@ -193,9 +193,8 @@ def moments_from_state(psi, ops, t=0.0):
 class OracleRun:
     """Sampled propagation results plus truncation diagnostics."""
 
-    times: np.ndarray
     states: np.ndarray          # (n, samples) complex
-    moments: MomentTrajectory
+    moments: MomentState        # over the sample times moments.t
     norms: np.ndarray
     top_populations: np.ndarray
     max_top_population: float
@@ -339,7 +338,7 @@ def propagate_state(psi0, params, grid, ops, dt=None):
 
     moments = moment_series(ts, *_expectations(states / norms, ops))
     max_top = float(tops.max())
-    return OracleRun(times=ts, states=states, moments=moments, norms=norms,
+    return OracleRun(states=states, moments=moments, norms=norms,
                      top_populations=tops, max_top_population=max_top,
                      reliable=max_top <= TRUNCATION_ALARM,
                      max_norm_drift=float(np.max(np.abs(norms - 1.0))),

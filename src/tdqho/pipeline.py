@@ -27,16 +27,16 @@ basis rotation, shear-scale, phase rotation, inverse basis rotation), which
 keeps AE - BD = 1 to machine precision by construction. Like the rest of
 the package, the solve needs numpy alone.
 
-One frozen ``PipelineSolution`` holds the solve: its samples on a grid, the
-coefficients there and ``at`` for any other time. ``solve`` validates and
-samples a uniform grid; ``solve_ermakov`` samples any 1-d grid, unvalidated.
+One ``PipelineSolution`` per solve steps both systems, holds their samples
+on its grid and the coefficients there, and reads them at any other time
+with ``at``. ``solve`` validates and samples a uniform grid;
+``solve_ermakov`` samples any 1-d grid, unvalidated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -44,8 +44,8 @@ from numpy.polynomial import polynomial as P
 from .errors import DomainError, IntegrationError, ValidityError
 # not used here; perfbench/tracing.py patches this name
 from .integrators import integrate_adaptive  # noqa: F401
-from .model import (_COEFF_KEYS, EffectiveOscillator, MomentTrajectory,
-                    PropagatorCoefficients, propagate_moments, validate)
+from .model import (_COEFF_KEYS, EffectiveOscillator, PropagatorCoefficients,
+                    propagate_moments, validate)
 from .staticdiag import StaticParams, _energy_offset, static_translation
 
 PIPELINE_SAMPLES = 2000
@@ -249,15 +249,36 @@ def _hermite(y0, v0, a0, y1, v1, a1, out):
     out[5] = 6.0 * d - 3.0 * (v0 + v1) - 0.5 * (a0 - a1)
 
 
-class _AuxiliaryFlow:
-    """The two linear auxiliary systems on [0, T] by order-6 Magnus steps:
-    the six linear states at the step edges (``states``, in _propagate's
-    order) and Phi there (``phi``), and at any time the dense output of its
-    step, one quintic Hermite series per step in the six linear states
-    (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
-    sec. II.6); Lambda has a second series per step, built on first use.
+def _scalar_or_array(t, values):
+    return tuple(v[0] for v in values) if np.ndim(t) == 0 else tuple(values)
 
-    The start is read off the EffectiveQuantities at t = 0 (``k0``): the
+
+def _rot(c, s, metric):
+    return np.array([[c, s / metric], [-metric * s, c]])
+
+
+# -- one solution -----------------------------------------------------------
+
+
+class PipelineSolution:
+    """One parameter set's auxiliary solution, sampled on its grid.
+
+    ``rho``, ``rho_dot`` and ``Phi`` = int Omega are the Ermakov samples on
+    ``grid``, and ``coeffs`` the propagator coefficients there, whose
+    ``beta_x_t`` and ``beta_p_t`` are the displacement pair: beta_p comes
+    algebraically from (beta_x, beta_x_dot), so
+    beta_p = m(-beta_x_dot + 2 a_xp beta_x + a_p) holds exactly on the grid.
+    ``at`` reads all of them at any time of [0, T].
+
+    They come from the two linear auxiliary systems on [0, T], stepped by
+    order-6 Magnus steps: the six linear states at the step edges
+    (``states``, in _propagate's order) and Phi there (``phi``), and at any
+    time the dense output of its step, one quintic Hermite series per step
+    in the six linear states (Hairer, Norsett & Wanner, Solving Ordinary
+    Differential Equations I, sec. II.6); Lambda has a second series per
+    step, built on first use.
+
+    The start is read off the EffectiveQuantities at t = 0: the
     displacement pair from the translation of the frozen t = 0 Hamiltonian,
     a SingularityError if omega(0)^2 = 4 a_xp(0)^2, and rho at the adiabatic
     1/sqrt(m5 w5) with rho_dot = 0.
@@ -274,14 +295,19 @@ class _AuxiliaryFlow:
     from the step's own side. It thus solves exactly the ODE perturbed by
     its defect, which bounds the propagation error too (Enright, J. Comput.
     Appl. Math. 125, 159 (2000)).
-    A ValidityError names the earliest Gauss node where w + kappa or
-    w^2 - kappa^2 is not positive; a non-finite generator, propagator or
+    A ValidityError names the earliest time where w + kappa or
+    w^2 - kappa^2 is not positive, first on the grid, then at the Gauss
+    nodes and the edges of the steps; a non-finite generator, propagator or
     state is an IntegrationError at the earliest time it appears.
     """
 
-    def __init__(self, oscillator, horizon, k0):
-        self.oscillator = oscillator
-        params = oscillator.params
+    def __init__(self, params, grid):
+        """The solve on ``grid``, a sorted 1-d array of distinct times of
+        [0, T] that starts at 0 (solve_ermakov makes one)."""
+        self.params, self.grid = params, grid
+        self.oscillator = EffectiveOscillator(params)
+        kernel = self.oscillator.at(grid)
+        k0 = kernel._make(x[0] for x in kernel)
         bx0, bp0 = static_translation(StaticParams(k0.m, k0.omega, k0.alpha_x, k0.alpha_p,
                                                    k0.alpha_xp, k0.alpha_0, params.hbar))
         bxd0 = 2.0 * k0.alpha_xp * bx0 + k0.alpha_p - bp0 / k0.m
@@ -292,6 +318,7 @@ class _AuxiliaryFlow:
         start = bx0, k0.m * bxd0
         # the first steps split [0, T] uniformly between kinks; each later
         # round splits the steps that turn too far or whose series' defect is too large
+        horizon = params.horizon
         kinks = _kinks(params)
         edges = np.array(sorted({0.0, horizon, *(t for t in kinks.tolist()
                                                  if 0.0 < t < horizon)}))
@@ -316,6 +343,10 @@ class _AuxiliaryFlow:
         else:
             raise IntegrationError("Magnus step refinement did not settle",
                                    t=float(edges[np.argmax(split > 1.0)]))
+        states, _ = self._states(grid, kernel)
+        # from the solve's own samples and kernel: no second pass on the grid
+        self.rho, self.rho_dot, self.Phi = states[2:]
+        self.coeffs = self._assemble(kernel, states, grid)
 
     def _step(self, left, h):
         """From one kernel pass over the Gauss nodes of [left, left + h]: the
@@ -386,7 +417,7 @@ class _AuxiliaryFlow:
         pass over five Gauss nodes of every step, node-major; einsum: @ starts BLAS."""
         h = self._h[:-1]
         nodes = (self.edges[:-1] + h * _PHASE_NODES[:, None]).ravel()
-        # beta_x and m beta_x' there, off the flow's series by a constant s^j table
+        # beta_x and m beta_x' there, off the series by a constant s^j table
         bx, y = np.einsum("nj,jik->ink", _PHASE_NODES[:, None] ** np.arange(6),
                           self.series[:, [0, 3], :-1]).reshape(2, -1)
         k = self.oscillator.at(nodes)
@@ -407,10 +438,10 @@ class _AuxiliaryFlow:
         k = np.minimum(np.searchsorted(self.edges, t, side="right") - 1, self.edges.size - 1)
         return t, k, (t - self.edges[k]) / self._h[k]
 
-    def at(self, t, kernel=None):
+    def _states(self, t, kernel=None):
         """[beta_x, beta_x_dot, rho, rho_dot, Phi] at the times t as a 1-d
         array, from the series of their steps, and the EffectiveQuantities
-        there (evaluated unless given); Lambda is phase_at's."""
+        there (evaluated unless given); Lambda is _lambda's."""
         t, k, s = self._locate(t)
         kernel = self.oscillator.at(t) if kernel is None else kernel
         # np.take: a fancy index on the last axis returns the transposed layout
@@ -427,121 +458,50 @@ class _AuxiliaryFlow:
         _require_finite(out, t, "auxiliary state")
         return out, kernel
 
-    def phase_at(self, t):
+    def _lambda(self, t):
         """Lambda at the times t as a 1-d array: edge plus series at s = tau/h."""
         t, k, s = self._locate(t)
         edge, series = self._phase_series
         return edge[k] + s * P.polyval(s, series[:, k], tensor=False)
 
+    def _assemble(self, kernel, states, t):
+        """Propagator coefficients at time(s) t, scalars for a scalar t, from the
+        EffectiveQuantities and the states (beta_x, beta_x_dot, rho,
+        rho_dot, Phi) at the 1-d times of t, and the values at 0.
 
-def _scalar_or_array(t, values):
-    return tuple(v[0] for v in values) if np.ndim(t) == 0 else tuple(values)
+        Product, by einsum on stacked 2x2 matrices from the right, of scaling
+        by gamma, a pi/4 rotation in the metric eta = m(0) w(0) (a constant
+        matrix, as is its inverse), the Ermakov shear-scale, the rotation by the
+        accumulated phase Phi, and the inverse pi/4 rotation.
+        """
+        eta0, rho0 = self.oscillator.eta0, self.rho0
+        bx_t, bxd_t, rho, rho_dot, phi = states
+        g = np.sqrt(eta0 / (kernel.m * kernel.omega))
+        zero = np.zeros_like(g)
+        a_d = np.array([[g, zero], [zero, 1.0 / g]])
+        a_e = _rot(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0), eta0)
+        a_f = np.array([[rho / rho0, zero], [kernel.m5 * rho_dot / rho0, rho0 / rho]])
+        a_7 = _rot(np.cos(phi), np.sin(phi), 1.0 / rho0 ** 2)
+        a_e_inv = _rot(math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0), eta0)
 
-
-# -- propagator coefficients ------------------------------------------------
-
-
-def _rot(c, s, metric):
-    return np.array([[c, s / metric], [-metric * s, c]])
-
-
-def _assemble(flow, kernel, states, t):
-    """Propagator coefficients at time(s) t, scalars for a scalar t, from the
-    EffectiveQuantities and the states (beta_x, beta_x_dot, rho,
-    rho_dot, Phi) at the 1-d times of t, and the flow's values at 0.
-
-    Product, by einsum on stacked 2x2 matrices from the right, of scaling
-    by gamma, a pi/4 rotation in the metric eta = m(0) w(0) (a constant
-    matrix, as is its inverse), the Ermakov shear-scale, the rotation by the
-    accumulated phase Phi, and the inverse pi/4 rotation.
-    """
-    eta0, rho0 = flow.oscillator.eta0, flow.rho0
-    bx_t, bxd_t, rho, rho_dot, phi = states
-    g = np.sqrt(eta0 / (kernel.m * kernel.omega))
-    zero = np.zeros_like(g)
-    a_d = np.array([[g, zero], [zero, 1.0 / g]])
-    a_e = _rot(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0), eta0)
-    a_f = np.array([[rho / rho0, zero], [kernel.m5 * rho_dot / rho0, rho0 / rho]])
-    a_7 = _rot(np.cos(phi), np.sin(phi), 1.0 / rho0 ** 2)
-    a_e_inv = _rot(math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0), eta0)
-
-    (a, b), (d, e) = _mul(a_d, _mul(a_e, _mul(a_f, _mul(a_7, a_e_inv))))
-    ts = np.array(t, dtype=float, ndmin=1)
-    return PropagatorCoefficients(
-        *_scalar_or_array(t, (ts, a, b, d, e, bx_t, _beta_p(kernel, bx_t, bxd_t))),
-        *flow.beta_0)
-
-
-def coefficients(params, sol, _, t):
-    """Propagator coefficients at time(s) t, off the series of their steps
-    of the auxiliary solution ``sol``: scalars for a scalar t, else arrays.
-
-    ``params`` and the third argument are not read. They keep t at index 3,
-    where perfbench/tracing.py reads its point count, until the tracer reads
-    a run record instead (ROADMAP item 5)."""
-    states, kernel = sol._flow.at(t)
-    return _assemble(sol._flow, kernel, states, t)
-
-
-# -- moments ----------------------------------------------------------------
-
-
-def gaussian_density(state, x_grid):
-    """Normal position density of a Gaussian state on x_grid.
-
-    A MomentState gives one row; a MomentTrajectory gives the
-    (len(times), len(x_grid)) block, equal bit for bit to the stacked rows
-    of its states. A variance that is not positive (NaN included) is a
-    ValidityError at the first such time.
-    """
-    trajectory = isinstance(state, MomentTrajectory)
-    mean_x, var_x = state.mean_x, state.var_x
-    bad = np.flatnonzero(~(np.asarray(var_x) > 0.0))
-    if bad.size:
-        t = state.times[bad[0]] if trajectory else state.t
-        raise ValidityError("position variance must be positive for a density",
-                            t=float(t), constraint="var_x > 0")
-    if trajectory:
-        mean_x, var_x = mean_x[:, None], var_x[:, None]
-    x = np.asarray(x_grid, dtype=float)
-    return np.exp(-((x - mean_x) ** 2) / (2.0 * var_x)) \
-        / np.sqrt(2.0 * math.pi * var_x)
-
-
-# -- one solution -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PipelineSolution:
-    """One parameter set's auxiliary solution, sampled on its grid.
-
-    ``rho``, ``rho_dot`` and ``Phi`` = int Omega are the Ermakov samples, and
-    ``coeffs`` the propagator coefficients there, whose ``beta_x_t`` and
-    ``beta_p_t`` are the displacement pair: beta_p comes algebraically from
-    (beta_x, beta_x_dot), so beta_p = m(-beta_x_dot + 2 a_xp beta_x + a_p)
-    holds exactly on the grid. ``at`` reads all of them at any time of [0, T].
-    """
-
-    params: object
-    grid: np.ndarray
-    rho: np.ndarray
-    rho_dot: np.ndarray
-    Phi: np.ndarray
-    coeffs: PropagatorCoefficients
-    _flow: object
+        (a, b), (d, e) = _mul(a_d, _mul(a_e, _mul(a_f, _mul(a_7, a_e_inv))))
+        ts = np.array(t, dtype=float, ndmin=1)
+        return PropagatorCoefficients(
+            *_scalar_or_array(t, (ts, a, b, d, e, bx_t, _beta_p(kernel, bx_t, bxd_t))),
+            *self.beta_0)
 
     def at(self, t):
         """(beta_x, beta_x_dot, beta_p, rho, rho_dot, Phi, Lambda) at t, off
         the series of its step; Lambda's are built on first use for all steps."""
-        (bx, bxd, *ermakov), kernel = self._flow.at(t)
+        (bx, bxd, *ermakov), kernel = self._states(t)
         return _scalar_or_array(t, (bx, bxd, _beta_p(kernel, bx, bxd), *ermakov,
-                                    self._flow.phase_at(t)))
+                                    self._lambda(t)))
 
     def constraint_residual(self):
         """|beta_p - m(-beta_x_dot + 2 a_xp beta_x + a_p)| on the grid, with
-        beta_p the coefficients' and (beta_x, beta_x_dot) the flow's."""
+        beta_p the coefficients' and (beta_x, beta_x_dot) the series'."""
         p, ts = self.params, self.grid
-        (bx, bxd, *_), _ = self._flow.at(ts)
+        (bx, bxd, *_), _ = self._states(ts)
         predicted = p.m.value(ts) * (-bxd + 2.0 * p.alpha_xp.value(ts) * bx
                                      + p.alpha_p.value(ts))
         return np.abs(self.coeffs.beta_p_t - predicted)
@@ -558,30 +518,59 @@ class PipelineSolution:
     def global_phase(self, t=None):
         """Accumulated scalar phase -Lambda(t)/hbar, on the grid by default."""
         t = self.grid if t is None else t
-        return _scalar_or_array(t, (-self._flow.phase_at(t) / self.params.hbar,))[0]
+        return _scalar_or_array(t, (-self._lambda(t) / self.params.hbar,))[0]
+
+
+def coefficients(params, sol, _, t):
+    """Propagator coefficients at time(s) t, off the series of their steps
+    of the solution ``sol``: scalars for a scalar t, else arrays.
+
+    ``params`` and the third argument are not read. They keep t at index 3,
+    where perfbench/tracing.py reads its point count, until the tracer reads
+    a run record instead (ROADMAP item 5)."""
+    states, kernel = sol._states(t)
+    return sol._assemble(kernel, states, t)
+
+
+# -- moments ----------------------------------------------------------------
+
+
+def gaussian_density(state, x_grid):
+    """Normal position density of a Gaussian state on x_grid.
+
+    A MomentState at one time gives one row; one over a grid gives the
+    (len(t), len(x_grid)) block, equal bit for bit to the stacked rows of
+    its states. A variance that is not positive (NaN included) is a
+    ValidityError at the first such time.
+    """
+    on_grid = np.ndim(state.t) > 0
+    mean_x, var_x = state.mean_x, state.var_x
+    bad = np.flatnonzero(~(np.asarray(var_x) > 0.0))
+    if bad.size:
+        t = state.t[bad[0]] if on_grid else state.t
+        raise ValidityError("position variance must be positive for a density",
+                            t=float(t), constraint="var_x > 0")
+    if on_grid:
+        mean_x, var_x = mean_x[:, None], var_x[:, None]
+    x = np.asarray(x_grid, dtype=float)
+    return np.exp(-((x - mean_x) ** 2) / (2.0 * var_x)) \
+        / np.sqrt(2.0 * math.pi * var_x)
 
 
 def solve_ermakov(params, grid):
     """The auxiliary solve as a PipelineSolution sampled on the 1-d grid,
     extended by 0 and T (a DomainError past them or for another shape).
 
-    The start comes from the kernel at t = 0 (see _AuxiliaryFlow). With no
-    ``validate`` scan, a ValidityError names the time and the constraint where
-    w + kappa or w^2 - kappa^2 stops being positive: first on the grid, then
-    at the Gauss nodes and the edges of the steps."""
+    With no ``validate`` scan, a ValidityError names the time and the
+    constraint where w + kappa or w^2 - kappa^2 stops being positive (see
+    PipelineSolution)."""
     if np.ndim(grid) != 1:
         raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
     grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
     # the range before the kernel, which past T could fail or overflow first;
     # then drop repeats as np.union1d would, without the numpy.ma it imports
     _require_in_horizon(grid, params.horizon)
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    oscillator = EffectiveOscillator(params)
-    kernel = oscillator.at(grid)
-    flow = _AuxiliaryFlow(oscillator, params.horizon, kernel._make(x[0] for x in kernel))
-    states, _ = flow.at(grid, kernel)
-    # from the solve's own samples and kernel: no second pass on the grid
-    return PipelineSolution(params, grid, *states[2:], _assemble(flow, kernel, states, grid), flow)
+    return PipelineSolution(params, grid[np.append(True, grid[1:] != grid[:-1])])
 
 
 # one grid solve under two names, kept only because perfbench/tracing.py
@@ -602,22 +591,22 @@ def solve(params, n_samples=PIPELINE_SAMPLES):
 # -- independent residual checks --------------------------------------------
 
 
-def _five_point_residual(flow, rows, residual):
+def _five_point_residual(sol, rows, residual):
     """Max |residual(kernel, y'', *states[rows])| over stencil times tt in
-    [2h, T - 2h], h = T/4096, with the flow's states and EffectiveQuantities
-    at tt, where y'' is the five-point central difference of the last
-    of the rows. Times whose span [tt - 2h, tt + 2h] holds a kink of the
-    flow's coefficients (a knot of an order-1 table, where second derivatives
-    jump) are left out; NaN if none is left."""
-    T = flow.edges[-1]
+    [2h, T - 2h], h = T/4096, with the solution's states and
+    EffectiveQuantities at tt, where y'' is the five-point central
+    difference of the last of the rows. Times whose span [tt - 2h, tt + 2h]
+    holds a kink of the coefficients (a knot of an order-1 table, where
+    second derivatives jump) are left out; NaN if none is left."""
+    T = sol.params.horizon
     h = T / 4096.0
     tt = np.linspace(2.0 * h, T - 2.0 * h, 257)
-    kinks = _kinks(flow.oscillator.params)
+    kinks = _kinks(sol.params)
     tt = tt[np.searchsorted(kinks, tt - 2 * h) == np.searchsorted(kinks, tt + 2 * h, "right")]
     if not tt.size:
         return math.nan
     # one pass over the stencil times tt + 2h, tt + h, tt, tt - h, tt - 2h
-    states, kernel = flow.at((tt + np.arange(2.0, -3.0, -1.0)[:, None] * h).ravel())
+    states, kernel = sol._states((tt + np.arange(2.0, -3.0, -1.0)[:, None] * h).ravel())
     states = np.reshape(states, (-1, 5, tt.size))
     y2, y1, _, y_1, y_2 = states[rows.stop - 1]
     dd = (-y2 + 8.0 * y1 - 8.0 * y_1 + y_2) / (12.0 * h)
@@ -632,7 +621,7 @@ def ermakov_residual(sol):
         return (rho_dd + k.m5_log_dot * rho_dot + k.omega5_sq * rho
                 - 1.0 / (k.m5 * k.m5 * rho ** 3))
 
-    return _five_point_residual(sol._flow, slice(2, 4), residual)
+    return _five_point_residual(sol, slice(2, 4), residual)
 
 
 def beta_ode_residual(sol):
@@ -642,4 +631,4 @@ def beta_ode_residual(sol):
         mlog, coeff, forcing = _displacement_terms(kernel)
         return bxdd + mlog * bxd - coeff * bx - forcing
 
-    return _five_point_residual(sol._flow, slice(0, 2), residual)
+    return _five_point_residual(sol, slice(0, 2), residual)

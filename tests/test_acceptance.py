@@ -114,7 +114,7 @@ def test_criterion_3_mass_scaled_oscillator_uncertainty_breathing():
     assert np.max(np.abs(run.moments.mean_p)) < 1e-10
     unc = run.moments.uncertainty_product()
     for t_k in o_minima:
-        i = int(np.argmin(np.abs(run.times - t_k)))
+        i = int(np.argmin(np.abs(run.moments.t - t_k)))
         assert abs(unc[i] - 0.25) < 1e-4
 
     # pipeline variances match the explicit envelope forms, and removing

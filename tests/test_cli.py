@@ -170,6 +170,21 @@ def test_density_output(tmp_path):
     assert np.all(data[:, 2] >= 0.0)
 
 
+def test_density_grid_wider_than_a_float_exits_3(tmp_path, capsys):
+    # mean_x swings through +-1e308, so hi - lo overflows: np.linspace would
+    # fill the x column with nan and inf; the run stops before any CSV
+    argv = ["evolve", "--scenario", "driven", "--initial", "moments:1e308,0,1,1,0"]
+    assert main(argv + ["--density", "5", "--out", str(tmp_path / "d")]) == 3
+    lo, hi = re.search(r"density grid from (\S+) to (\S+) is wider than the largest float",
+                       capsys.readouterr().err).groups()
+    assert float(hi) == 1e308 and math.isinf(float(hi) - float(lo))
+    assert not (tmp_path / "d").exists()
+    # without --density the moments are still written
+    assert main(argv + ["--out", str(tmp_path / "m")]) == 0
+    header, data = read_csv(tmp_path / "m" / "moments.csv")
+    assert data.shape == (2000, len(header)) and np.isfinite(data).all()
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "ck", "--samples", "8", "--density", "11"],
     ["--scenario", "driven", "--samples", "40", "--density", "9",

@@ -97,7 +97,7 @@ def test_refined_steps_match_heisenberg_flow():
         "m": 1.0, "omega": {"kind": "exponential", "prefactor": 1.0, "rate": 0.25},
         "alpha_x": {"kind": "cosine", "amplitude": 0.2, "angular_frequency": 2.0},
         "horizon": 10.0})
-    steps = np.diff(_check_against_heisenberg(params, 400)._flow.edges)
+    steps = np.diff(_check_against_heisenberg(params, 400).edges)
     assert steps[-1] < steps[0] / 2.0
 
 
@@ -107,7 +107,7 @@ def test_phase_increases_strictly_on_criterion_5_sets():
     for params in _criterion_5_sets(50):
         sol = solve(params, n_samples=2000)
         assert np.all(np.diff(sol.Phi) > 0.0)
-        assert np.all(np.diff(sol._flow.phi) > 0.0)
+        assert np.all(np.diff(sol.phi) > 0.0)
 
 
 ORDER_1_PROFILES = {
@@ -128,7 +128,7 @@ def test_order_1_tables_match_heisenberg_flow(key):
         "m": 1.0, "omega": 1.1, "horizon": 10.0,
         key: {"kind": "tabulated", "grid": list(knots),
               "values": list(ORDER_1_PROFILES[key](knots)), "order": 1}})
-    edges = _check_against_heisenberg(params, 400)._flow.edges
+    edges = _check_against_heisenberg(params, 400).edges
     assert np.isin(knots, edges).all()
 
 
@@ -176,9 +176,9 @@ def test_rough_order_3_tables_match_heisenberg_flow(key, n_knots):
 @pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_series_read_the_edge_states_and_join_at_the_edges(params):
-    flow = solve(params, n_samples=9)._flow
-    (bx, bxd, rho, rho_dot, phi), kernel = flow.at(flow.edges)
-    (bx_e, u1, u2, y_e, q1, q2), phi_e = flow.states, flow.phi
+    sol = solve(params, n_samples=9)
+    (bx, bxd, rho, rho_dot, phi), kernel = sol._states(sol.edges)
+    (bx_e, u1, u2, y_e, q1, q2), phi_e = sol.states, sol.phi
     m, m5 = kernel.m, kernel.m5
     # every edge is s = 0 of its own series, T of a constant one
     for got, ref in ((bx, bx_e), (bxd, y_e / m), (rho, np.hypot(u1, u2)),
@@ -186,8 +186,8 @@ def test_series_read_the_edge_states_and_join_at_the_edges(params):
                      (phi, phi_e)):
         assert np.array_equal(got, ref)
     # s = 1 of each step's series is the next edge's state, to round-off
-    linear = flow.states[:, 1:]
-    ends = flow.series[..., :-1].sum(axis=0)
+    linear = sol.states[:, 1:]
+    ends = sol.series[..., :-1].sum(axis=0)
     assert np.max(np.abs(ends - linear) / np.maximum(1.0, np.abs(linear))) < 1e-14
 
 
@@ -195,15 +195,14 @@ def test_series_read_the_edge_states_and_join_at_the_edges(params):
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_phase_series_is_built_on_first_read_and_joins_at_the_edges(params):
     sol = solve(params, n_samples=9)
-    flow = sol._flow
     init = MomentState(0.0, *START, 1.0, 1.0, 0.0)
     q = np.linspace(0.0, params.horizon, 7)
     sol.moments(init), sol.moments_at(init, q), sol.coefficients_at(q)
-    assert "_phase_series" not in vars(flow)
+    assert "_phase_series" not in vars(sol)
     # every edge is s = 0 of its own series of Lambda, T of a zero one
-    edge, series = flow._phase_series
-    assert edge.shape == (flow.edges.size,) and series.shape == (5, flow.edges.size)
-    assert np.array_equal(flow.phase_at(flow.edges), edge)
+    edge, series = sol._phase_series
+    assert edge.shape == (sol.edges.size,) and series.shape == (5, sol.edges.size)
+    assert np.array_equal(sol._lambda(sol.edges), edge)
     # s = 1 of each step's series is the next edge's value, to round-off
     ends = edge[:-1] + series[:, :-1].sum(axis=0)
     assert np.max(np.abs(ends - edge[1:]) / np.maximum(1.0, np.abs(edge[1:]))) < 1e-14

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tdqho.errors import ConfigError, DomainError, ValidityError
 from tdqho.model import (DEFAULT_VALIDATION_GRID, UNCERTAINTY_SLACK,
-                         EffectiveOscillator, MomentState, MomentTrajectory,
+                         EffectiveOscillator, MomentState,
                          PropagatorCoefficients, QuadraticParams,
                          coherent_moments, ground_moments, moment_series,
                          propagate_moments, validate)
@@ -413,8 +413,8 @@ def test_moment_map_returns_state_or_trajectory(m, state, n):
     assert isinstance(scalar, MomentState) and scalar.t == 0.5
     ts = np.linspace(0.0, 1.0, n)
     traj = propagate_moments(initial, PropagatorCoefficients(ts, *m))
-    assert isinstance(traj, MomentTrajectory)
-    for series in (traj.times, traj.mean_x, traj.mean_p, traj.var_x,
+    assert isinstance(traj, MomentState)
+    for series in (traj.t, traj.mean_x, traj.mean_p, traj.var_x,
                    traj.var_p, traj.cov_xp):
         assert series.shape == (n,)
     for i in range(n):

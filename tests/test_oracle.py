@@ -190,8 +190,8 @@ def test_grid_without_origin_is_prepended():
     # a repeated time is allowed and samples the same state twice
     grid = np.array([0.5, 1.0, 1.0, 2.0])
     run = propagate_state(ground_state(ops), params, grid, ops)
-    assert run.times[0] == 0.0
-    assert len(run.times) == 5
+    assert run.moments.t[0] == 0.0
+    assert len(run.moments.t) == 5
     assert np.array_equal(run.states[:, 2], run.states[:, 3])
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tdqho.errors import DomainError, IntegrationError, SingularityError, ValidityError
-from tdqho.model import (EffectiveOscillator, MomentState, MomentTrajectory,
-                         QuadraticParams, ground_moments, validate)
+from tdqho.model import (EffectiveOscillator, MomentState, QuadraticParams,
+                         ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 from tdqho import pipeline
 from tdqho.pipeline import (_expm, _scan, beta_ode_residual, ermakov_residual,
@@ -406,7 +406,7 @@ def test_empty_query_gives_empty_results_and_2d_query_is_domain_error(generic_so
     c = sol.coefficients_at(empty)
     assert c.t.shape == c.A.shape == c.E.shape == c.beta_p_t.shape == (0,)
     mt = sol.moments_at(init, empty)
-    assert mt.times.shape == mt.mean_x.shape == mt.cov_xp.shape == (0,)
+    assert mt.t.shape == mt.mean_x.shape == mt.cov_xp.shape == (0,)
     assert sol.global_phase(empty).shape == (0,)
     for query in (sol.coefficients_at, lambda t: sol.moments_at(init, t), sol.global_phase):
         with pytest.raises(DomainError, match=re.escape("got shape (2, 3)")):
@@ -462,9 +462,9 @@ def test_gaussian_density_block_equals_stacked_states(generic_solution):
     mt = generic_solution.moments(ground_moments(1.0, 1.0, 1.0))
     xs = np.linspace(-4.0, 4.0, 37)
     block = gaussian_density(mt, xs)
-    assert block.shape == (len(mt.times), 37)
+    assert block.shape == (len(mt.t), 37)
     stacked = np.stack([gaussian_density(mt.state(i), xs)
-                        for i in range(len(mt.times))])
+                        for i in range(len(mt.t))])
     assert np.array_equal(block, stacked)
 
 
@@ -474,7 +474,7 @@ def test_gaussian_density_block_names_first_bad_time(bad):
     var_x = np.full(6, 0.5)
     var_x[[2, 4]] = bad
     ones = np.ones(6)
-    mt = MomentTrajectory(times, 0.0 * ones, 0.0 * ones, var_x, 0.5 * ones, 0.0 * ones)
+    mt = MomentState(times, 0.0 * ones, 0.0 * ones, var_x, 0.5 * ones, 0.0 * ones)
     with pytest.raises(ValidityError) as info:
         gaussian_density(mt, np.linspace(-1.0, 1.0, 11))
     assert info.value.t == times[2]
@@ -633,19 +633,19 @@ def test_step_count_past_float_range_is_integration_error():
     assert info.value.t == 0.0
 
 
-def _turn_and_defect(flow):
+def _turn_and_defect(sol):
     """Per accepted step, the Ermakov row's turn and the series' error
     estimate, recomputed from the step edges."""
-    h = np.diff(flow.edges)
-    nodes = flow._step(flow.edges[:-1], h)
+    h = np.diff(sol.edges)
+    nodes = sol._step(sol.edges[:-1], h)
     a, b, c, _, _ = pipeline._magnus(nodes, h)
-    return np.sqrt(np.abs(a[1] ** 2 + b[1] * c[1])), flow._defect(nodes)
+    return np.sqrt(np.abs(a[1] ** 2 + b[1] * c[1])), sol._defect(nodes)
 
 
 @pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
                          ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
 def test_accepted_steps_keep_the_turn_and_defect_bounds(params):
-    turn, defect = _turn_and_defect(solve(params, n_samples=9)._flow)
+    turn, defect = _turn_and_defect(solve(params, n_samples=9))
     assert np.max(turn) <= pipeline._MAX_ROTATION
     assert np.max(defect) <= pipeline.MAGNUS_TOL
 
@@ -655,10 +655,10 @@ def test_turn_bound_alone_keeps_the_phase_unwrapped(monkeypatch):
     # bound splits them, as far as np.unwrap of Phi needs
     monkeypatch.setattr(pipeline, "_FIRST_ROTATION", 2.0)
     monkeypatch.setattr(pipeline, "MAGNUS_TOL", math.inf)
-    flow = solve(OMEGA_RAMP, n_samples=9)._flow
-    turn, _ = _turn_and_defect(flow)
+    sol = solve(OMEGA_RAMP, n_samples=9)
+    turn, _ = _turn_and_defect(sol)
     assert 0.25 < np.max(turn) <= pipeline._MAX_ROTATION
-    assert np.all(np.diff(flow.phi) > 0.0)
+    assert np.all(np.diff(sol.phi) > 0.0)
 
 
 def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
@@ -677,7 +677,7 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     # validate takes m, omega and alpha_xp on its grid; the kernel all six,
     # once on the grid, once on the Gauss nodes of the steps and once on the
     # step edges for the series that the 2000 samples are read off
-    steps = sol._flow.edges.size - 1
+    steps = sol.edges.size - 1
     assert sorted(sizes) == sorted([2000] * 6 + [3 * steps] * 6 + [steps + 1] * 6 + [4096] * 3)
     # the only scalar jets are m(0) and omega(0) for eta0; the other t = 0
     # values come from the kernel on the grid
