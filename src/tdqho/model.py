@@ -119,8 +119,12 @@ class MomentState:
         return self.var_x * self.var_p - self.cov_xp ** 2
 
     def check(self, hbar=1.0):
-        """Raise ValidityError unless the moments at one time describe a
-        physical state."""
+        """Raise ValidityError unless the moments describe a physical state:
+        at one time, or at every time of a grid, naming the first bad one."""
+        if np.ndim(self.t):
+            for i in range(len(self.t)):
+                self.state(i).check(hbar)
+            return self
         if not all(math.isfinite(v) for v in
                    (self.mean_x, self.mean_p, self.var_x, self.var_p, self.cov_xp)):
             raise ValidityError("non-finite moment", t=self.t)
@@ -135,15 +139,16 @@ class MomentState:
         return self
 
 
-def ground_moments(m0, omega0, hbar=1.0, t=0.0):
-    """Moments of the instantaneous ground state of the alpha-free oscillator."""
-    return coherent_moments(0.0, m0, omega0, hbar, t)
+def ground_moments(m0, omega0, hbar=1.0):
+    """Moments at t = 0 of the instantaneous ground state of the alpha-free
+    oscillator."""
+    return coherent_moments(0.0, m0, omega0, hbar)
 
 
-def coherent_moments(alpha, m0, omega0, hbar=1.0, t=0.0):
-    """Moments of a coherent state |alpha>; same variances as the ground
-    state. A DomainError names a scale that is not positive and finite, or
-    an amplitude that is not finite."""
+def coherent_moments(alpha, m0, omega0, hbar=1.0):
+    """Moments at t = 0 of a coherent state |alpha>; same variances as the
+    ground state. A DomainError names a scale that is not positive and
+    finite, or an amplitude that is not finite."""
     for name, value in (("m0", m0), ("omega0", omega0), ("hbar", hbar)):
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
@@ -152,7 +157,7 @@ def coherent_moments(alpha, m0, omega0, hbar=1.0, t=0.0):
         raise DomainError(f"coherent amplitude must be finite, got {alpha!r}")
     mean_x = math.sqrt(2.0 * hbar / (m0 * omega0)) * alpha.real
     mean_p = math.sqrt(2.0 * hbar * m0 * omega0) * alpha.imag
-    return MomentState(t, mean_x, mean_p,
+    return MomentState(0.0, mean_x, mean_p,
                        hbar / (2.0 * m0 * omega0), hbar * m0 * omega0 / 2.0, 0.0)
 
 

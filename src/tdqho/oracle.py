@@ -184,9 +184,9 @@ def _expectations(psi, ops):
             0.5 * ev(ops.xp_anti) - mean_x * mean_p)
 
 
-def moments_from_state(psi, ops, t=0.0):
-    """Means and central second moments of a normalized state."""
-    return moment_series(t, *_expectations(np.asarray(psi), ops))
+def moments_from_state(psi, ops):
+    """Means and central second moments of a normalized state, at t = 0."""
+    return moment_series(0.0, *_expectations(np.asarray(psi), ops))
 
 
 @dataclass(frozen=True)

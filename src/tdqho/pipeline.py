@@ -302,8 +302,16 @@ class PipelineSolution:
     """
 
     def __init__(self, params, grid):
-        """The solve on ``grid``, a sorted 1-d array of distinct times of
-        [0, T] that starts at 0 (solve_ermakov makes one)."""
+        """The solve sampled on the 1-d ``grid`` extended by 0 and T, sorted
+        and without repeats; a DomainError for another shape or a time
+        outside [0, T]."""
+        if np.ndim(grid) != 1:
+            raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
+        grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
+        # the range before the kernel, which past T could fail or overflow first;
+        # then drop repeats as np.union1d would, without the numpy.ma it imports
+        _require_in_horizon(grid, params.horizon)
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]
         self.params, self.grid = params, grid
         self.oscillator = EffectiveOscillator(params)
         kernel = self.oscillator.at(grid)
@@ -564,13 +572,7 @@ def solve_ermakov(params, grid):
     With no ``validate`` scan, a ValidityError names the time and the
     constraint where w + kappa or w^2 - kappa^2 stops being positive (see
     PipelineSolution)."""
-    if np.ndim(grid) != 1:
-        raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
-    grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
-    # the range before the kernel, which past T could fail or overflow first;
-    # then drop repeats as np.union1d would, without the numpy.ma it imports
-    _require_in_horizon(grid, params.horizon)
-    return PipelineSolution(params, grid[np.append(True, grid[1:] != grid[:-1])])
+    return PipelineSolution(params, grid)
 
 
 # one grid solve under two names, kept only because perfbench/tracing.py

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError, DomainError, SingularityError, ValidityError
 from .timefunc import parse_number
 
 TRANSCENDENTAL_TOL = 1e-10
-
-_FIELD_KEYS = ("m", "omega", "alpha_x", "alpha_p", "alpha_xp", "alpha_0", "hbar")
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,9 @@ class StaticParams:
     def from_dict(obj):
         if not isinstance(obj, dict):
             raise ConfigError("static params must be an object")
+        known = {f.name for f in fields(StaticParams)}
         for key in obj:
-            if key not in _FIELD_KEYS:
+            if key not in known:
                 raise ConfigError(f"unknown static params key {key!r}")
         if "m" not in obj or "omega" not in obj:
             raise ConfigError("static params require 'm' and 'omega'")

@@ -10,7 +10,7 @@ its piecewise-polynomial interpolant. numpy is all they need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -41,6 +41,17 @@ def parse_numbers(value, key):
     return tuple(parse_number(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
+def parse_order(value, key):
+    """An integer-valued JSON number as an int; ConfigError naming ``key`` else."""
+    number = parse_number(value, key)
+    if not number.is_integer():
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return int(number)
+
+
+_REQUIRED = object()  # the default of a field that a config must give
+
+
 class TimeFunction:
     """Base class. Each kind implements ``jet(t)``, returning (value, first
     derivative, second derivative) from one numpy expression: numpy float64
@@ -51,6 +62,8 @@ class TimeFunction:
     kind = "abstract"
     # times where the first derivative jumps
     kinks = ()
+    # (JSON field, parser, default or _REQUIRED) per constructor argument, in order
+    schema = ()
 
     def jet(self, t):
         raise NotImplementedError
@@ -68,19 +81,29 @@ class TimeFunction:
         """Raise ConfigError if the function cannot cover [0, horizon]."""
 
     def to_dict(self):
-        raise NotImplementedError
+        """The dict that ``from_dict`` reads back: the kind and its schema's fields."""
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return {"kind": self.kind, **{name: list(v) if isinstance(v, tuple) else v
+                                      for (name, _, _), v in zip(self.schema, args)}}
 
     @staticmethod
     def from_dict(obj, key="<anonymous>"):
-        """Build a TimeFunction from a JSON-style dict (or a bare number,
-        shorthand for a constant). ``key`` names the field in error messages."""
+        """Build a TimeFunction from a JSON-style dict by its kind's schema (a
+        field it does not declare is a ConfigError), or from a bare number,
+        shorthand for a constant. ``key`` names the field in error messages."""
         if not isinstance(obj, dict):
             return Constant(parse_number(obj, key))
         kind = obj.get("kind")
         if kind not in _KINDS:
             raise ConfigError(f"{key}: unknown kind {kind!r}")
+        cls = _KINDS[kind]
+        unknown = [name for name in obj if name not in ("kind", *(f for f, _, _ in cls.schema))]
+        if unknown:
+            raise ConfigError(f"{key}: unknown field {unknown[0]!r} for kind {kind!r}")
         try:
-            return _KINDS[kind]._parse(obj)
+            # a missing required field is the KeyError of obj[name]
+            return cls(*(parse(obj[name] if default is _REQUIRED else obj.get(name, default), name)
+                         for name, parse, default in cls.schema))
         except KeyError as exc:
             raise ConfigError(f"{key}: missing field {exc.args[0]!r} for kind {kind!r}") from None
         except (ConfigError, TypeError, ValueError) as exc:
@@ -92,17 +115,11 @@ class Constant(TimeFunction):
     const: float
 
     kind = "constant"
+    schema = (("value", parse_number, _REQUIRED),)
 
     def jet(self, t):
         d1, d2 = np.zeros((2, *np.shape(t)))
         return self.const + d1, d1, d2
-
-    def to_dict(self):
-        return {"kind": "constant", "value": self.const}
-
-    @classmethod
-    def _parse(cls, obj):
-        return cls(parse_number(obj["value"], "value"))
 
 
 @dataclass(frozen=True)
@@ -114,22 +131,14 @@ class Cosine(TimeFunction):
     phase: float = 0.0
 
     kind = "cosine"
+    schema = (("amplitude", parse_number, _REQUIRED),
+              ("angular_frequency", parse_number, _REQUIRED), ("phase", parse_number, 0.0))
 
     def jet(self, t):
         a, w = self.amplitude, self.angular_frequency
         arg = w * np.asarray(t, dtype=float) + self.phase
         c = np.cos(arg)
         return a * c, -a * w * np.sin(arg), -a * w ** 2 * c
-
-    def to_dict(self):
-        return {"kind": "cosine", "amplitude": self.amplitude,
-                "angular_frequency": self.angular_frequency, "phase": self.phase}
-
-    @classmethod
-    def _parse(cls, obj):
-        return cls(parse_number(obj["amplitude"], "amplitude"),
-                   parse_number(obj["angular_frequency"], "angular_frequency"),
-                   parse_number(obj.get("phase", 0.0), "phase"))
 
 
 @dataclass(frozen=True)
@@ -140,19 +149,12 @@ class Exponential(TimeFunction):
     rate: float
 
     kind = "exponential"
+    schema = (("prefactor", parse_number, _REQUIRED), ("rate", parse_number, _REQUIRED))
 
     def jet(self, t):
         r = self.rate
         v = self.prefactor * np.exp(r * np.asarray(t, dtype=float))
         return v, r * v, r ** 2 * v
-
-    def to_dict(self):
-        return {"kind": "exponential", "prefactor": self.prefactor, "rate": self.rate}
-
-    @classmethod
-    def _parse(cls, obj):
-        return cls(parse_number(obj["prefactor"], "prefactor"),
-                   parse_number(obj["rate"], "rate"))
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,10 @@ class Polynomial(TimeFunction):
     """sum_k coefficients[k] * t**k"""
 
     coefficients: tuple
-    _derivatives: tuple = field(default=(), compare=False, repr=False)
+    _derivatives: tuple = field(init=False, compare=False, repr=False)
 
     kind = "polynomial"
+    schema = (("coefficients", parse_numbers, _REQUIRED),)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -175,13 +178,6 @@ class Polynomial(TimeFunction):
     def jet(self, t):
         d1, d2 = self._derivatives
         return P.polyval(t, self.coefficients), P.polyval(t, d1), P.polyval(t, d2)
-
-    def to_dict(self):
-        return {"kind": "polynomial", "coefficients": list(self.coefficients)}
-
-    @classmethod
-    def _parse(cls, obj):
-        return cls(parse_numbers(obj["coefficients"], "coefficients"))
 
 
 def _cubic_pieces(h, d, v):
@@ -226,10 +222,12 @@ class Tabulated(TimeFunction):
     values: tuple
     order: int = 3
     # the knots, and per piece (a column) its coefficients, highest power first
-    _knots: np.ndarray = field(default=None, compare=False, repr=False)
-    _pieces: np.ndarray = field(default=None, compare=False, repr=False)
+    _knots: np.ndarray = field(init=False, compare=False, repr=False)
+    _pieces: np.ndarray = field(init=False, compare=False, repr=False)
 
     kind = "tabulated"
+    schema = (("grid", parse_numbers, _REQUIRED), ("values", parse_numbers, _REQUIRED),
+              ("order", parse_order, 3))
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -272,18 +270,6 @@ class Tabulated(TimeFunction):
             first = first * x + value
             value = value * x + c
         return value, first, 2.0 * second
-
-    def to_dict(self):
-        return {"kind": "tabulated", "grid": list(self.grid),
-                "values": list(self.values), "order": self.order}
-
-    @classmethod
-    def _parse(cls, obj):
-        order = parse_number(obj.get("order", 3), "order")
-        if not order.is_integer():
-            raise ConfigError(f"order: expected an integer, got {obj['order']!r}")
-        return cls(parse_numbers(obj["grid"], "grid"), parse_numbers(obj["values"], "values"),
-                   int(order))
 
 
 _KINDS = {c.kind: c for c in (Constant, Cosine, Exponential, Polynomial, Tabulated)}

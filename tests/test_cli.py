@@ -710,6 +710,8 @@ def _tabulated_omega(grid, values, **kw):
     (["sweep", "--scenario", "driven", "--sweep", "omega-d:0:1:0"], None,
      "sweep count must be at least 1"),
     (["evolve", "--config", "{cfg}"], [], "config root must be an object"),
+    (["evolve", "--config", "{cfg}"], '{"m": 1', "config is not valid JSON: "),
+    (["static-diag", "--config", "{cfg}"], {"m": 1}, "static params require 'm' and 'omega'"),
     (["evolve", "--config", "{cfg}"],
      {"m": {"kind": "polynomial", "coefficients": []}, "omega": 1, "horizon": 1},
      "m: polynomial needs at least one coefficient"),
@@ -717,14 +719,21 @@ def _tabulated_omega(grid, values, **kw):
      "omega: tabulated needs matching 1-d grid/values with >= 2 points"),
     (["evolve", "--config", "{cfg}"], _tabulated_omega([0, 1, 2], [1, 1, 1], order=2),
      "omega: tabulated interpolation order must be 1 or 3, got 2"),
+    (["evolve", "--config", "{cfg}"], _tabulated_omega([0, 1, 2], [1, 1, 1], ordr=1),
+     "omega: unknown field 'ordr' for kind 'tabulated'"),
+    (["evolve", "--config", "{cfg}"],
+     {"m": 1, "omega": 1, "horizon": 1, "alpha_x": {
+         "kind": "cosine", "amplitude": 0.1, "angular_frequency": 1, "phaze": 0.3}},
+     "alpha_x: unknown field 'phaze' for kind 'cosine'"),
     (["evolve", "--scenario", "driven", "--m", "-1"], None, "m, omega, hbar must be positive"),
     (["evolve", "--scenario", "ck", "--m", "0"], None, "m, omega, hbar must be positive"),
 ], ids=["static-diag-no-config", "static-diag-unreadable", "static-diag-bad-json",
         "static-diag-list-root", "static-diag-zero-hbar", "coherent-not-a-number",
         "moments-too-few", "moments-not-a-number", "moments-nan", "rwa-ck",
         "rwa-moments", "sweep-bound-not-a-number", "sweep-count-0", "empty-list-root",
-        "empty-polynomial", "tabulated-length-mismatch", "tabulated-order-2",
-        "driven-negative-m", "ck-zero-m"])
+        "evolve-bad-json", "static-diag-no-omega", "empty-polynomial",
+        "tabulated-length-mismatch", "tabulated-order-2", "tabulated-misspelled-order",
+        "cosine-misspelled-phase", "driven-negative-m", "ck-zero-m"])
 def test_documented_config_error_exits_2(tmp_path, capsys, argv, config, message):
     # a message that ends in ": " goes on with the path's or the parser's detail
     cfg = tmp_path / "config.json"

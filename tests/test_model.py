@@ -41,6 +41,11 @@ def test_from_dict_requires_core_fields():
         QuadraticParams.from_dict({"m": 1, "horizon": 1})
 
 
+def test_params_take_time_functions_only():
+    with pytest.raises(ConfigError, match="^m: expected a TimeFunction, got float$"):
+        QuadraticParams(m=1.0, omega=Constant(1.0))
+
+
 def test_json_roundtrip():
     p = QuadraticParams.from_dict({
         "m": {"kind": "exponential", "prefactor": 1.0, "rate": 0.1},
@@ -293,6 +298,27 @@ def test_moment_state_check_rejects_sub_heisenberg():
 def test_moment_state_check_rejects_negative_variance():
     with pytest.raises(ValidityError):
         MomentState(0.0, 0.0, 0.0, -0.5, 1.0, 0.0).check(1.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("mean_x", math.nan, "non-finite moment"),
+    ("var_p", -1.0, "variances must be positive"),
+    ("var_x", 0.1, "uncertainty product 5.000000e-02 below bound 2.500000e-01"),
+], ids=["non-finite", "negative-variance", "sub-heisenberg"])
+def test_moment_state_check_names_the_first_bad_time_of_a_grid(field, value, message):
+    times = np.linspace(0.0, 1.0, 5)
+    good = MomentState(times, np.zeros(5), np.zeros(5), np.full(5, 0.5), np.full(5, 0.5),
+                       np.zeros(5))
+    assert good.check() is good
+    bad = replace(good, **{field: np.where(times >= 0.5, value, getattr(good, field))})
+    with pytest.raises(ValidityError, match=f"^{message}") as on_grid:
+        bad.check()
+    assert on_grid.value.t == 0.5
+    # the one-time record at that time fails the same way
+    with pytest.raises(ValidityError, match=f"^{message}") as at_once:
+        bad.state(2).check()
+    assert (str(at_once.value), at_once.value.t, at_once.value.constraint) \
+        == (str(on_grid.value), on_grid.value.t, on_grid.value.constraint)
 
 
 # -- whole-horizon validation ------------------------------------------------

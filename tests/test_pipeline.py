@@ -14,8 +14,9 @@ from tdqho.model import (EffectiveOscillator, MomentState, QuadraticParams,
                          ground_moments, validate)
 from tdqho.timefunc import Constant, Cosine, Exponential, Polynomial, Tabulated
 from tdqho import pipeline
-from tdqho.pipeline import (_expm, _scan, beta_ode_residual, ermakov_residual,
-                            gaussian_density, solve, solve_beta, solve_ermakov)
+from tdqho.pipeline import (PipelineSolution, _expm, _scan, beta_ode_residual,
+                            ermakov_residual, gaussian_density, solve, solve_beta,
+                            solve_ermakov)
 from tdqho.scenarios import DrivenSpec, driven_beta
 
 from test_heisenberg import OMEGA_RAMP, _criterion_5_sets
@@ -427,6 +428,22 @@ def test_grid_that_is_not_1d_is_a_domain_error():
     # before np.concatenate, whose ValueError would not name the grid
     with pytest.raises(DomainError, match=re.escape("got shape (2, 2)")):
         solve_beta(standard_params(), np.ones((2, 2)))
+
+
+def test_solution_sorts_extends_and_deduplicates_its_grid_as_solve_ermakov_does():
+    params = standard_params(4.0, alpha_x={"kind": "cosine", "amplitude": 0.3,
+                                           "angular_frequency": 0.7})
+    grid = np.array([2.0, 1.0, 3.5, 1.0, 2.0])
+    direct, solved = PipelineSolution(params, grid), solve_ermakov(params, grid)
+    assert direct.grid.tolist() == [0.0, 1.0, 2.0, 3.5, 4.0]
+    for name in ("grid", "rho", "rho_dot", "Phi"):
+        assert getattr(direct, name).tobytes() == getattr(solved, name).tobytes()
+    for f in dataclasses.fields(direct.coeffs):
+        assert (np.asarray(getattr(direct.coeffs, f.name)).tobytes()
+                == np.asarray(getattr(solved.coeffs, f.name)).tobytes())
+    for make in (PipelineSolution, solve_ermakov):
+        with pytest.raises(DomainError, match=re.escape("got shape (2, 2)")):
+            make(params, np.ones((2, 2)))
 
 
 def test_trajectory_state_accessor(standard_solution):

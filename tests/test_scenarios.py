@@ -185,6 +185,11 @@ def test_specs_reject_non_finite_numbers(spec, field, value):
         spec(**fields)
 
 
+def test_driven_spec_rejects_a_negative_drive_frequency():
+    with pytest.raises(DomainError, match="^drive_frequency must be non-negative$"):
+        DrivenSpec(m=1.0, omega=1.0, drive_strength=0.1, drive_frequency=-1.0)
+
+
 def test_ck_aux_identities():
     spec = CKSpec(m=1.3, omega=1.1, gamma=-0.4)
     aux = ck_aux(spec)

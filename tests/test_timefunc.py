@@ -239,6 +239,17 @@ def test_from_dict_missing_field_names_key():
         TimeFunction.from_dict({"kind": "cosine", "amplitude": 1.0}, "m")
 
 
+# test_cli's documented config errors pin the tabulated "ordr" and cosine "phaze"
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "constant", "value": 1.0, "rate": 0.0}, "rate"),
+    ({"kind": "polynomial", "coefficients": [1.0], "value": 2.0, "grid": []}, "value"),
+], ids=["constant-rate", "polynomial-first-of-two"])
+def test_from_dict_rejects_a_field_the_kind_does_not_declare(obj, field):
+    with pytest.raises(ConfigError,
+                       match=f"^m: unknown field '{field}' for kind '{obj['kind']}'$"):
+        TimeFunction.from_dict(obj, "m")
+
+
 _GRID3 = [0.0, 1.0, 2.0]
 
 
@@ -288,6 +299,7 @@ def readme_kind_table():
 
 
 KIND_TABLE = readme_kind_table()
+KIND_CLASSES = {c.kind: c for c in (Constant, Cosine, Exponential, Polynomial, Tabulated)}
 
 
 def test_readme_kind_table_has_one_example_per_row():
@@ -298,6 +310,7 @@ def test_readme_kind_table_has_one_example_per_row():
 def test_readme_kind_table_example_parses(kind):
     example = README_EXAMPLES[kind]
     assert set(example) == KIND_TABLE[kind]
+    assert {name for name, _, _ in KIND_CLASSES[kind].schema} == KIND_TABLE[kind]
     fn = TimeFunction.from_dict({"kind": kind, **example}, kind)
     assert fn.kind == kind
     assert TimeFunction.from_dict(fn.to_dict(), kind) == fn
