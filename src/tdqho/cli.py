@@ -146,17 +146,24 @@ def _build_scenario(args):
     raise ConfigError(f"unknown scenario {args.scenario!r}; use driven or ck")
 
 
+def _read_config(path):
+    """The JSON value in the file at ``path``, in UTF-8, -16 or -32, told apart
+    by its first bytes; ConfigError if it cannot be read or decoded."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+
+
 def _model(args):
     """(params, scenario) from --config or a --scenario preset."""
     if (args.config is None) == (args.scenario is None):
         raise ConfigError("exactly one of --config and --scenario is required")
     scenario = None
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
-        params = QuadraticParams.from_json(text)
+        params = QuadraticParams.from_dict(_read_config(args.config))
         if args.horizon is not None:
             params = params.with_horizon(args.horizon)
     else:
@@ -258,13 +265,7 @@ def cmd_validate(args):
 def cmd_static_diag(args):
     if args.config is None:
         raise ConfigError("static-diag requires --config with static parameters")
-    try:
-        obj = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    params = staticdiag.StaticParams.from_dict(obj)
+    params = staticdiag.StaticParams.from_dict(_read_config(args.config))
     branch = staticdiag.diag_branch_theta_p_zero if args.branch == "theta-p-zero" \
         else staticdiag.diag_branch_theta_x_zero
     print(branch(params).to_json())
@@ -372,7 +373,7 @@ def _sweep_point(args, name, value):
         return (value, "ok", float(np.abs(mt.mean_x).max()),
                 float(np.abs(mt.mean_p).max()), float(unc.min()), float(unc.max()))
     except (ConfigError, DomainError, ValidityError, SingularityError,
-            IntegrationError) as exc:
+            IntegrationError, OverflowError) as exc:
         status = f"error: {type(exc).__name__}"
         if getattr(exc, "constraint", None):
             status += f": {exc.constraint}"
@@ -489,6 +490,9 @@ def main(argv=None):
         # name the failure time unless the message already does
         where = "" if t is None or f"t={t:.6g}" in str(exc) else f" at t={t:.6g}"
         print(f"validity error: {exc}{where}", file=sys.stderr)
+        return EXIT_VALIDITY
+    except OverflowError as exc:  # Python-float arithmetic beyond the largest float
+        print(f"validity error: overflow: {exc.args[-1]}", file=sys.stderr)
         return EXIT_VALIDITY
 
 

@@ -16,7 +16,6 @@ single-mode quantities derived from it, plus a grid-based validity scan.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, ValidityError
-from .timefunc import Constant, TimeFunction, parse_number
+from .timefunc import REQUIRED, Constant, TimeFunction, parse_fields, parse_number
 
 DEFAULT_VALIDATION_GRID = 4096
 UNCERTAINTY_SLACK = 1e-9
@@ -46,6 +45,10 @@ class QuadraticParams:
     hbar: float = 1.0
     horizon: float = 1.0
 
+    schema = (*((key, TimeFunction.from_dict, REQUIRED if key in ("m", "omega") else 0.0)
+                for key in _COEFF_KEYS),
+              ("hbar", parse_number, 1.0), ("horizon", parse_number, REQUIRED))
+
     def __post_init__(self):
         if not (0.0 < self.hbar < math.inf):
             raise DomainError(f"hbar must be positive and finite, got {self.hbar}")
@@ -61,27 +64,7 @@ class QuadraticParams:
 
     @staticmethod
     def from_dict(obj):
-        if not isinstance(obj, dict):
-            raise ConfigError("config root must be an object")
-        known = set(_COEFF_KEYS) | {"hbar", "horizon"}
-        for key in obj:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-        for key in ("m", "omega", "horizon"):
-            if key not in obj:
-                raise ConfigError(f"missing required config key {key!r}")
-        fns = {key: TimeFunction.from_dict(obj[key], key=key) for key in _COEFF_KEYS
-               if key in obj}
-        return QuadraticParams(hbar=parse_number(obj.get("hbar", 1.0), "hbar"),
-                               horizon=parse_number(obj["horizon"], "horizon"), **fns)
-
-    @staticmethod
-    def from_json(text):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return QuadraticParams.from_dict(obj)
+        return QuadraticParams(*parse_fields(obj, QuadraticParams.schema))
 
     def to_dict(self):
         out = {"hbar": self.hbar, "horizon": self.horizon}

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
-from .errors import ConfigError, DomainError, SingularityError, ValidityError
-from .timefunc import parse_number
+from .errors import DomainError, SingularityError, ValidityError
+from .timefunc import REQUIRED, parse_fields, parse_number
 
 TRANSCENDENTAL_TOL = 1e-10
 
@@ -31,6 +31,10 @@ class StaticParams:
     alpha_0: float = 0.0
     hbar: float = 1.0
 
+    schema = (("m", parse_number, REQUIRED), ("omega", parse_number, REQUIRED),
+              *((key, parse_number, 0.0) for key in ("alpha_x", "alpha_p", "alpha_xp", "alpha_0")),
+              ("hbar", parse_number, 1.0))
+
     def __post_init__(self):
         if not (self.m > 0.0):
             raise DomainError(f"m must be positive, got {self.m}")
@@ -46,15 +50,7 @@ class StaticParams:
 
     @staticmethod
     def from_dict(obj):
-        if not isinstance(obj, dict):
-            raise ConfigError("static params must be an object")
-        known = {f.name for f in fields(StaticParams)}
-        for key in obj:
-            if key not in known:
-                raise ConfigError(f"unknown static params key {key!r}")
-        if "m" not in obj or "omega" not in obj:
-            raise ConfigError("static params require 'm' and 'omega'")
-        return StaticParams(**{key: parse_number(v, key) for key, v in obj.items()})
+        return StaticParams(*parse_fields(obj, StaticParams.schema))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,24 @@ def parse_order(value, key):
     return int(number)
 
 
-_REQUIRED = object()  # the default of a field that a config must give
+REQUIRED = object()  # the default of a field that a config must give
+
+
+def parse_fields(obj, schema, what=""):
+    """Each (JSON field, parser, default or REQUIRED) row's field of the JSON
+    object ``obj``, or its default, through its parser, in ``schema``'s order.
+    ConfigError for a non-object, then for the first undeclared field, then
+    for the first missing required one; ``what`` ends those two messages."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"expected an object, got {type(obj).__name__}")
+    declared = [name for name, _, _ in schema]
+    for name in obj:
+        if name not in declared:
+            raise ConfigError(f"unknown field {name!r}{what}")
+    for name, _, default in schema:
+        if default is REQUIRED and name not in obj:
+            raise ConfigError(f"missing field {name!r}{what}")
+    return [parse(obj.get(name, default), name) for name, parse, default in schema]
 
 
 class TimeFunction:
@@ -62,7 +79,7 @@ class TimeFunction:
     kind = "abstract"
     # times where the first derivative jumps
     kinks = ()
-    # (JSON field, parser, default or _REQUIRED) per constructor argument, in order
+    # (JSON field, parser, default or REQUIRED) per constructor argument, in order
     schema = ()
 
     def jet(self, t):
@@ -88,24 +105,19 @@ class TimeFunction:
 
     @staticmethod
     def from_dict(obj, key="<anonymous>"):
-        """Build a TimeFunction from a JSON-style dict by its kind's schema (a
-        field it does not declare is a ConfigError), or from a bare number,
-        shorthand for a constant. ``key`` names the field in error messages."""
+        """Build a TimeFunction from a JSON-style dict by its kind's schema,
+        read by parse_fields, or from a bare number, shorthand for a constant.
+        ``key`` names the field in error messages."""
         if not isinstance(obj, dict):
             return Constant(parse_number(obj, key))
         kind = obj.get("kind")
-        if kind not in _KINDS:
+        # an unhashable kind (a list, an object) names no kind either
+        cls = _KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
             raise ConfigError(f"{key}: unknown kind {kind!r}")
-        cls = _KINDS[kind]
-        unknown = [name for name in obj if name not in ("kind", *(f for f, _, _ in cls.schema))]
-        if unknown:
-            raise ConfigError(f"{key}: unknown field {unknown[0]!r} for kind {kind!r}")
+        given = {name: value for name, value in obj.items() if name != "kind"}
         try:
-            # a missing required field is the KeyError of obj[name]
-            return cls(*(parse(obj[name] if default is _REQUIRED else obj.get(name, default), name)
-                         for name, parse, default in cls.schema))
-        except KeyError as exc:
-            raise ConfigError(f"{key}: missing field {exc.args[0]!r} for kind {kind!r}") from None
+            return cls(*parse_fields(given, cls.schema, f" for kind {kind!r}"))
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
@@ -115,7 +127,7 @@ class Constant(TimeFunction):
     const: float
 
     kind = "constant"
-    schema = (("value", parse_number, _REQUIRED),)
+    schema = (("value", parse_number, REQUIRED),)
 
     def jet(self, t):
         d1, d2 = np.zeros((2, *np.shape(t)))
@@ -131,8 +143,8 @@ class Cosine(TimeFunction):
     phase: float = 0.0
 
     kind = "cosine"
-    schema = (("amplitude", parse_number, _REQUIRED),
-              ("angular_frequency", parse_number, _REQUIRED), ("phase", parse_number, 0.0))
+    schema = (("amplitude", parse_number, REQUIRED),
+              ("angular_frequency", parse_number, REQUIRED), ("phase", parse_number, 0.0))
 
     def jet(self, t):
         a, w = self.amplitude, self.angular_frequency
@@ -149,7 +161,7 @@ class Exponential(TimeFunction):
     rate: float
 
     kind = "exponential"
-    schema = (("prefactor", parse_number, _REQUIRED), ("rate", parse_number, _REQUIRED))
+    schema = (("prefactor", parse_number, REQUIRED), ("rate", parse_number, REQUIRED))
 
     def jet(self, t):
         r = self.rate
@@ -165,7 +177,7 @@ class Polynomial(TimeFunction):
     _derivatives: tuple = field(init=False, compare=False, repr=False)
 
     kind = "polynomial"
-    schema = (("coefficients", parse_numbers, _REQUIRED),)
+    schema = (("coefficients", parse_numbers, REQUIRED),)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -226,7 +238,7 @@ class Tabulated(TimeFunction):
     _pieces: np.ndarray = field(init=False, compare=False, repr=False)
 
     kind = "tabulated"
-    schema = (("grid", parse_numbers, _REQUIRED), ("values", parse_numbers, _REQUIRED),
+    schema = (("grid", parse_numbers, REQUIRED), ("values", parse_numbers, REQUIRED),
               ("order", parse_order, 3))
 
     def __post_init__(self):

@@ -690,7 +690,7 @@ def _tabulated_omega(grid, values, **kw):
     (["static-diag"], None, "static-diag requires --config with static parameters"),
     (["static-diag", "--config", "{missing}"], None, "cannot read config: "),
     (["static-diag", "--config", "{cfg}"], '{"m": 1', "config is not valid JSON: "),
-    (["static-diag", "--config", "{cfg}"], [1], "static params must be an object"),
+    (["static-diag", "--config", "{cfg}"], [1], "expected an object, got list"),
     (["static-diag", "--config", "{cfg}"], {"m": 1, "omega": 1, "hbar": 0},
      "hbar must be positive, got 0.0"),
     (["evolve", "--scenario", "driven", "--initial", "coherent:abc"], None,
@@ -709,9 +709,9 @@ def _tabulated_omega(grid, values, **kw):
      "sweep bounds must be numbers and count an integer"),
     (["sweep", "--scenario", "driven", "--sweep", "omega-d:0:1:0"], None,
      "sweep count must be at least 1"),
-    (["evolve", "--config", "{cfg}"], [], "config root must be an object"),
+    (["evolve", "--config", "{cfg}"], [], "expected an object, got list"),
     (["evolve", "--config", "{cfg}"], '{"m": 1', "config is not valid JSON: "),
-    (["static-diag", "--config", "{cfg}"], {"m": 1}, "static params require 'm' and 'omega'"),
+    (["static-diag", "--config", "{cfg}"], {"m": 1}, "missing field 'omega'"),
     (["evolve", "--config", "{cfg}"],
      {"m": {"kind": "polynomial", "coefficients": []}, "omega": 1, "horizon": 1},
      "m: polynomial needs at least one coefficient"),
@@ -725,6 +725,12 @@ def _tabulated_omega(grid, values, **kw):
      {"m": 1, "omega": 1, "horizon": 1, "alpha_x": {
          "kind": "cosine", "amplitude": 0.1, "angular_frequency": 1, "phaze": 0.3}},
      "alpha_x: unknown field 'phaze' for kind 'cosine'"),
+    (["validate", "--config", "{cfg}"], {"m": {"kind": ["cosine"]}, "omega": 1, "horizon": 1},
+     "m: unknown kind ['cosine']"),
+    (["validate", "--config", "{cfg}"], {"m": {"kind": {"a": 1}}, "omega": 1, "horizon": 1},
+     "m: unknown kind {'a': 1}"),
+    (["validate", "--config", "{cfg}"], b'\xff\xfe{"m', "config is not valid JSON: "),
+    (["static-diag", "--config", "{cfg}"], b'\xff\xfe{"m', "config is not valid JSON: "),
     (["evolve", "--scenario", "driven", "--m", "-1"], None, "m, omega, hbar must be positive"),
     (["evolve", "--scenario", "ck", "--m", "0"], None, "m, omega, hbar must be positive"),
 ], ids=["static-diag-no-config", "static-diag-unreadable", "static-diag-bad-json",
@@ -733,14 +739,17 @@ def _tabulated_omega(grid, values, **kw):
         "rwa-moments", "sweep-bound-not-a-number", "sweep-count-0", "empty-list-root",
         "evolve-bad-json", "static-diag-no-omega", "empty-polynomial",
         "tabulated-length-mismatch", "tabulated-order-2", "tabulated-misspelled-order",
-        "cosine-misspelled-phase", "driven-negative-m", "ck-zero-m"])
+        "cosine-misspelled-phase", "list-kind", "object-kind", "validate-not-utf",
+        "static-diag-not-utf", "driven-negative-m", "ck-zero-m"])
 def test_documented_config_error_exits_2(tmp_path, capsys, argv, config, message):
     # a message that ends in ": " goes on with the path's or the parser's detail
     cfg = tmp_path / "config.json"
-    if config is not None:
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    elif config is not None:
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = [a.format(cfg=cfg, missing=tmp_path / "missing.json") for a in argv]
-    if argv[0] != "static-diag":
+    if argv[0] not in ("static-diag", "validate"):
         argv += ["--samples", "5", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -748,6 +757,43 @@ def test_documented_config_error_exits_2(tmp_path, capsys, argv, config, message
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert message.endswith(": ") or err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_config_in_utf_16_or_32_or_with_a_bom_validates(tmp_path, capsys, encoding):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(json.dumps({"m": 1, "omega": 1, "horizon": 1}).encode(encoding))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
+# a finite input whose square passes the largest float; numpy's own overflow
+# warning (validate squares omega on its grid) is not what these pin
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["static-diag", "--config", "{cfg}"],
+    ["evolve", "--scenario", "ck", "--omega", "1e200", "--samples", "5"],
+    ["evolve", "--scenario", "driven", "--omega", "1e200", "--samples", "5"],
+], ids=["static-diag", "ck", "driven"])
+def test_finite_input_that_overflows_exits_3(tmp_path, capsys, argv):
+    cfg = tmp_path / "static.json"
+    cfg.write_text(json.dumps({"m": 1, "omega": 1e200}))
+    argv = [a.format(cfg=cfg) for a in argv]
+    if argv[0] == "evolve":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("validity error: overflow") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_records_an_overflowing_point_and_goes_on(tmp_path):
+    assert main(["sweep", "--scenario", "driven", "--sweep", "omega:1:1e200:2",
+                 "--samples", "5", "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["ok", "error: OverflowError"]
 
 
 def test_config_with_negative_mass_at_zero_exits_3(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_json_roundtrip():
         "omega": {"kind": "cosine", "amplitude": 0.2,
                   "angular_frequency": 0.5, "phase": 0.1},
         "alpha_x": 0.3, "horizon": 5.0, "hbar": 2.0})
-    q = QuadraticParams.from_json(json.dumps(p.to_dict()))
+    q = QuadraticParams.from_dict(json.loads(json.dumps(p.to_dict())))
     for t in (0.0, 2.5, 5.0):
         assert q.m.value(t) == pytest.approx(p.m.value(t), rel=1e-15)
         assert q.omega.value(t) == pytest.approx(p.omega.value(t), rel=1e-15)
@@ -83,7 +83,7 @@ def test_horizon_and_hbar_must_be_finite(key, value):
 def test_json_non_finite_number_is_config_error(text, key):
     # Python's json reads NaN and Infinity
     with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
-        QuadraticParams.from_json(text)
+        QuadraticParams.from_dict(json.loads(text))
 
 
 # -- kappa and the effective oscillator --------------------------------------
@@ -476,7 +476,7 @@ def quadratic_params(draw):
 @given(quadratic_params())
 def test_quadratic_params_from_dict_inverts_to_dict(params):
     assert QuadraticParams.from_dict(params.to_dict()) == params
-    assert QuadraticParams.from_json(json.dumps(params.to_dict())) == params
+    assert QuadraticParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
 
 
 def test_moment_series_broadcasts_constants_keeping_signed_zero():

@@ -239,6 +239,12 @@ def test_from_dict_missing_field_names_key():
         TimeFunction.from_dict({"kind": "cosine", "amplitude": 1.0}, "m")
 
 
+def test_from_dict_names_a_missing_field_before_an_earlier_bad_value():
+    with pytest.raises(ConfigError,
+                       match="^m: missing field 'angular_frequency' for kind 'cosine'$"):
+        TimeFunction.from_dict({"kind": "cosine", "amplitude": "x"}, "m")
+
+
 # test_cli's documented config errors pin the tabulated "ordr" and cosine "phaze"
 @pytest.mark.parametrize("obj, field", [
     ({"kind": "constant", "value": 1.0, "rate": 0.0}, "rate"),
