@@ -133,17 +133,39 @@ def _parse_initial(text, params):
                       "use ground, coherent:<amplitude>, or moments:<5 numbers>")
 
 
+# the model knobs, by argparse name, that each model source reads, with the preset
+# defaults (None: a resonant drive, gamma = -omega/4, the preset's or config's horizon)
+MODEL_KNOBS = {
+    "driven": {"m": 1.0, "omega": 1.0, "omega_d": None, "strength": 0.1, "hbar": 1.0,
+               "horizon": None},
+    "ck": {"m": 1.0, "omega": 1.0, "gamma": None, "hbar": 1.0, "horizon": None},
+    "--config": {"horizon": None},
+}
+
+
+def _model_knobs(args):
+    """args with the defaults of the knobs its model source reads; a ConfigError
+    unless it names one source, or for a knob given that the source does not read."""
+    if (args.config is None) == (args.scenario is None):
+        raise ConfigError("exactly one of --config and --scenario is required")
+    source = "--config" if args.config is not None else args.scenario
+    reads = MODEL_KNOBS[source]
+    for knob in MODEL_KNOBS["driven"] | MODEL_KNOBS["ck"]:
+        if knob not in reads and getattr(args, knob) is not None:
+            where = source if source == "--config" else f"--scenario {source}"
+            raise ConfigError(f"--{knob.replace('_', '-')} is not read by {where}")
+    return argparse.Namespace(**{**vars(args), **{
+        knob: default for knob, default in reads.items() if getattr(args, knob) is None}})
+
+
 def _build_scenario(args):
     if args.scenario == "driven":
         omega_d = args.omega * 1.0 if args.omega_d is None else args.omega_d
         return DrivenSpec(m=args.m, omega=args.omega, drive_strength=args.strength,
-                          drive_frequency=omega_d, hbar=args.hbar,
-                          horizon=args.horizon)
-    if args.scenario == "ck":
-        gamma = -args.omega / 4.0 if args.gamma is None else args.gamma
-        return CKSpec(m=args.m, omega=args.omega, gamma=gamma, hbar=args.hbar,
-                      horizon=args.horizon)
-    raise ConfigError(f"unknown scenario {args.scenario!r}; use driven or ck")
+                          drive_frequency=omega_d, hbar=args.hbar, horizon=args.horizon)
+    gamma = -args.omega / 4.0 if args.gamma is None else args.gamma
+    return CKSpec(m=args.m, omega=args.omega, gamma=gamma, hbar=args.hbar,
+                  horizon=args.horizon)
 
 
 def _read_config(path):
@@ -153,14 +175,13 @@ def _read_config(path):
         return json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # not JSON, not Unicode, or too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
 def _model(args):
     """(params, scenario) from --config or a --scenario preset."""
-    if (args.config is None) == (args.scenario is None):
-        raise ConfigError("exactly one of --config and --scenario is required")
+    args = _model_knobs(args)
     scenario = None
     if args.config is not None:
         params = QuadraticParams.from_dict(_read_config(args.config))
@@ -393,11 +414,11 @@ def cmd_sweep(args):
         raise ConfigError("--sweep must look like param:lo:hi:count")
     name, lo, hi, count = parts[0], parts[1], parts[2], parts[3]
     # only the knobs the preset reads; any other would give a flat sweep
-    allowed = {"driven": {"omega-d", "strength"}, "ck": {"gamma"}}[args.scenario] \
-        | {"horizon", "m", "omega"}
+    allowed = {knob.replace("_", "-") for knob in MODEL_KNOBS[args.scenario]}
     if name not in allowed:
         raise ConfigError(f"sweep parameter of the {args.scenario} scenario must be "
                           f"one of {sorted(allowed)}")
+    _model_knobs(args)  # so is a knob given beside the sweep
     try:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
@@ -424,15 +445,15 @@ def build_parser():
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--config", default=None, help="model parameters JSON")
     model.add_argument("--scenario", default=None, choices=("driven", "ck"))
-    model.add_argument("--m", type=float, default=1.0)
-    model.add_argument("--omega", type=float, default=1.0)
+    model.add_argument("--m", type=float, default=None)
+    model.add_argument("--omega", type=float, default=None)
     model.add_argument("--omega-d", type=float, default=None,
                        help="drive frequency (driven preset; default resonant)")
-    model.add_argument("--strength", type=float, default=0.1,
+    model.add_argument("--strength", type=float, default=None,
                        help="drive strength (driven preset)")
     model.add_argument("--gamma", type=float, default=None,
                        help="mass-scaling rate (ck preset; default -omega/4)")
-    model.add_argument("--hbar", type=float, default=1.0)
+    model.add_argument("--hbar", type=float, default=None)
     model.add_argument("--horizon", type=float, default=None)
     run = argparse.ArgumentParser(add_help=False, parents=[model])
     run.add_argument("--samples", type=int, default=pipeline.PIPELINE_SAMPLES)

@@ -203,8 +203,7 @@ def propagate_moments(initial, coeffs):
 
 # -- effective oscillator --------------------------------------------------
 
-_SHIFTED_FREQUENCY = "omega + kappa > 0"
-_EFFECTIVE_FREQUENCY = "omega^2 - kappa^2 > 0"
+_CONSTRAINTS = ("m > 0", "omega > 0", "omega + kappa > 0", "omega^2 - kappa^2 > 0")
 
 
 def _violation(constraint, t, value):
@@ -212,16 +211,29 @@ def _violation(constraint, t, value):
                          t=t, constraint=constraint)
 
 
-def _require_positive(value, t, constraint):
-    """Raise ValidityError at the least t, in any order, where ``value`` <= 0."""
-    bad = np.flatnonzero(value <= 0.0)
-    if bad.size:
-        i = bad[np.argmin(np.ravel(t)[bad])]
-        raise _violation(constraint, float(np.ravel(t)[i]), float(np.ravel(value)[i]))
-
-
-def _kappa(m_log_dot, w_log_dot, axp):
-    return 0.5 * (m_log_dot + w_log_dot) + 2.0 * axp
+def _admissibility(t, m, md, w, wd, axp):
+    """(m'/m, w'/w, kappa, w + kappa, w^2 - kappa^2, failures) at the time(s)
+    t from the jets of m, omega and a_xp there. failures holds, for each rule
+    in _CONSTRAINTS's order, (constraint, least t in any order, value) where
+    the value is not > 0, NaN included; the two kappa rules are read only
+    where m > 0 and w > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mlog, wlog = md / m, wd / w
+        kap = 0.5 * (mlog + wlog) + 2.0 * axp
+        shifted = w + kap
+        w5sq = w * w - kap * kap
+    positive = (m > 0.0) & (w > 0.0)
+    if np.all(positive & (shifted > 0.0) & (w5sq > 0.0)):
+        return mlog, wlog, kap, shifted, w5sq, ()
+    times, positive = np.ravel(t), np.ravel(positive)
+    failures = []
+    for constraint, value, where in zip(_CONSTRAINTS, map(np.ravel, (m, w, shifted, w5sq)),
+                                        (True, True, positive, positive)):
+        bad = np.flatnonzero(where & ~(value > 0.0))
+        if bad.size:
+            i = bad[np.argmin(times[bad])]
+            failures.append((constraint, float(times[i]), float(value[i])))
+    return mlog, wlog, kap, shifted, w5sq, tuple(failures)
 
 
 EffectiveQuantities = namedtuple("EffectiveQuantities", (
@@ -239,8 +251,9 @@ the squared frequency omega5_sq = w^2 - kappa^2."""
 class EffectiveOscillator:
     """The effective oscillator of one parameter set, with
     eta0 = m(0) w(0). ``at(t)``, scalar or array t, takes one jet of each
-    coefficient and returns its EffectiveQuantities, or raises ValidityError
-    at the least t where w + kappa or w^2 - kappa^2 is not positive."""
+    coefficient and returns its EffectiveQuantities, or raises what
+    ValidityReport.raise_if_invalid raises for the failures validate's rule
+    finds at those times: the earliest, the first in rule order on a tie."""
 
     def __init__(self, params):
         self.params = params
@@ -254,12 +267,9 @@ class EffectiveOscillator:
         ap, apd, apdd = p.alpha_p.jet(t)
         ax, axd, _ = p.alpha_x.jet(t)
         a0 = p.alpha_0.jet(t)[0]
-        mlog, wlog = md / m, wd / w
-        kap = _kappa(mlog, wlog, axp)
-        denom = w + kap
-        w5sq = w * w - kap * kap
-        _require_positive(denom, t, _SHIFTED_FREQUENCY)
-        _require_positive(w5sq, t, _EFFECTIVE_FREQUENCY)
+        mlog, wlog, kap, denom, w5sq, failures = _admissibility(t, m, md, w, wd, axp)
+        if failures:
+            ValidityReport(ok=False, failures=failures).raise_if_invalid()
         kap_dot = 0.5 * (mdd / m - mlog * mlog + wdd / w - wlog * wlog) + 2.0 * axpd
         return EffectiveQuantities(m, md, mdd, w, wd, wdd, axp, axpd, ap, apd, ax, a0,
                                    kap, kap_dot, self.eta0 / denom,
@@ -285,24 +295,13 @@ def validate(params):
     """Scan a uniform grid on [0, T] for the applicability conditions of the
     diagonalization chain. Deterministic for fixed inputs.
 
-    Checks m > 0, w > 0, w + kappa > 0 and w^2 - kappa^2 > 0 everywhere. For
-    structurally constant coefficients kappa = 2 a_xp, so the last check is
-    also the static condition w^2 > 4 a_xp^2.
+    Checks m > 0, w > 0, w + kappa > 0 and w^2 - kappa^2 > 0, in that
+    order, by the rule of every EffectiveOscillator.at pass: the kappa ones
+    only where m and w hold. For structurally constant coefficients
+    kappa = 2 a_xp, so the last check is also the static condition w^2 > 4 a_xp^2.
     """
     ts = np.linspace(0.0, params.horizon, DEFAULT_VALIDATION_GRID)
     m, md, _ = params.m.jet(ts)
     w, wd, _ = params.omega.jet(ts)
-    failures = []
-
-    def scan(name, arr):
-        bad = np.flatnonzero(~(arr > 0.0))
-        if bad.size:
-            failures.append((name, float(ts[bad[0]]), float(arr[bad[0]])))
-
-    scan("m > 0", m)
-    scan("omega > 0", w)
-    if not failures:
-        k = _kappa(md / m, wd / w, params.alpha_xp.jet(ts)[0])
-        scan(_SHIFTED_FREQUENCY, w + k)
-        scan(_EFFECTIVE_FREQUENCY, w * w - k * k)
-    return ValidityReport(ok=not failures, failures=tuple(failures))
+    failures = _admissibility(ts, m, md, w, wd, params.alpha_xp.jet(ts)[0])[-1]
+    return ValidityReport(ok=not failures, failures=failures)

@@ -295,8 +295,8 @@ class PipelineSolution:
     from the step's own side. It thus solves exactly the ODE perturbed by
     its defect, which bounds the propagation error too (Enright, J. Comput.
     Appl. Math. 125, 159 (2000)).
-    A ValidityError names the earliest time where w + kappa or
-    w^2 - kappa^2 is not positive, first on the grid, then at the Gauss
+    A ValidityError names the earliest failure of validate's four rules
+    (model.EffectiveOscillator), first on the grid, then at the Gauss
     nodes and the edges of the steps; a non-finite generator, propagator or
     state is an IntegrationError at the earliest time it appears.
     """
@@ -570,8 +570,8 @@ def solve_ermakov(params, grid):
     extended by 0 and T (a DomainError past them or for another shape).
 
     With no ``validate`` scan, a ValidityError names the time and the
-    constraint where w + kappa or w^2 - kappa^2 stops being positive (see
-    PipelineSolution)."""
+    constraint where m, omega, w + kappa or w^2 - kappa^2 first stops being
+    positive (see PipelineSolution)."""
     return PipelineSolution(params, grid)
 
 

@@ -312,6 +312,28 @@ def test_evolve_validity_error_names_the_time(tmp_path, capsys):
     assert "at t=1.05641" in capsys.readouterr().err
 
 
+def _parabolic_mass_config(tmp_path):
+    # m = 1 - 2 t^2 turns negative at t = 0.707, omega + kappa already at 0.366
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({
+        "m": {"kind": "polynomial", "coefficients": [1, 0, -2]}, "omega": 1, "horizon": 1}))
+    return str(cfg)
+
+
+def test_validate_prints_kappa_failures_where_m_and_omega_hold(tmp_path, capsys):
+    assert main(["validate", "--config", _parabolic_mass_config(tmp_path)]) == 3
+    assert [ln.split(" (value")[0] for ln in capsys.readouterr().out.splitlines()] == [
+        "violated: m > 0 at t=0.707204", "violated: omega + kappa > 0 at t=0.366056",
+        "violated: omega^2 - kappa^2 > 0 at t=0.366056"]
+
+
+def test_evolve_names_the_earliest_failure_of_the_four_rules(tmp_path, capsys):
+    assert main(["evolve", "--config", _parabolic_mass_config(tmp_path), "--samples", "5",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "omega + kappa > 0" in err and err.endswith(" at t=0.366056\n")
+
+
 def _exponential_mass_config(tmp_path):
     # kappa = 50 breaks omega^2 - kappa^2 > 0 from t = 0; m = e^(100 t)
     # overflows near t = 7.1, where omega + kappa turns NaN
@@ -410,6 +432,18 @@ def test_readme_compare_example_passes(tmp_path, capsys):
     argv[argv.index("--out") + 1] = str(tmp_path / "run")
     assert main(argv) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [ln.split()[1:] for ln in text.splitlines() if ln.startswith("tdqho ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses_and_gives_only_knobs_its_model_reads(argv):
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "scenario"):  # every subcommand with model flags
+        cli._model_knobs(args)
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -733,6 +767,21 @@ def _tabulated_omega(grid, values, **kw):
     (["static-diag", "--config", "{cfg}"], b'\xff\xfe{"m', "config is not valid JSON: "),
     (["evolve", "--scenario", "driven", "--m", "-1"], None, "m, omega, hbar must be positive"),
     (["evolve", "--scenario", "ck", "--m", "0"], None, "m, omega, hbar must be positive"),
+    (["validate", "--config", "{cfg}"], "[" * 100000 + "]" * 100000,
+     "config is not valid JSON: "),
+    (["static-diag", "--config", "{cfg}"], "[" * 100000 + "]" * 100000,
+     "config is not valid JSON: "),
+    (["validate", "--config", "{cfg}"],
+     '{"m": ' + "[" * 100000 + "]" * 100000 + ', "omega": 1, "horizon": 1}',
+     "config is not valid JSON: "),
+    (["evolve", "--config", "{cfg}", "--hbar", "2", "--omega", "3"],
+     {"m": 1, "omega": 1, "horizon": 1}, "--omega is not read by --config"),
+    (["evolve", "--scenario", "ck", "--strength", "5", "--omega-d", "9"], None,
+     "--omega-d is not read by --scenario ck"),
+    (["evolve", "--scenario", "driven", "--gamma", "5"], None,
+     "--gamma is not read by --scenario driven"),
+    (["sweep", "--scenario", "driven", "--gamma", "5", "--sweep", "strength:0:1:2"], None,
+     "--gamma is not read by --scenario driven"),
 ], ids=["static-diag-no-config", "static-diag-unreadable", "static-diag-bad-json",
         "static-diag-list-root", "static-diag-zero-hbar", "coherent-not-a-number",
         "moments-too-few", "moments-not-a-number", "moments-nan", "rwa-ck",
@@ -740,7 +789,9 @@ def _tabulated_omega(grid, values, **kw):
         "evolve-bad-json", "static-diag-no-omega", "empty-polynomial",
         "tabulated-length-mismatch", "tabulated-order-2", "tabulated-misspelled-order",
         "cosine-misspelled-phase", "list-kind", "object-kind", "validate-not-utf",
-        "static-diag-not-utf", "driven-negative-m", "ck-zero-m"])
+        "static-diag-not-utf", "driven-negative-m", "ck-zero-m", "validate-deep-nesting",
+        "static-diag-deep-nesting", "deep-nesting-in-m", "config-given-hbar-omega",
+        "ck-given-strength-omega-d", "driven-given-gamma", "sweep-given-gamma"])
 def test_documented_config_error_exits_2(tmp_path, capsys, argv, config, message):
     # a message that ends in ": " goes on with the path's or the parser's detail
     cfg = tmp_path / "config.json"

@@ -387,6 +387,38 @@ def test_validate_takes_three_array_jets(monkeypatch):
     assert calls == [1, 1, 1]
 
 
+_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(standard(1.0, m=-1.0), id="m-negative"),
+    pytest.param(standard(1.0, m=0.0), id="m-zero"),
+    pytest.param(standard(1.0, omega=-1.0), id="omega-negative"),
+    # omega + kappa fails from t = 0.366, before m or omega turns negative at 0.707
+    pytest.param(standard(1.0, m={"kind": "polynomial", "coefficients": [1, 0, -2]}),
+                 id="m-parabola"),
+    pytest.param(standard(1.0, omega={"kind": "polynomial", "coefficients": [1, 0, -2]}),
+                 id="omega-parabola"),
+    # kappa = 2 a_xp dips below -1 on (0.86, 3.14)
+    pytest.param(standard(4.0, alpha_xp={"kind": "cosine", "amplitude": 0.8,
+                                         "angular_frequency": math.pi / 4.0,
+                                         "phase": math.pi / 2.0}), id="alpha-xp-dip"),
+    # omega^2 - kappa^2 < 0 from t = 0; kappa is NaN once m overflows near t = 7.1
+    pytest.param(standard(m={"kind": "exponential", "prefactor": 1.0, "rate": 100.0}),
+                 id="m-exp-100", marks=_OVERFLOW),
+    # admissible until m and m' overflow together near t = 19.0, where kappa = inf/inf
+    pytest.param(standard(20.0, m={"kind": "exponential", "prefactor": 1e300, "rate": 1.0}),
+                 id="kappa-nan", marks=_OVERFLOW),
+])
+def test_validate_and_the_kernel_name_the_same_failure(params):
+    with pytest.raises(ValidityError) as scan:
+        validate(params).raise_if_invalid()
+    grid = np.linspace(0.0, params.horizon, DEFAULT_VALIDATION_GRID)
+    with pytest.raises(ValidityError) as kernel:
+        EffectiveOscillator(params).at(grid[::-1])
+    assert (kernel.value.constraint, kernel.value.t) == (scan.value.constraint, scan.value.t)
+
+
 # -- moment map ----------------------------------------------------------------
 
 

@@ -582,6 +582,13 @@ def test_shifted_frequency_failure_is_named_alike_everywhere():
     assert 0.85 < rhs_check.value.t < 3.15
 
 
+@pytest.mark.parametrize("m", [-1.0, 0.0])
+def test_non_positive_mass_is_named_at_t_0_by_the_solve(m):
+    with pytest.raises(ValidityError) as info:
+        PipelineSolution(standard_params(horizon=1.0, m=m), np.array([0.0, 1.0]))
+    assert (info.value.constraint, info.value.t) == ("m > 0", 0.0)
+
+
 def _m5_stub(monkeypatch, bad, after):
     """Replace m5 by ``bad`` in every effective-quantities record at times
     past ``after``."""
