@@ -133,39 +133,29 @@ def _parse_initial(text, params):
                       "use ground, coherent:<amplitude>, or moments:<5 numbers>")
 
 
-# the model knobs, by argparse name, that each model source reads, with the preset
-# defaults (None: a resonant drive, gamma = -omega/4, the preset's or config's horizon)
-MODEL_KNOBS = {
-    "driven": {"m": 1.0, "omega": 1.0, "omega_d": None, "strength": 0.1, "hbar": 1.0,
-               "horizon": None},
-    "ck": {"m": 1.0, "omega": 1.0, "gamma": None, "hbar": 1.0, "horizon": None},
-    "--config": {"horizon": None},
+# each preset: its spec, and the spec field that each knob, by argparse name,
+# sets; a knob not given keeps the spec's default
+PRESETS = {
+    "driven": (DrivenSpec, {"m": "m", "omega": "omega", "omega_d": "drive_frequency",
+                            "strength": "drive_strength", "hbar": "hbar", "horizon": "horizon"}),
+    "ck": (CKSpec, {"m": "m", "omega": "omega", "gamma": "gamma", "hbar": "hbar",
+                    "horizon": "horizon"}),
 }
+# the model knobs that each model source reads
+MODEL_KNOBS = {name: tuple(k) for name, (_, k) in PRESETS.items()} | {"--config": ("horizon",)}
 
 
 def _model_knobs(args):
-    """args with the defaults of the knobs its model source reads; a ConfigError
-    unless it names one source, or for a knob given that the source does not read."""
+    """The model source of args, "--config" or a preset name; a ConfigError unless
+    args names one source, or for a knob given that the source does not read."""
     if (args.config is None) == (args.scenario is None):
         raise ConfigError("exactly one of --config and --scenario is required")
     source = "--config" if args.config is not None else args.scenario
-    reads = MODEL_KNOBS[source]
-    for knob in MODEL_KNOBS["driven"] | MODEL_KNOBS["ck"]:
-        if knob not in reads and getattr(args, knob) is not None:
+    for knob in (k for knobs in MODEL_KNOBS.values() for k in knobs):
+        if knob not in MODEL_KNOBS[source] and getattr(args, knob) is not None:
             where = source if source == "--config" else f"--scenario {source}"
             raise ConfigError(f"--{knob.replace('_', '-')} is not read by {where}")
-    return argparse.Namespace(**{**vars(args), **{
-        knob: default for knob, default in reads.items() if getattr(args, knob) is None}})
-
-
-def _build_scenario(args):
-    if args.scenario == "driven":
-        omega_d = args.omega * 1.0 if args.omega_d is None else args.omega_d
-        return DrivenSpec(m=args.m, omega=args.omega, drive_strength=args.strength,
-                          drive_frequency=omega_d, hbar=args.hbar, horizon=args.horizon)
-    gamma = -args.omega / 4.0 if args.gamma is None else args.gamma
-    return CKSpec(m=args.m, omega=args.omega, gamma=gamma, hbar=args.hbar,
-                  horizon=args.horizon)
+    return source
 
 
 def _read_config(path):
@@ -181,16 +171,14 @@ def _read_config(path):
 
 def _model(args):
     """(params, scenario) from --config or a --scenario preset."""
-    args = _model_knobs(args)
-    scenario = None
-    if args.config is not None:
-        params = QuadraticParams.from_dict(_read_config(args.config))
-        if args.horizon is not None:
-            params = params.with_horizon(args.horizon)
-    else:
-        scenario = _build_scenario(args)
-        params = scenario.to_params()
-    return params, scenario
+    source = _model_knobs(args)
+    if source != "--config":
+        spec, knobs = PRESETS[source]
+        scenario = spec(**{field: getattr(args, knob) for knob, field in knobs.items()
+                           if getattr(args, knob) is not None})
+        return scenario.to_params(), scenario
+    params = QuadraticParams.from_dict(_read_config(args.config))
+    return params if args.horizon is None else params.with_horizon(args.horizon), None
 
 
 def build_run_config(args):
@@ -209,15 +197,17 @@ def _pipeline_moments(config):
 
 
 def _oracle_run(config, args):
-    params = config.params
-    ops = oracle_mod.build_operators(args.oracle_n, params.m.value(0.0),
-                                     params.omega.value(0.0), params.hbar)
+    """The oracle's run of config as a call, made after its start is checked."""
     if config.coherent_amplitude is None:
         raise ConfigError("the oracle can only prepare ground or coherent initial "
                           "states; explicit moments have no unique state vector")
+    params = config.params
+    ops = oracle_mod.build_operators(args.oracle_n, params.m.value(0.0),
+                                     params.omega.value(0.0), params.hbar)
     psi0 = oracle_mod.coherent_state(ops, config.coherent_amplitude)
     grid = np.linspace(0.0, params.horizon, config.samples)
-    return oracle_mod.propagate_state(psi0, params, grid, ops, dt=args.oracle_dt)
+    return functools.partial(oracle_mod.propagate_state, psi0, params, grid, ops,
+                             dt=args.oracle_dt)
 
 
 def _oracle_summary(run):
@@ -326,7 +316,7 @@ def cmd_evolve(args):
 def cmd_oracle(args):
     _check_samples(args)
     config = build_run_config(args)
-    run = _oracle_run(config, args)
+    run = _oracle_run(config, args)()
     out = config.out_dir / "oracle.csv"
     write_csv(out, MOMENT_COLUMNS + ("norm", "top_population"), _oracle_rows(run))
     print(f"wrote {out} ({len(run.moments.t)} rows); {_oracle_summary(run)}")
@@ -352,8 +342,9 @@ def cmd_compare(args):
         reliable = True
         label = "rwa"
     else:
+        oracle_run = _oracle_run(config, args)
         sol, mt = _pipeline_moments(config)
-        run = _oracle_run(config, args)
+        run = oracle_run()
         times = sol.grid
         ref, other = mt, run.moments
         reliable = run.reliable
@@ -414,7 +405,7 @@ def cmd_sweep(args):
         raise ConfigError("--sweep must look like param:lo:hi:count")
     name, lo, hi, count = parts[0], parts[1], parts[2], parts[3]
     # only the knobs the preset reads; any other would give a flat sweep
-    allowed = {knob.replace("_", "-") for knob in MODEL_KNOBS[args.scenario]}
+    allowed = {knob.replace("_", "-") for knob in PRESETS[args.scenario][1]}
     if name not in allowed:
         raise ConfigError(f"sweep parameter of the {args.scenario} scenario must be "
                           f"one of {sorted(allowed)}")
@@ -444,15 +435,15 @@ def cmd_sweep(args):
 def build_parser():
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--config", default=None, help="model parameters JSON")
-    model.add_argument("--scenario", default=None, choices=("driven", "ck"))
+    model.add_argument("--scenario", default=None, choices=PRESETS)
     model.add_argument("--m", type=float, default=None)
     model.add_argument("--omega", type=float, default=None)
     model.add_argument("--omega-d", type=float, default=None,
-                       help="drive frequency (driven preset; default resonant)")
+                       help="drive frequency (driven preset; default in DrivenSpec)")
     model.add_argument("--strength", type=float, default=None,
                        help="drive strength (driven preset)")
     model.add_argument("--gamma", type=float, default=None,
-                       help="mass-scaling rate (ck preset; default -omega/4)")
+                       help="mass-scaling rate (ck preset; default in CKSpec)")
     model.add_argument("--hbar", type=float, default=None)
     model.add_argument("--horizon", type=float, default=None)
     run = argparse.ArgumentParser(add_help=False, parents=[model])

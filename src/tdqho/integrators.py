@@ -2,8 +2,8 @@
 
 The pipeline solves its auxiliary systems with Magnus steps and no longer
 uses a Runge-Kutta driver. These names stay only so that the tracer's
-patches resolve, until the tracer reads a run record instead (ROADMAP item
-5). Neither does anything.
+patches resolve, until the tracer reads a run record. Neither does
+anything.
 """
 
 

@@ -204,32 +204,30 @@ def propagate_moments(initial, coeffs):
 # -- effective oscillator --------------------------------------------------
 
 _CONSTRAINTS = ("m > 0", "omega > 0", "omega + kappa > 0", "omega^2 - kappa^2 > 0")
-
-
-def _violation(constraint, t, value):
-    return ValidityError(f"constraint violated: {constraint} (value {value:.6e})",
-                         t=t, constraint=constraint)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _admissibility(t, m, md, w, wd, axp):
     """(m'/m, w'/w, kappa, w + kappa, w^2 - kappa^2, failures) at the time(s)
     t from the jets of m, omega and a_xp there. failures holds, for each rule
     in _CONSTRAINTS's order, (constraint, least t in any order, value) where
-    the value is not > 0, NaN included; the two kappa rules are read only
-    where m > 0 and w > 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    the value is not > 0, NaN included; the two kappa rules are read only where
+    m > 0 and w > 0, and also fail at +inf (w^2 or kappa overflowed)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mlog, wlog = md / m, wd / w
         kap = 0.5 * (mlog + wlog) + 2.0 * axp
         shifted = w + kap
         w5sq = w * w - kap * kap
     positive = (m > 0.0) & (w > 0.0)
-    if np.all(positive & (shifted > 0.0) & (w5sq > 0.0)):
+    # where w + kappa is +inf, w^2 - kappa^2 is +-inf or NaN: one bound serves both
+    if np.all(positive & (shifted > 0.0) & (w5sq > 0.0) & (w5sq <= _FLOAT_MAX)):
         return mlog, wlog, kap, shifted, w5sq, ()
     times, positive = np.ravel(t), np.ravel(positive)
     failures = []
-    for constraint, value, where in zip(_CONSTRAINTS, map(np.ravel, (m, w, shifted, w5sq)),
-                                        (True, True, positive, positive)):
-        bad = np.flatnonzero(where & ~(value > 0.0))
+    for constraint, value, where, top in zip(_CONSTRAINTS, map(np.ravel, (m, w, shifted, w5sq)),
+                                             (True, True, positive, positive),
+                                             (np.inf, np.inf, _FLOAT_MAX, _FLOAT_MAX)):
+        bad = np.flatnonzero(where & ~((value > 0.0) & (value <= top)))
         if bad.size:
             i = bad[np.argmin(times[bad])]
             failures.append((constraint, float(times[i]), float(value[i])))
@@ -287,7 +285,9 @@ class ValidityReport:
     def raise_if_invalid(self):
         """Raise the failure at the earliest time (the first listed on a tie)."""
         if not self.ok:
-            raise _violation(*min(self.failures, key=lambda f: f[1]))
+            constraint, t, value = min(self.failures, key=lambda f: f[1])
+            raise ValidityError(f"constraint violated: {constraint} (value {value:.6e})",
+                                t=t, constraint=constraint)
         return self
 
 
@@ -297,8 +297,8 @@ def validate(params):
 
     Checks m > 0, w > 0, w + kappa > 0 and w^2 - kappa^2 > 0, in that
     order, by the rule of every EffectiveOscillator.at pass: the kappa ones
-    only where m and w hold. For structurally constant coefficients
-    kappa = 2 a_xp, so the last check is also the static condition w^2 > 4 a_xp^2.
+    only where m and w hold, and failing at +inf. For structurally constant
+    coefficients kappa = 2 a_xp, so the last check is also w^2 > 4 a_xp^2.
     """
     ts = np.linspace(0.0, params.horizon, DEFAULT_VALIDATION_GRID)
     m, md, _ = params.m.jet(ts)

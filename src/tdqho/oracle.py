@@ -255,6 +255,7 @@ def _schedule(ts, dt):
 def propagate_state(psi0, params, grid, ops, dt=None):
     """March psi with midpoint-Magnus steps and sample moments on grid.
 
+    ops must be built with params' hbar (else a DomainError naming both).
     The grid must be a non-empty 1-d array (else a DomainError naming its
     shape) that does not decrease and lies in [0, horizon] (repeats are
     allowed); a time outside that range, NaN included, or a decrease is a
@@ -270,6 +271,8 @@ def propagate_state(psi0, params, grid, ops, dt=None):
     """
     if ops.n > MAX_N:
         raise DomainError(f"basis size {ops.n} exceeds the supported {MAX_N}")
+    if ops.hbar != params.hbar:
+        raise DomainError(f"operators' hbar {ops.hbar} is not the parameters' {params.hbar}")
     if dt is None:
         dt = DEFAULT_DT_PERIODS * 2.0 * math.pi / ops.omega_ref
     if not (0.0 < dt < math.inf):

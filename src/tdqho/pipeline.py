@@ -535,7 +535,7 @@ def coefficients(params, sol, _, t):
 
     ``params`` and the third argument are not read. They keep t at index 3,
     where perfbench/tracing.py reads its point count, until the tracer reads
-    a run record instead (ROADMAP item 5)."""
+    a run record."""
     states, kernel = sol._states(t)
     return sol._assemble(kernel, states, t)
 
@@ -576,7 +576,7 @@ def solve_ermakov(params, grid):
 
 
 # one grid solve under two names, kept only because perfbench/tracing.py
-# patches both until it reads a run record (ROADMAP item 5)
+# patches both until the tracer reads a run record
 solve_beta = solve_ermakov
 
 

@@ -9,7 +9,7 @@ as CLI presets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,12 +21,15 @@ from .timefunc import Constant, Cosine, Exponential
 RESONANCE_REL_TOL = 1e-12
 
 
-def _require_finite(spec, names):
-    """DomainError naming the first of ``names`` that is NaN or infinite."""
-    for name in names:
-        value = getattr(spec, name)
+def _require_finite_positive(spec):
+    """DomainError naming the first field that is NaN or infinite (None, a
+    default still to derive, passes), or unless m, omega, hbar are positive."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
         if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+            raise DomainError(f"{field.name} must be finite, got {value}")
+    if not (spec.m > 0.0 and spec.omega > 0.0 and spec.hbar > 0.0):
+        raise DomainError("m, omega, hbar must be positive")
 
 
 # -- driven oscillator -------------------------------------------------------
@@ -34,21 +37,20 @@ def _require_finite(spec, names):
 
 @dataclass(frozen=True)
 class DrivenSpec:
-    """Constant (m, omega) oscillator with position drive
-    drive_strength * cos(drive_frequency * t)."""
+    """Constant (m, omega) oscillator under drive_strength * cos(drive_frequency t),
+    resonant unless drive_frequency is given; the defaults are the CLI's driven preset."""
 
-    m: float
-    omega: float
-    drive_strength: float
-    drive_frequency: float
+    m: float = 1.0
+    omega: float = 1.0
+    drive_strength: float = 0.1
+    drive_frequency: float = None
     hbar: float = 1.0
     horizon: float = None
 
     def __post_init__(self):
-        _require_finite(self, ("m", "omega", "drive_strength", "drive_frequency",
-                               "hbar", "horizon"))
-        if not (self.m > 0.0 and self.omega > 0.0 and self.hbar > 0.0):
-            raise DomainError("m, omega, hbar must be positive")
+        _require_finite_positive(self)
+        if self.drive_frequency is None:
+            object.__setattr__(self, "drive_frequency", self.omega)
         if not (self.drive_frequency >= 0.0):
             raise DomainError("drive_frequency must be non-negative")
         if self.horizon is None:
@@ -129,18 +131,19 @@ def driven_moments_rwa(spec, alpha0, t):
 
 @dataclass(frozen=True)
 class CKSpec:
-    """Oscillator with mass m * exp(gamma t) at constant frequency omega."""
+    """Oscillator with mass m * exp(gamma t) at constant frequency omega; the
+    defaults are the CLI's ck preset, gamma = -omega/4 unless it is given."""
 
-    m: float
-    omega: float
-    gamma: float
+    m: float = 1.0
+    omega: float = 1.0
+    gamma: float = None
     hbar: float = 1.0
     horizon: float = None
 
     def __post_init__(self):
-        _require_finite(self, ("m", "omega", "gamma", "hbar", "horizon"))
-        if not (self.m > 0.0 and self.omega > 0.0 and self.hbar > 0.0):
-            raise DomainError("m, omega, hbar must be positive")
+        _require_finite_positive(self)
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", -self.omega / 4.0)
         if not (abs(self.gamma) < 2.0 * self.omega):
             raise ValidityError(
                 f"|gamma| = {abs(self.gamma)} must stay below 2 omega = {2 * self.omega}",

@@ -446,6 +446,31 @@ def test_readme_command_parses_and_gives_only_knobs_its_model_reads(argv):
         cli._model_knobs(args)
 
 
+@pytest.mark.parametrize("scenario, spec", [
+    ("driven", tdqho.DrivenSpec(m=1.0, omega=1.0, drive_strength=0.1, drive_frequency=1.0)),
+    ("ck", tdqho.CKSpec(m=1.0, omega=1.0, gamma=-0.25))])
+def test_spec_defaults_are_the_presets_without_knobs(scenario, spec):
+    params, preset = cli._model(build_parser().parse_args(["validate", "--scenario", scenario]))
+    default = type(spec)()
+    assert preset == default == spec
+    assert params == default.to_params()
+
+
+def test_readme_lists_the_knobs_each_model_source_reads():
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    reads = re.search(r"`driven` reads (.*?); `ck` reads (.*?); `--config` reads (.*?) alone",
+                      text)
+    swept = re.search(r"sweeps a knob that preset reads: (.*?) for `driven`, and (.*?) "
+                      r"for `ck`\.", text)
+    assert reads and swept
+    for source, listed, in_sweep in (("driven", reads[1], swept[1]),
+                                     ("ck", reads[2], swept[2]), ("--config", reads[3], None)):
+        knobs = {knob.replace("_", "-") for knob in cli.MODEL_KNOBS[source]}
+        assert set(re.findall(r"`--([\w-]+)`", listed)) == knobs
+        if in_sweep is not None:
+            assert set(re.findall(r"`([\w-]+)`", in_sweep)) == knobs
+
+
 def test_validate_ok(tmp_path, capsys):
     assert main(["validate", "--scenario", "driven"]) == 0
     assert "ok" in capsys.readouterr().out
@@ -654,6 +679,21 @@ def test_oracle_rejects_moment_initial(tmp_path):
     assert rc == 2
 
 
+def test_compare_rejects_a_moments_start_before_any_solve(tmp_path, capsys):
+    # the pipeline fails omega + kappa > 0 at t=0.366 on this config, so only a
+    # check made before its solve gives oracle's configuration error
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"m": {"kind": "polynomial", "coefficients": [1, 0, -2]},
+                               "omega": 1, "horizon": 1}))
+    for command in ("oracle", "compare"):
+        assert main([command, "--config", str(cfg), "--initial", "moments:0,0,0.5,0.5,0",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the oracle can only prepare ground or coherent initial "
+            "states; explicit moments have no unique state vector\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep(tmp_path, capsys):
     rc = main(["sweep", "--scenario", "driven", "--sweep",
                "omega-d:0.5:1.5:5", "--samples", "80", "--out", str(tmp_path)])
@@ -818,33 +858,46 @@ def test_config_in_utf_16_or_32_or_with_a_bom_validates(tmp_path, capsys, encodi
     assert capsys.readouterr().out.startswith("ok: ")
 
 
-# a finite input whose square passes the largest float; numpy's own overflow
-# warning (validate squares omega on its grid) is not what these pin
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("argv", [
-    ["static-diag", "--config", "{cfg}"],
-    ["evolve", "--scenario", "ck", "--omega", "1e200", "--samples", "5"],
-    ["evolve", "--scenario", "driven", "--omega", "1e200", "--samples", "5"],
-], ids=["static-diag", "ck", "driven"])
-def test_finite_input_that_overflows_exits_3(tmp_path, capsys, argv):
-    cfg = tmp_path / "static.json"
-    cfg.write_text(json.dumps({"m": 1, "omega": 1e200}))
+# a finite input whose square passes the largest float: Python-float arithmetic
+# raises OverflowError, and on validate's grid w^2 - kappa^2 reads +inf
+_BIG_OMEGA = "validity error: constraint violated: omega^2 - kappa^2 > 0 (value inf) at t=0\n"
+
+
+@pytest.mark.parametrize("argv, config, out, err", [
+    (["static-diag", "--config", "{cfg}"], {"m": 1, "omega": 1e200}, "",
+     "validity error: overflow: "),
+    (["evolve", "--scenario", "ck", "--omega", "1e200", "--samples", "5"], None, "",
+     "validity error: overflow: "),
+    (["evolve", "--scenario", "driven", "--omega", "1e200", "--samples", "5"], None, "",
+     _BIG_OMEGA),
+    (["evolve", "--config", "{cfg}", "--samples", "5"],
+     {"m": 1, "omega": 1e200, "horizon": 1}, "", _BIG_OMEGA),
+    (["validate", "--config", "{cfg}"], {"m": 1, "omega": 1e200, "horizon": 1},
+     "violated: omega^2 - kappa^2 > 0 at t=0 (value inf)\n", ""),
+], ids=["static-diag", "ck", "driven", "evolve-config", "validate-config"])
+def test_finite_input_that_overflows_exits_3(tmp_path, capsys, argv, config, out, err):
+    # an expected err that ends in ": " goes on with Python's own detail
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
     argv = [a.format(cfg=cfg) for a in argv]
     if argv[0] == "evolve":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 3
-    out, err = capsys.readouterr()
-    assert err.startswith("validity error: overflow") and err.count("\n") == 1
+    got_out, got_err = capsys.readouterr()
+    assert got_out == out
+    if err.endswith(": "):
+        assert got_err.startswith(err) and got_err.count("\n") == 1
+    else:
+        assert got_err == err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_records_an_overflowing_point_and_goes_on(tmp_path):
     assert main(["sweep", "--scenario", "driven", "--sweep", "omega:1:1e200:2",
                  "--samples", "5", "--out", str(tmp_path)]) == 0
     rows = [ln.split(",") for ln in
             (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
-    assert [r[1] for r in rows] == ["ok", "error: OverflowError"]
+    assert [r[1] for r in rows] == ["ok", "error: ValidityError: omega^2 - kappa^2 > 0 at t=0"]
 
 
 def test_config_with_negative_mass_at_zero_exits_3(tmp_path, capsys):

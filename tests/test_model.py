@@ -359,6 +359,13 @@ def test_validate_reports_static_strong_coupling_once():
     assert value == pytest.approx(1.0 - 4.0 * 0.51 ** 2, rel=1e-12)
 
 
+def test_kappa_rules_fail_at_plus_infinity():
+    assert validate(standard(1.0, omega=1e200)).failures == (
+        ("omega^2 - kappa^2 > 0", 0.0, math.inf),)
+    assert validate(standard(1.0, alpha_xp=1e308)).failures == (
+        ("omega + kappa > 0", 0.0, math.inf), ("omega^2 - kappa^2 > 0", 0.0, -math.inf))
+
+
 def test_raise_if_invalid_raises_the_earliest_failure():
     # kappa = 50 gives omega^2 - kappa^2 < 0 from t = 0; m = e^(100 t)
     # overflows near t = 7.1, where omega + kappa turns NaN
@@ -409,6 +416,10 @@ _OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarni
     # admissible until m and m' overflow together near t = 19.0, where kappa = inf/inf
     pytest.param(standard(20.0, m={"kind": "exponential", "prefactor": 1e300, "rate": 1.0}),
                  id="kappa-nan", marks=_OVERFLOW),
+    # omega^2 - kappa^2 reads +inf from t = 0, as omega^2 overflows
+    pytest.param(standard(1.0, omega=1e200), id="omega-squared-inf"),
+    # kappa = 2 a_xp overflows, so omega + kappa reads +inf from t = 0
+    pytest.param(standard(1.0, alpha_xp=1e308), id="kappa-inf"),
 ])
 def test_validate_and_the_kernel_name_the_same_failure(params):
     with pytest.raises(ValidityError) as scan:

@@ -102,6 +102,13 @@ def test_non_finite_initial_state_is_domain_error(ops):
         propagate_state(np.full(ops.n, np.nan), params, np.array([0.0, 1.0]), ops)
 
 
+def test_operators_built_with_another_hbar_are_domain_error(ops):
+    # the steps would use the params' hbar and the x, p matrices the operators'
+    params = QuadraticParams.from_dict({"m": 1.0, "omega": 1.0, "hbar": 2.0, "horizon": 1.0})
+    with pytest.raises(DomainError, match=r"^operators' hbar 1\.0 is not the parameters' 2\.0$"):
+        propagate_state(ground_state(ops), params, np.array([0.0, 1.0]), ops)
+
+
 def test_number_state_variance(ops):
     # |1> has var_x = 3 hbar / (2 m w)
     psi = np.zeros(ops.n, dtype=complex)

@@ -185,6 +185,12 @@ def test_specs_reject_non_finite_numbers(spec, field, value):
         spec(**fields)
 
 
+def test_spec_defaults_derive_from_the_given_omega():
+    assert DrivenSpec(omega=2).drive_frequency == 2.0
+    assert DrivenSpec(omega=2).is_resonant
+    assert CKSpec(omega=2).gamma == -0.5
+
+
 def test_driven_spec_rejects_a_negative_drive_frequency():
     with pytest.raises(DomainError, match="^drive_frequency must be non-negative$"):
         DrivenSpec(m=1.0, omega=1.0, drive_strength=0.1, drive_frequency=-1.0)
