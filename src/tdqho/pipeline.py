@@ -6,10 +6,8 @@ partner (u, m5 u') of the effective oscillator; read the Ermakov scale
 (rho, rho_dot) and the phase Phi off two solutions of the partner by Pinney
 superposition; take the one quadrature, the global-phase integral
 Lambda = int (a_0 + ell) with the energy bias ell(t) from the
-displacement, as one series per step, the integral of the
-degree-4 interpolant through five Gauss nodes of the step (the continuous
-extension of the 5-node Gauss rule; Hairer, Norsett & Wanner, Solving
-Ordinary Differential Equations I, sec. II.6); assemble the linear map
+displacement, by one rule at every time, the 5-node Gauss-Legendre rule
+between points where the integrand is smooth; assemble the linear map
 (A, B, D, E) relating centered means at time t to those at 0; then push
 first and second moments through that map with ``model.propagate_moments``.
 
@@ -20,8 +18,9 @@ parameters, not on the sample grid; a sample, on the grid or off it, is read
 off the dense output of its step, one quintic Hermite series per step in the
 six linear states, built once per solve from their values, slopes and
 curvatures at the step edges, with steps split where its defect or the
-Ermakov turn asks; Lambda has a series of its own per step, built for all
-steps on first read.
+Ermakov turn asks. Lambda is summed at the breaks (step edges and table
+knots) on first read; a query adds the Gauss integral from the last break up
+to it, one kernel pass at five nodes per time.
 The map is built as a product of five 2x2 conjugation matrices (scaling,
 basis rotation, shear-scale, phase rotation, inverse basis rotation), which
 keeps AE - BD = 1 to machine precision by construction. Like the rest of
@@ -39,7 +38,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, IntegrationError, ValidityError
 # not used here; perfbench/tracing.py patches this name
@@ -68,12 +66,9 @@ _FIRST_ROTATION = 1.0 / 32.0
 _MAX_ROTATION = 0.5
 _MAX_REFINEMENTS = 6
 _MAX_STEPS = 1 << 20
-# values at five Gauss nodes of [0, 1] -> s, ..., s^5 coefficients of the integrated quartic
-_PHASE_NODES = 0.5 + np.array([-1.0, -1.0, 0.0, 1.0, 1.0]) * np.sqrt(
-    5.0 + np.array([2.0, -2.0, 0.0, -2.0, 2.0]) * math.sqrt(10.0 / 7.0)) / 6.0
-_PHASE_SERIES = np.array([P.polyint(P.polyfromroots(np.delete(_PHASE_NODES, i)))[1:]
-                          / np.prod(x - np.delete(_PHASE_NODES, i))
-                          for i, x in enumerate(_PHASE_NODES)]).T
+# Nodes and weights of the five-node Gauss-Legendre rule on [0, 1]: Lambda's quadrature.
+_PHASE_NODES, _PHASE_WEIGHTS = np.polynomial.legendre.leggauss(5)
+_PHASE_NODES, _PHASE_WEIGHTS = 0.5 + 0.5 * _PHASE_NODES, 0.5 * _PHASE_WEIGHTS
 
 
 def _beta_p(k, bx, bxd):
@@ -95,6 +90,11 @@ def _require_in_horizon(t, horizon):
     outside = ~((t >= 0.0) & (t <= horizon))
     if outside.any():
         raise DomainError(f"t={t[outside][0]} is outside [0, {horizon}]")
+
+
+def _drop_repeats(t):
+    """The sorted 1-d t without repeats: np.union1d imports numpy.ma."""
+    return t[np.append(True, t[1:] != t[:-1])]
 
 
 def _kinks(params):
@@ -275,8 +275,10 @@ class PipelineSolution:
     (``states``, in _propagate's order) and Phi there (``phi``), and at any
     time the dense output of its step, one quintic Hermite series per step
     in the six linear states (Hairer, Norsett & Wanner, Solving Ordinary
-    Differential Equations I, sec. II.6); Lambda has a second series per
-    step, built on first use.
+    Differential Equations I, sec. II.6). Lambda is not a state: it is the
+    running sum, built on first use, of 5-node Gauss integrals of a_0 + ell
+    between the breaks (the step edges and the knots of tabulated
+    coefficients), plus the integral from the last break up to t.
 
     The start is read off the EffectiveQuantities at t = 0: the
     displacement pair from the translation of the frozen t = 0 Hamiltonian,
@@ -308,10 +310,9 @@ class PipelineSolution:
         if np.ndim(grid) != 1:
             raise DomainError(f"grid must be a 1-d array, got shape {np.shape(grid)}")
         grid = np.sort(np.concatenate((grid, [0.0, params.horizon])))
-        # the range before the kernel, which past T could fail or overflow first;
-        # then drop repeats as np.union1d would, without the numpy.ma it imports
+        # the range before the kernel, which past T could fail or overflow first
         _require_in_horizon(grid, params.horizon)
-        grid = grid[np.append(True, grid[1:] != grid[:-1])]
+        grid = _drop_repeats(grid)
         self.params, self.grid = params, grid
         self.oscillator = EffectiveOscillator(params)
         kernel = self.oscillator.at(grid)
@@ -418,24 +419,6 @@ class PipelineSolution:
         defect = dy / h - _field(b, c, g[0], y)
         return np.max(np.abs(defect) / np.maximum(1.0, np.abs(y)), axis=(0, 1)) * h / 1.5
 
-    @functools.cached_property
-    def _phase_series(self):
-        """(Lambda at the edges, h times each step's series of it, a zero one
-        at T), coefficients first, from the displacement's series and one kernel
-        pass over five Gauss nodes of every step, node-major; einsum: @ starts BLAS."""
-        h = self._h[:-1]
-        nodes = (self.edges[:-1] + h * _PHASE_NODES[:, None]).ravel()
-        # beta_x and m beta_x' there, off the series by a constant s^j table
-        bx, y = np.einsum("nj,jik->ink", _PHASE_NODES[:, None] ** np.arange(6),
-                          self.series[:, [0, 3], :-1]).reshape(2, -1)
-        k = self.oscillator.at(nodes)
-        f = k.alpha_0 + _energy_offset(k.m, k.omega, k.alpha_x, k.alpha_p, k.alpha_xp,
-                                       bx, _beta_p(k, bx, y / k.m))
-        series = h * np.einsum("ij,jk->ik", _PHASE_SERIES, f.reshape(5, -1))
-        edge = np.pad(np.cumsum(series.sum(axis=0)), (1, 0))
-        _require_finite((f, np.tile(edge[1:], 5)), nodes, "auxiliary state")
-        return edge, np.pad(series, ((0, 0), (0, 1)))
-
     def _locate(self, t):
         """(t as a 1-d array, the step of each time, s = tau/h in it; T is
         s = 0 of the last edge); a t with more than one axis is a DomainError."""
@@ -446,18 +429,24 @@ class PipelineSolution:
         k = np.minimum(np.searchsorted(self.edges, t, side="right") - 1, self.edges.size - 1)
         return t, k, (t - self.edges[k]) / self._h[k]
 
+    def _linear(self, t, rows=slice(None)):
+        """(t as a 1-d array, the step of each time, and the linear states of
+        ``rows`` there off the series of its step by Horner's rule)."""
+        t, k, s = self._locate(t)
+        series = self.series[:, rows]
+        # np.take: a fancy index on the last axis returns the transposed layout
+        linear = np.take(series[5], k, axis=-1)
+        for c in np.take(series[4::-1], k, axis=-1):
+            linear *= s
+            linear += c
+        return t, k, linear
+
     def _states(self, t, kernel=None):
         """[beta_x, beta_x_dot, rho, rho_dot, Phi] at the times t as a 1-d
         array, from the series of their steps, and the EffectiveQuantities
         there (evaluated unless given); Lambda is _lambda's."""
-        t, k, s = self._locate(t)
+        t, k, (bx, u1, u2, y, q1, q2) = self._linear(t)
         kernel = self.oscillator.at(t) if kernel is None else kernel
-        # np.take: a fancy index on the last axis returns the transposed layout
-        linear = np.take(self.series[5], k, axis=-1)
-        for c in np.take(self.series[4::-1], k, axis=-1):
-            linear *= s
-            linear += c
-        bx, u1, u2, y, q1, q2 = linear
         u10, u20 = self.states[1:3, k]
         phi0 = self.phi[k]
         rho = np.hypot(u1, u2)
@@ -466,11 +455,36 @@ class PipelineSolution:
         _require_finite(out, t, "auxiliary state")
         return out, kernel
 
+    def _phase_integral(self, a, h):
+        """int (a_0 + ell) over each [a, a + h] of the 1-d a and h, no step edge
+        inside, by the 5-node Gauss rule: (beta_x, m beta_x') at the nodes off the
+        series, the rest from one kernel pass there; einsum: @ starts BLAS."""
+        nodes, _, (bx, y) = self._linear((a + h * _PHASE_NODES[:, None]).ravel(), [0, 3])
+        k = self.oscillator.at(nodes)
+        f = k.alpha_0 + _energy_offset(k.m, k.omega, k.alpha_x, k.alpha_p, k.alpha_xp,
+                                       bx, _beta_p(k, bx, y / k.m))
+        _require_finite(f, nodes, "auxiliary state")
+        return h * np.einsum("n,nk->k", _PHASE_WEIGHTS, f.reshape(5, -1))
+
+    @functools.cached_property
+    def _breaks(self):
+        """(the breaks, Lambda there), built on first read: the step edges and
+        the knots of tabulated coefficients inside (0, T), where the integrand
+        may not be smooth, and the running sum of the integrals between them."""
+        knots = [t for key in _COEFF_KEYS for t in getattr(self.params, key).knots]
+        knots = np.clip(knots, 0.0, self.edges[-1])    # those outside repeat 0 or T
+        breaks = _drop_repeats(np.sort(np.concatenate((self.edges, knots))))
+        lam = np.pad(np.cumsum(self._phase_integral(breaks[:-1], np.diff(breaks))), (1, 0))
+        _require_finite(lam, breaks, "auxiliary state")
+        return breaks, lam
+
     def _lambda(self, t):
-        """Lambda at the times t as a 1-d array: edge plus series at s = tau/h."""
-        t, k, s = self._locate(t)
-        edge, series = self._phase_series
-        return edge[k] + s * P.polyval(s, series[:, k], tensor=False)
+        """Lambda at the times t as a 1-d array: Lambda at the last break up
+        to each time plus the integral from there."""
+        t = self._locate(t)[0]
+        breaks, lam = self._breaks
+        k = np.searchsorted(breaks, t, side="right") - 1
+        return lam[k] + self._phase_integral(breaks[k], t - breaks[k])
 
     def _assemble(self, kernel, states, t):
         """Propagator coefficients at time(s) t, scalars for a scalar t, from the
@@ -500,7 +514,7 @@ class PipelineSolution:
 
     def at(self, t):
         """(beta_x, beta_x_dot, beta_p, rho, rho_dot, Phi, Lambda) at t, off
-        the series of its step; Lambda's are built on first use for all steps."""
+        the series of its step; Lambda from the breaks' sums, built on first use."""
         (bx, bxd, *ermakov), kernel = self._states(t)
         return _scalar_or_array(t, (bx, bxd, _beta_p(kernel, bx, bxd), *ermakov,
                                     self._lambda(t)))

@@ -149,7 +149,7 @@ class CKSpec:
                 f"|gamma| = {abs(self.gamma)} must stay below 2 omega = {2 * self.omega}",
                 constraint="|gamma| < 2 omega")
         if self.horizon is None:
-            w5 = math.sqrt(self.omega ** 2 - self.gamma ** 2 / 4.0)
+            w5 = self.omega * math.sqrt(1.0 - (self.gamma / (2.0 * self.omega)) ** 2)
             object.__setattr__(self, "horizon", 4.0 * math.pi / w5)
 
     def to_params(self):

@@ -79,6 +79,8 @@ class TimeFunction:
     kind = "abstract"
     # times where the first derivative jumps
     kinks = ()
+    # times where some derivative jumps (a kink is one)
+    knots = ()
     # (JSON field, parser, default or REQUIRED) per constructor argument, in order
     schema = ()
 
@@ -150,7 +152,7 @@ class Cosine(TimeFunction):
         a, w = self.amplitude, self.angular_frequency
         arg = w * np.asarray(t, dtype=float) + self.phase
         c = np.cos(arg)
-        return a * c, -a * w * np.sin(arg), -a * w ** 2 * c
+        return a * c, -a * w * np.sin(arg), -a * (w * w) * c
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class Exponential(TimeFunction):
     def jet(self, t):
         r = self.rate
         v = self.prefactor * np.exp(r * np.asarray(t, dtype=float))
-        return v, r * v, r ** 2 * v
+        return v, r * v, r * r * v
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,7 @@ class Tabulated(TimeFunction):
     values: tuple
     order: int = 3
     # the knots, and per piece (a column) its coefficients, highest power first
-    _knots: np.ndarray = field(init=False, compare=False, repr=False)
+    knots: np.ndarray = field(init=False, compare=False, repr=False)
     _pieces: np.ndarray = field(init=False, compare=False, repr=False)
 
     kind = "tabulated"
@@ -258,7 +260,7 @@ class Tabulated(TimeFunction):
         h = np.diff(g)
         d = np.diff(v) / h
         pieces = _cubic_pieces(h, d, v) if self.order == 3 else (d, v[:-1])
-        object.__setattr__(self, "_knots", g)
+        object.__setattr__(self, "knots", g)
         object.__setattr__(self, "_pieces", np.array(pieces))
 
     @property
@@ -272,8 +274,8 @@ class Tabulated(TimeFunction):
 
     def jet(self, t):
         t = np.asarray(t, dtype=float)
-        k = np.searchsorted(self._knots[1:-1], t, side="right")
-        x = t - self._knots[k]
+        k = np.searchsorted(self.knots[1:-1], t, side="right")
+        x = t - self.knots[k]
         # Horner's rule on the piece of each time (an end piece past the grid)
         value, *rest = self._pieces.take(k, axis=1)
         first = second = 0.0

@@ -859,7 +859,8 @@ def test_config_in_utf_16_or_32_or_with_a_bom_validates(tmp_path, capsys, encodi
 
 
 # a finite input whose square passes the largest float: Python-float arithmetic
-# raises OverflowError, and on validate's grid w^2 - kappa^2 reads +inf
+# raises OverflowError, and on validate's grid w^2 - kappa^2 reads +inf, or
+# NaN for the ck preset, whose kappa = gamma/2 = -omega/8 squares to +inf too
 _BIG_OMEGA = "validity error: constraint violated: omega^2 - kappa^2 > 0 (value inf) at t=0\n"
 
 
@@ -867,14 +868,16 @@ _BIG_OMEGA = "validity error: constraint violated: omega^2 - kappa^2 > 0 (value 
     (["static-diag", "--config", "{cfg}"], {"m": 1, "omega": 1e200}, "",
      "validity error: overflow: "),
     (["evolve", "--scenario", "ck", "--omega", "1e200", "--samples", "5"], None, "",
-     "validity error: overflow: "),
+     _BIG_OMEGA.replace("inf", "nan")),
+    (["validate", "--scenario", "ck", "--omega", "1e200"], None,
+     "violated: omega^2 - kappa^2 > 0 at t=0 (value nan)\n", ""),
     (["evolve", "--scenario", "driven", "--omega", "1e200", "--samples", "5"], None, "",
      _BIG_OMEGA),
     (["evolve", "--config", "{cfg}", "--samples", "5"],
      {"m": 1, "omega": 1e200, "horizon": 1}, "", _BIG_OMEGA),
     (["validate", "--config", "{cfg}"], {"m": 1, "omega": 1e200, "horizon": 1},
      "violated: omega^2 - kappa^2 > 0 at t=0 (value inf)\n", ""),
-], ids=["static-diag", "ck", "driven", "evolve-config", "validate-config"])
+], ids=["static-diag", "ck", "validate-ck", "driven", "evolve-config", "validate-config"])
 def test_finite_input_that_overflows_exits_3(tmp_path, capsys, argv, config, out, err):
     # an expected err that ends in ": " goes on with Python's own detail
     cfg = tmp_path / "config.json"
@@ -894,6 +897,14 @@ def test_finite_input_that_overflows_exits_3(tmp_path, capsys, argv, config, out
 
 def test_sweep_records_an_overflowing_point_and_goes_on(tmp_path):
     assert main(["sweep", "--scenario", "driven", "--sweep", "omega:1:1e200:2",
+                 "--samples", "5", "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["ok", "error: ValidityError: omega^2 - kappa^2 > 0 at t=0"]
+
+
+def test_ck_sweep_records_an_overflowing_point_by_its_rule(tmp_path):
+    assert main(["sweep", "--scenario", "ck", "--sweep", "omega:1:1e200:2",
                  "--samples", "5", "--out", str(tmp_path)]) == 0
     rows = [ln.split(",") for ln in
             (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]

@@ -191,18 +191,19 @@ def test_series_read_the_edge_states_and_join_at_the_edges(params):
     assert np.max(np.abs(ends - linear) / np.maximum(1.0, np.abs(linear))) < 1e-14
 
 
-@pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP],
-                         ids=["criterion-5-set-0", "omega-ramp-1-to-8"])
+@pytest.mark.parametrize("params", [_criterion_5_sets(1)[0], OMEGA_RAMP,
+                                    _rough_order_3_table("omega", 11)],
+                         ids=["criterion-5-set-0", "omega-ramp-1-to-8", "order-3-omega-11-knots"])
 def test_phase_series_is_built_on_first_read_and_joins_at_the_edges(params):
     sol = solve(params, n_samples=9)
     init = MomentState(0.0, *START, 1.0, 1.0, 0.0)
     q = np.linspace(0.0, params.horizon, 7)
     sol.moments(init), sol.moments_at(init, q), sol.coefficients_at(q)
-    assert "_phase_series" not in vars(sol)
-    # every edge is s = 0 of its own series of Lambda, T of a zero one
-    edge, series = sol._phase_series
-    assert edge.shape == (sol.edges.size,) and series.shape == (5, sol.edges.size)
-    assert np.array_equal(sol._lambda(sol.edges), edge)
-    # s = 1 of each step's series is the next edge's value, to round-off
-    ends = edge[:-1] + series[:, :-1].sum(axis=0)
-    assert np.max(np.abs(ends - edge[1:]) / np.maximum(1.0, np.abs(edge[1:]))) < 1e-14
+    assert "_breaks" not in vars(sol)
+    # Lambda at the breaks, the step edges and the knots of tables inside (0, T)
+    breaks, lam = sol._breaks
+    knots = [t for t in params.omega.knots if 0.0 < t < params.horizon]
+    assert np.array_equal(breaks, np.union1d(sol.edges, knots))
+    assert lam.shape == breaks.shape and lam[0] == 0.0
+    # a query at a break reads its stored value, plus an empty integral
+    assert np.array_equal(sol._lambda(breaks), lam)

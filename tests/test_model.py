@@ -165,13 +165,13 @@ def _reference_evaluators(fn, t):
         return fn.const, 0.0, 0.0
     if isinstance(fn, Cosine):
         a1 = -fn.amplitude * fn.angular_frequency
-        a2 = -fn.amplitude * fn.angular_frequency ** 2
+        a2 = -fn.amplitude * (fn.angular_frequency * fn.angular_frequency)
         return (fn.amplitude * np.cos(fn.angular_frequency * t + fn.phase),
                 a1 * np.sin(fn.angular_frequency * t + fn.phase),
                 a2 * np.cos(fn.angular_frequency * t + fn.phase))
     if isinstance(fn, Exponential):
         value = fn.prefactor * np.exp(fn.rate * t)
-        return value, fn.rate * value, fn.rate ** 2 * value
+        return value, fn.rate * value, fn.rate * fn.rate * value
     raise TypeError(fn)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import CubicSpline
 
 from tdqho.errors import DomainError, IntegrationError, SingularityError, ValidityError
 from tdqho.model import (EffectiveOscillator, MomentState, QuadraticParams,
@@ -139,18 +140,43 @@ def test_lambda_matches_driven_closed_form(spec):
     assert np.max(np.abs(sol.global_phase(q) + expected / spec.hbar)) < 1e-8
 
 
-def test_lambda_of_a_quartic_energy_offset_is_its_antiderivative():
-    # no drives leave ell = 0, and the degree-5 series of each step holds a
-    # quartic a_0's antiderivative exactly
-    coefficients = [0.3, -0.2, 0.05, 0.01, -0.0007]
-    p = standard_params(horizon=10.0, alpha_0={"kind": "polynomial",
-                                               "coefficients": coefficients})
-    sol = solve(p, n_samples=2000)
+_QUARTIC = [0.3, -0.2, 0.05, 0.01, -0.0007]
+
+
+def _cosine_energy_offset(angular_frequency):
+    return ({"kind": "cosine", "amplitude": 1.0, "angular_frequency": angular_frequency},
+            lambda t: np.sin(angular_frequency * t) / angular_frequency, 1e-8)
+
+
+def _order_3_energy_offset():
+    """An order-3 table through cos(19.4 t) at 74 scattered knots, whose
+    spline's second derivative jumps at every knot, with scipy's antiderivative
+    of the same not-a-knot spline."""
+    rng = np.random.default_rng(1)
+    knots = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 10.0, 72)), [10.0]))
+    values = np.cos(19.4 * knots)
+    spline = CubicSpline(knots, values).antiderivative()
+    return ({"kind": "tabulated", "grid": list(knots), "values": list(values)},
+            lambda t: spline(t) - spline(0.0), 1e-8)
+
+
+@pytest.mark.parametrize("alpha_0, antiderivative, tol", [
+    ({"kind": "polynomial", "coefficients": _QUARTIC},
+     lambda t: np.polynomial.polynomial.polyval(
+         t, np.polynomial.polynomial.polyint(_QUARTIC)), 1e-12),
+    *(_cosine_energy_offset(w) for w in (20.0, 50.0, 100.0)),
+    _order_3_energy_offset()],
+    ids=["quartic", "cos-20t", "cos-50t", "cos-100t", "order-3-table"])
+def test_lambda_of_an_energy_offset_is_its_antiderivative(alpha_0, antiderivative, tol):
+    # no drives leave ell = 0, so Lambda is the integral of a_0 alone: the
+    # five-node Gauss rule holds a quartic exactly, and a fast cosine or a
+    # spline to tol between the breaks, the step edges and the table's knots
+    sol = solve(standard_params(horizon=10.0, alpha_0=alpha_0), n_samples=2000)
     q = np.random.default_rng(11).uniform(0.0, 10.0, 256)
-    antiderivative = np.polynomial.polynomial.polyint(coefficients)
-    for t, lam in ((sol.grid, sol.at(sol.grid)[-1]), (q, sol.at(q)[-1])):
-        exact = np.polynomial.polynomial.polyval(t, antiderivative)
-        assert np.max(np.abs(lam - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
+    for t in (sol.grid, q):
+        exact = antiderivative(t)
+        lam = sol.at(t)[-1]
+        assert np.max(np.abs(lam - exact) / np.maximum(1.0, np.abs(exact))) < tol
 
 
 # -- residual diagnostics -----------------------------------------------------
@@ -710,16 +736,18 @@ def test_solve_takes_six_array_jets_on_its_grid(monkeypatch):
     sol.coefficients_at(3.7)
     sol.coefficients_at(np.array([1.0, 2.5]))
     assert scalars == []
-    # the global phase takes only the phase series' build: one pass over the
-    # five Gauss nodes of every step
+    # the first global phase builds Lambda at the breaks, here the step edges,
+    # in one pass over the five Gauss nodes between each pair, then reads the
+    # grid in one pass over the five nodes from the last break up to each time
     sizes.clear()
     sol.global_phase()
-    assert sizes == [5 * steps] * 6
-    # later queries, at new times too, read the built series: no jets at all
+    assert sol._breaks[0].size == steps + 1
+    assert sizes == [5 * steps] * 6 + [5 * 2000] * 6
+    # each later query, at new times too, takes five nodes per time
     sizes.clear()
     sol.global_phase(np.linspace(0.05, 9.95, 37))
     sol.global_phase(2.5)
-    assert sizes == [] and scalars == []
+    assert sizes == [5 * 37] * 6 + [5] * 6 and scalars == []
 
 
 # -- unit determinant over random admissible profiles ---------------------------
